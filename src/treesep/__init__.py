@@ -23,7 +23,7 @@ from .grammar import (
     is_valid_derivation,
     parse_grammar,
 )
-from .obfuscation import kop_dbta, kop_member, kop_nta, kop_oracle, obf_alphabet
+from .obfuscation import kop_dbta, kop_member, kop_nta, obf_alphabet
 from .rotation import (
     ExtractReport,
     RotationWitness,

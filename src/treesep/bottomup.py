@@ -4,6 +4,16 @@ Transition tables may be partial as long as the automaton names a rejecting
 sink: every missing entry, and every entry with a sink among its inputs,
 resolves to the sink.  This keeps totality virtual, which matters for
 automata whose full tables would be astronomically sparse.
+
+Reachable states, products, subset constructions and the walker-to-DBTA
+construction are all one closure: start from nothing and apply every letter
+to every tuple of known states until no new state appears.  `saturate` is
+that closure, evaluated semi-naively: a letter's pass only combines tuples
+holding a state found since the letter's previous pass, in lexicographic
+order of discovery index.  Discovery order, and with it every state name, is
+exactly that of the plain round-robin loop (each round, each letter in
+alphabet order, over a snapshot of all known states), so callers' outputs do
+not depend on the evaluation strategy.
 """
 
 from __future__ import annotations
@@ -13,7 +23,61 @@ import itertools
 
 from . import fmt
 from .errors import AlphabetError, ArityError, FormatError, TransitionError
-from .trees import PORT, RankedAlphabet, Tree, enumerate_terms, format_tree
+from .trees import PORT, Tree, format_tree
+
+
+def _same(state, _index):
+    return state
+
+
+def _fresh_tuples(values, n, old, ar):
+    """Tuples over values[:n] of length `ar` with an entry at index >= `old`,
+    in lexicographic order of index; all of them when `old` is None, i.e. on
+    a letter's first pass."""
+    if old is None:
+        return itertools.product(values[:n], repeat=ar)
+    if ar == 0 or old == n:
+        return ()
+
+    def blocks():
+        # one block per prefix of the first ar - 1 indices; the last index
+        # only has to be fresh when the prefix is not
+        for head in itertools.product(range(n), repeat=ar - 1):
+            start = 0 if head and max(head) >= old else old
+            yield itertools.product(*[[values[i]] for i in head], values[start:n])
+
+    return itertools.chain.from_iterable(blocks())
+
+
+def saturate(alphabet, step, name):
+    """Close the empty state set under `step`; returns (states, table).
+
+    `step(letter, child_states)` gives the state a letter makes of a tuple of
+    known states, or None for no transition.  `name(state, index)` names a
+    state by itself and its discovery index.  `states` is in discovery order
+    and `table` maps each letter to {tuple of child names: name}.
+    """
+    order = []
+    index = {}
+    names = []
+    table = {letter: {} for letter, _ in alphabet.items()}
+    seen = {letter: None for letter in table}  # states known at each letter's last pass
+    while any(n != len(order) for n in seen.values()):
+        for letter, ar in alphabet.items():
+            n, old = len(order), seen[letter]
+            seen[letter] = n
+            rows = table[letter]
+            fresh = zip(_fresh_tuples(order, n, old, ar), _fresh_tuples(names, n, old, ar))
+            for children, key in fresh:
+                target = step(letter, children)
+                if target is None:
+                    continue
+                i = index.setdefault(target, len(order))
+                if i == len(order):
+                    order.append(target)
+                    names.append(name(target, i))
+                rows[key] = names[i]
+    return order, table
 
 
 class Dbta:
@@ -97,42 +161,12 @@ class Dbta:
 
     def reachable(self) -> list:
         """States some tree evaluates to, in deterministic discovery order."""
-        found = []
-        seen = set()
-
-        def add(q):
-            if q not in seen:
-                seen.add(q)
-                found.append(q)
-
-        changed = True
-        while changed:
-            changed = False
-            before = len(found)
-            for letter, ar in self.alphabet.items():
-                if ar == 0:
-                    add(self.step(letter, ()))
-                else:
-                    snapshot = list(found)
-                    for key in itertools.product(snapshot, repeat=ar):
-                        add(self.step(letter, key))
-            changed = len(found) > before
-        return found
-
-    def completed(self) -> "Dbta":
-        """Equivalent automaton restricted to reachable states, with total tables."""
-        reach = self.reachable()
-        table = {}
-        for letter, ar in self.alphabet.items():
-            table[letter] = {
-                key: self.step(letter, key) for key in itertools.product(reach, repeat=ar)
-            }
-        return Dbta(self.alphabet, reach, self.accepting & set(reach), table, sink=None)
+        return saturate(self.alphabet, self.step, _same)[0]
 
     def complement(self) -> "Dbta":
-        done = self.completed()
-        flipped = set(done.states) - set(done.accepting)
-        return Dbta(done.alphabet, done.states, flipped, done.transitions, sink=None)
+        """Reachable part with total tables and the accepting set flipped."""
+        reach, table = saturate(self.alphabet, self.step, _same)
+        return Dbta(self.alphabet, reach, set(reach) - self.accepting, table, sink=None)
 
     def product(self, other: "Dbta", op: str) -> "Dbta":
         """Pairing construction; `op` is one of and / or / andnot."""
@@ -140,34 +174,17 @@ class Dbta:
             raise ValueError(f"unknown op {op!r}")
         if self.alphabet != other.alphabet:
             raise AlphabetError("product needs a shared alphabet")
-        pairs = []
-        seen = set()
 
-        def name(pair):
+        def name(pair, _i=None):
             return f"{pair[0]}|{pair[1]}"
 
-        def add(pair):
-            if pair not in seen:
-                seen.add(pair)
-                pairs.append(pair)
+        def step(letter, combo):
+            return (
+                self.step(letter, tuple(p[0] for p in combo)),
+                other.step(letter, tuple(p[1] for p in combo)),
+            )
 
-        table = {letter: {} for letter, _ in self.alphabet.items()}
-        while True:
-            grew = False
-            for letter, ar in self.alphabet.items():
-                for combo in itertools.product(list(pairs), repeat=ar) if ar else [()]:
-                    key = tuple(name(p) for p in combo)
-                    if key in table[letter]:
-                        continue
-                    target = (
-                        self.step(letter, tuple(p[0] for p in combo)),
-                        other.step(letter, tuple(p[1] for p in combo)),
-                    )
-                    add(target)
-                    table[letter][key] = name(target)
-                    grew = True
-            if not grew:
-                break
+        pairs, table = saturate(self.alphabet, step, name)
         accepting = set()
         for pair in pairs:
             in_a = pair[0] in self.accepting
@@ -323,42 +340,18 @@ class Nta:
 
     def determinize(self) -> Dbta:
         """Subset construction over reachable subsets; the empty subset is the sink."""
-        order = []
-        index = {}
 
-        def intern(subset):
-            if subset not in index:
-                index[subset] = f"d{len(order)}"
-                order.append(subset)
-                return True
-            return False
+        def step(letter, subsets):
+            target = set()
+            for rel_key, values in self.transitions[letter].items():
+                if all(q in subset for q, subset in zip(rel_key, subsets)):
+                    target |= values
+            return frozenset(target) if target else None
 
-        table = {letter: {} for letter, _ in self.alphabet.items()}
-        while True:
-            grew = False
-            for letter, ar in self.alphabet.items():
-                rel = self.transitions[letter]
-                for combo in itertools.product(range(len(order)), repeat=ar) if ar else [()]:
-                    subsets = [order[i] for i in combo]
-                    key = tuple(index[s] for s in subsets)
-                    if key in table[letter]:
-                        continue
-                    target = set()
-                    for rel_key, values in rel.items():
-                        if all(rel_key[i] in subsets[i] for i in range(ar)):
-                            target |= values
-                    if not target:
-                        continue
-                    fz = frozenset(target)
-                    if intern(fz):
-                        grew = True
-                    table[letter][key] = index[fz]
-                    grew = True
-            if not grew:
-                break
+        order, table = saturate(self.alphabet, step, lambda _subset, i: f"d{i}")
         sink = "dempty"
-        states = [index[s] for s in order] + [sink]
-        accepting = {index[s] for s in order if s & self.accepting}
+        states = [f"d{i}" for i in range(len(order))] + [sink]
+        accepting = {f"d{i}" for i, s in enumerate(order) if s & self.accepting}
         return Dbta(self.alphabet, states, accepting, table, sink=sink)
 
     def to_text(self) -> str:
@@ -371,11 +364,6 @@ class Nta:
                 targets = ",".join(sorted(self.transitions[letter][key]))
                 lines.append(f"{letter}({','.join(key)}) -> {{{targets}}}")
         return "\n".join(lines) + "\n"
-
-
-def smallest_trees(alphabet: RankedAlphabet, max_nodes: int):
-    """All trees (no ports) up to the size bound, smallest first."""
-    return enumerate_terms(alphabet, 0, max_nodes)
 
 
 def _parse_common(text: str, where: str):

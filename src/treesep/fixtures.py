@@ -130,16 +130,6 @@ def q_initial_grammar() -> CnfGrammar:
     return parse_grammar(Q_INITIAL_TEXT)
 
 
-GRAMMARS = {
-    "pq": pq_grammar,
-    "blocks": blocks_grammar,
-    "palindrome": palindrome_grammar,
-    "nonpalindrome": nonpalindrome_grammar,
-    "p-initial": p_initial_grammar,
-    "q-initial": q_initial_grammar,
-}
-
-
 def obf_sigma() -> RankedAlphabet:
     """The working alphabet {a/2, c/0, p/0, q/0} used across the fixtures."""
     return RankedAlphabet({"a": 2, "c": 0, "p": 0, "q": 0})

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .bottomup import Dbta, Nta
 from .errors import AlphabetError
 from .grammar import CnfGrammar
-from .trees import RankedAlphabet, Tree, compose, enumerate_terms
+from .trees import RankedAlphabet, Tree
 
 FRESH_PAIR = ("a", "c")
 
@@ -28,34 +28,6 @@ def obf_alphabet(grammar: CnfGrammar, pair=FRESH_PAIR) -> RankedAlphabet:
     letters[binary] = 2
     letters[pad] = 0
     return RankedAlphabet(letters)
-
-
-def kop_oracle(derivation: Tree, max_nodes: int, pair=FRESH_PAIR) -> set:
-    """Direct recursive enumeration of the obfuscation of one derivation,
-    restricted to trees with at most `max_nodes` nodes."""
-    binary, pad = pair
-    pair_alphabet = RankedAlphabet({binary: 2, pad: 0})
-
-    def go(node: Tree, budget: int) -> set:
-        if node.is_leaf():
-            return {node} if budget >= 1 else set()
-        if budget < 3:
-            return set()
-        left, right = node.children
-        lefts = go(left, budget - 2)
-        rights = go(right, budget - 2)
-        out = set()
-        for shape in enumerate_terms(pair_alphabet, 2, budget):
-            room = budget - (shape.size - 2)
-            for s1 in lefts:
-                if s1.size >= room:
-                    continue
-                for s2 in rights:
-                    if s1.size + s2.size <= room:
-                        out.add(compose(shape, (s1, s2)))
-        return out
-
-    return go(derivation, max_nodes)
 
 
 def kop_nta(grammar: CnfGrammar, pair=FRESH_PAIR) -> Nta:

@@ -58,20 +58,8 @@ class RankedAlphabet:
     def items(self) -> tuple:
         return tuple(self._letters.items())
 
-    def names(self) -> tuple:
-        return tuple(self._letters)
-
     def zero_arity(self) -> tuple:
         return tuple(n for n, a in self._letters.items() if a == 0)
-
-    def extended(self, extra: dict) -> "RankedAlphabet":
-        """New alphabet with extra letters; rejects clashes on existing names."""
-        merged = dict(self._letters)
-        for name, ar in extra.items():
-            if name in merged and merged[name] != ar:
-                raise AlphabetError(f"letter {name!r} already has arity {merged[name]}")
-            merged[name] = ar
-        return RankedAlphabet(merged)
 
     def validate(self, tree: "Tree", ports: bool = False) -> None:
         """Check labels and child counts; `ports=True` additionally admits ``*``."""
@@ -156,10 +144,6 @@ class Tree:
 
     def __repr__(self):
         return f"Tree[{format_tree(self)}]"
-
-
-def leaf(label: str) -> Tree:
-    return Tree(label)
 
 
 def subtree_at(tree: Tree, path: Iterable[int]) -> Tree:

@@ -14,14 +14,13 @@ never actually occupy.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
 from . import fmt
 from .errors import AlphabetError, ArityError, FormatError
 from .trees import RankedAlphabet, Tree
-from .bottomup import Dbta
+from .bottomup import Dbta, saturate
 from .words import Dfa
 
 ACCEPT = "accept"
@@ -105,14 +104,18 @@ class Dtwa:
         Loop.  Step count is the number of moves taken.
         """
         self.alphabet.validate(tree)
-        stack = [tree]
+        # A configuration's node is keyed by a position id, handed out the
+        # first time the run enters a (parent id, child index); keying by the
+        # path itself would make every move cost the current depth.
+        stack = [(tree, 0)]
+        position_ids = {}
         path = []
         state = self.initial
         steps = 0
-        visited = {(state, ())}
+        visited = {(state, 0)}
         trace = [(state, (), ROOT_TAG)] if collect_trace else None
         while True:
-            node = stack[-1]
+            node, pos = stack[-1]
             tag = path[-1] if path else ROOT_TAG
             act = self.action(node.label, tag, state)
             if act == ACCEPT:
@@ -127,11 +130,12 @@ class Dtwa:
                 stack.pop()
                 path.pop()
             elif move != STAY:
-                stack.append(node.children[move - 1])
+                child = position_ids.setdefault((pos, move), len(position_ids) + 1)
+                stack.append((node.children[move - 1], child))
                 path.append(move)
-            config = (state, tuple(path))
             if collect_trace:
-                trace.append((state, config[1], config[1][-1] if config[1] else ROOT_TAG))
+                trace.append((state, tuple(path), path[-1] if path else ROOT_TAG))
+            config = (state, stack[-1][1])
             if config in visited:
                 return RunOutcome(LOOP, steps, trace)
             visited.add(config)
@@ -308,49 +312,27 @@ def behavior_compose(dtwa: Dtwa, letter, child_behaviors) -> dict:
     }
 
 
-def _behavior_key(behavior: dict) -> tuple:
-    return tuple(sorted(behavior.items()))
-
-
 def to_dbta(dtwa: Dtwa) -> Dbta:
     """Bottom-up automaton whose states are the reachable subtree behaviors.
 
     A behavior is accepting when entering the subtree as the whole tree, at
     the root tag in the initial state, leads to Accept.  The table is total
-    over the reachable behaviors, so no sink is needed.
+    over the reachable behaviors, so no sink is needed.  Behaviors are
+    interned by their tuple of outcomes, which is sound because
+    `behavior_compose` always lists the (tag, state) slots in one order.
     """
-    order = []
-    index = {}
+    behaviors = {}
 
-    def intern(behavior):
-        key = _behavior_key(behavior)
-        if key not in index:
-            index[key] = (f"b{len(order)}", behavior)
-            order.append(key)
+    def step(letter, children):
+        behavior = behavior_compose(dtwa, letter, (behaviors[c] for c in children))
+        key = tuple(behavior.values())
+        behaviors.setdefault(key, behavior)
+        return key
 
-    table = {letter: {} for letter, _ in dtwa.alphabet.items()}
-    while True:
-        grew = False
-        for letter, ar in dtwa.alphabet.items():
-            snapshot = list(order)
-            for combo in itertools.product(snapshot, repeat=ar):
-                key = tuple(index[k][0] for k in combo)
-                if key in table[letter]:
-                    continue
-                children = tuple(index[k][1] for k in combo)
-                if ar == 0:
-                    behavior = behavior_of_leaf(dtwa, letter)
-                else:
-                    behavior = behavior_compose(dtwa, letter, children)
-                intern(behavior)
-                table[letter][key] = index[_behavior_key(behavior)][0]
-                grew = True
-        if not grew:
-            break
+    order, table = saturate(dtwa.alphabet, step, lambda _key, i: f"b{i}")
     accepting = {
-        index[key][0]
-        for key in order
-        if index[key][1][(ROOT_TAG, dtwa.initial)] == OUT_ACCEPT
+        f"b{i}"
+        for i, key in enumerate(order)
+        if behaviors[key][(ROOT_TAG, dtwa.initial)] == OUT_ACCEPT
     }
-    states = [index[key][0] for key in order]
-    return Dbta(dtwa.alphabet, states, accepting, table, sink=None)
+    return Dbta(dtwa.alphabet, [f"b{i}" for i in range(len(order))], accepting, table, sink=None)

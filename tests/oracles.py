@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values by brute force or by a second
 route (direct recursion, step-bounded simulation, exhaustive enumeration) so
-the tests never trust the code path they are checking.
+the tests never trust the code path they are checking.  The few helpers
+only the tests use (`smallest_trees`) live here too.
 """
 
 from __future__ import annotations
@@ -11,8 +12,20 @@ import itertools
 import random
 
 from treesep.bottomup import Dbta
-from treesep.trees import PORT, RankedAlphabet, Tree
-from treesep.walking import ACCEPT, ESCAPE, LOOP, PARENT, REJECT, ROOT_TAG, STAY, Dtwa
+from treesep.obfuscation import FRESH_PAIR
+from treesep.trees import PORT, RankedAlphabet, Tree, compose, enumerate_terms
+from treesep.walking import (
+    ACCEPT,
+    ESCAPE,
+    LOOP,
+    OUT_ACCEPT,
+    PARENT,
+    REJECT,
+    ROOT_TAG,
+    STAY,
+    Dtwa,
+    behavior_compose,
+)
 from treesep.words import Dfa
 
 SEED = 20260811
@@ -173,6 +186,39 @@ def random_dbta(rng: random.Random, alphabet: RankedAlphabet, n_states: int = 3)
     return Dbta(alphabet, states, accepting, transitions)
 
 
+def smallest_trees(alphabet: RankedAlphabet, max_nodes: int):
+    """All trees (no ports) up to the size bound, smallest first."""
+    return enumerate_terms(alphabet, 0, max_nodes)
+
+
+def kop_oracle(derivation: Tree, max_nodes: int, pair=FRESH_PAIR) -> set:
+    """Direct recursive enumeration of the obfuscation of one derivation,
+    restricted to trees with at most `max_nodes` nodes."""
+    binary, pad = pair
+    pair_alphabet = RankedAlphabet({binary: 2, pad: 0})
+
+    def go(node: Tree, budget: int) -> set:
+        if node.is_leaf():
+            return {node} if budget >= 1 else set()
+        if budget < 3:
+            return set()
+        left, right = node.children
+        lefts = go(left, budget - 2)
+        rights = go(right, budget - 2)
+        out = set()
+        for shape in enumerate_terms(pair_alphabet, 2, budget):
+            room = budget - (shape.size - 2)
+            for s1 in lefts:
+                if s1.size >= room:
+                    continue
+                for s2 in rights:
+                    if s1.size + s2.size <= room:
+                        out.add(compose(shape, (s1, s2)))
+        return out
+
+    return go(derivation, max_nodes)
+
+
 def kop_language(grammar, max_nodes: int) -> set:
     """The full obfuscation language up to a node bound, via the recursive
     oracle: union over every derivation of every short-enough word.
@@ -180,7 +226,6 @@ def kop_language(grammar, max_nodes: int) -> set:
     A member for a word of length n has at least 2n - 1 nodes, so words
     longer than (max_nodes + 1) // 2 cannot contribute."""
     from treesep.grammar import derivations, generate_words
-    from treesep.obfuscation import kop_oracle
 
     out = set()
     max_word = (max_nodes + 1) // 2
@@ -200,8 +245,6 @@ def definitional_l_equivalent(dbta: Dbta, t: Tree, u: Tree,
     membership of s(t(fillers)) factors through those states; the factoring
     identity is itself tested elsewhere (eval_term versus compose).
     """
-    from treesep.trees import enumerate_terms
-
     if t.arity != u.arity:
         raise ValueError("arity mismatch")
     filler_states = sorted({dbta.eval(tree)
@@ -226,8 +269,6 @@ def definitional_l_equivalent_literal(dbta: Dbta, t: Tree, u: Tree,
 
     Exponential; only for cross-validating the optimized oracle at tiny
     bounds."""
-    from treesep.trees import compose, enumerate_terms
-
     fillers = sorted(brute_trees(dbta.alphabet, filler_nodes),
                      key=lambda x: (x.size, str(x)))
     contexts = list(enumerate_terms(dbta.alphabet, 1, context_nodes))
@@ -238,3 +279,99 @@ def definitional_l_equivalent_literal(dbta: Dbta, t: Tree, u: Tree,
             if left != right:
                 return False
     return True
+
+
+def round_robin_closure(alphabet: RankedAlphabet, step):
+    """The plain closure loop the saturation engine must agree with: each
+    round, each letter in alphabet order, every tuple over a snapshot of the
+    states known so far, until a round adds nothing.  A tuple already in the
+    table is not stepped again; `step` returning None means no transition.
+
+    Returns (states in discovery order, {letter: {index tuple: index}})."""
+    order, index = [], {}
+    table = {letter: {} for letter, _ in alphabet.items()}
+    grew = True
+    while grew:
+        grew = False
+        for letter, ar in alphabet.items():
+            for combo in itertools.product(range(len(order)), repeat=ar):
+                if combo in table[letter]:
+                    continue
+                target = step(letter, tuple(order[i] for i in combo))
+                if target is None:
+                    continue
+                if target not in index:
+                    index[target] = len(order)
+                    order.append(target)
+                    grew = True
+                table[letter][combo] = index[target]
+    return order, table
+
+
+def _named_table(table, names):
+    return {
+        letter: {tuple(names[i] for i in key): names[v] for key, v in rows.items()}
+        for letter, rows in table.items()
+    }
+
+
+def round_robin_reachable(dbta: Dbta) -> list:
+    return round_robin_closure(dbta.alphabet, dbta.step)[0]
+
+
+def round_robin_complement(dbta: Dbta) -> Dbta:
+    reach = round_robin_reachable(dbta)
+    table = {
+        letter: {key: dbta.step(letter, key) for key in itertools.product(reach, repeat=ar)}
+        for letter, ar in dbta.alphabet.items()
+    }
+    return Dbta(dbta.alphabet, reach, set(reach) - dbta.accepting, table)
+
+
+def round_robin_product(left: Dbta, right: Dbta, op: str) -> Dbta:
+    def step(letter, combo):
+        return (left.step(letter, tuple(p[0] for p in combo)),
+                right.step(letter, tuple(p[1] for p in combo)))
+
+    pairs, table = round_robin_closure(left.alphabet, step)
+    names = [f"{p}|{q}" for p, q in pairs]
+    keep = {
+        "and": lambda a, b: a and b,
+        "or": lambda a, b: a or b,
+        "andnot": lambda a, b: a and not b,
+    }[op]
+    accepting = {
+        name for name, (p, q) in zip(names, pairs)
+        if keep(p in left.accepting, q in right.accepting)
+    }
+    return Dbta(left.alphabet, names, accepting, _named_table(table, names))
+
+
+def round_robin_determinize(nta) -> Dbta:
+    def step(letter, subsets):
+        target = set()
+        for key, values in nta.transitions[letter].items():
+            if all(key[i] in subsets[i] for i in range(len(key))):
+                target |= values
+        return frozenset(target) or None
+
+    order, table = round_robin_closure(nta.alphabet, step)
+    names = [f"d{i}" for i in range(len(order))]
+    accepting = {name for name, subset in zip(names, order) if subset & nta.accepting}
+    return Dbta(nta.alphabet, names + ["dempty"], accepting, _named_table(table, names),
+                sink="dempty")
+
+
+def round_robin_to_dbta(dtwa: Dtwa) -> Dbta:
+    """Behaviors interned by their sorted item tuples."""
+    def step(letter, children):
+        behavior = behavior_compose(dtwa, letter, [dict(c) for c in children])
+        return tuple(sorted(behavior.items()))
+
+    order, table = round_robin_closure(dtwa.alphabet, step)
+    names = [f"b{i}" for i in range(len(order))]
+    accepting = {
+        name for name, key in zip(names, order)
+        if dict(key)[(ROOT_TAG, dtwa.initial)] == OUT_ACCEPT
+    }
+    return Dbta(dtwa.alphabet, names, accepting, _named_table(table, names))

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from treesep.bottomup import Dbta, Nta, parse_dbta, parse_nta, smallest_trees
+from treesep.bottomup import Dbta, Nta, parse_dbta, parse_nta
 from treesep.errors import AlphabetError, ArityError, TransitionError
 from treesep.fixtures import height_bounded_dbta, leaf_parity_dbta, left_leaf_dbta, obf_sigma
 from treesep.trees import RankedAlphabet, Tree, compose, enumerate_terms, parse_tree
 
-from oracles import SEED, brute_trees, random_dbta, random_nta
+from oracles import SEED, brute_trees, random_dbta, random_nta, smallest_trees
 
 SIGMA = obf_sigma()
 

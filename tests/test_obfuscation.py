@@ -1,13 +1,12 @@
 import pytest
 
-from treesep.bottomup import smallest_trees
 from treesep.errors import AlphabetError
 from treesep.fixtures import blocks_grammar, palindrome_grammar, pq_grammar
 from treesep.grammar import cyk_member, parse_grammar
-from treesep.obfuscation import kop_member, kop_nta, kop_oracle, obf_alphabet
+from treesep.obfuscation import kop_member, kop_nta, obf_alphabet
 from treesep.trees import leaf_word, parse_tree
 
-from oracles import kop_language
+from oracles import kop_language, kop_oracle, smallest_trees
 
 
 def t(text):

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from treesep.bottomup import smallest_trees
 from treesep.errors import ArityError, ResourceError, RotationSearchExhausted
 from treesep.fixtures import (
     all_trees_dbta,

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from treesep.bottomup import smallest_trees
 from treesep.errors import AlphabetError, ArityError, FormatError
 from treesep.fixtures import (
     always_accept_dtwa,
@@ -12,7 +11,7 @@ from treesep.fixtures import (
     p_prefix_dfa,
     stay_loop_dtwa,
 )
-from treesep.trees import parse_tree
+from treesep.trees import Tree, parse_tree
 from treesep.walking import (
     ACCEPT,
     ESCAPE,
@@ -27,7 +26,15 @@ from treesep.walking import (
     to_dbta,
 )
 
-from oracles import SEED, bounded_run, criterion_dfas, leaves_left_to_right, random_dfa, run_inside_host
+from oracles import (
+    SEED,
+    bounded_run,
+    criterion_dfas,
+    leaves_left_to_right,
+    random_dfa,
+    run_inside_host,
+    smallest_trees,
+)
 
 SIGMA = obf_sigma()
 
@@ -101,6 +108,22 @@ class TestRun:
         outcome = w.run(t("a(p,q)"), collect_trace=True)
         assert outcome.trace[0] == (w.initial, (), 0)
         assert len(outcome.trace) == outcome.steps + 1
+
+    def test_deep_left_comb(self):
+        # The depth-first walker visits each non-root node once going down
+        # and once coming up, so the run takes exactly 2 * (nodes - 1) moves.
+        dfa = even_p_dfa()
+        w = dfs_from_dfa(dfa, SIGMA)
+        rng = random.Random(SEED)
+        word = [rng.choice("pq") for _ in range(4096)]
+        for first in "pq":
+            word[0] = first
+            tree = Tree(first)
+            for letter in word[1:]:
+                tree = Tree("a", (tree, Tree(letter)))
+            outcome = w.run(tree)
+            assert outcome.kind == (ACCEPT if dfa.run(word) else REJECT)
+            assert outcome.steps == 2 * (2 * len(word) - 2) == 16380
 
 
 class TestDfsFromDfa:
