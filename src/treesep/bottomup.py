@@ -19,15 +19,24 @@ not depend on the evaluation strategy.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 
 from . import fmt
 from .errors import AlphabetError, ArityError, FormatError, TransitionError
-from .trees import PORT, Tree, format_tree
+from .trees import PORT, Tree
 
 
 def _same(state, _index):
     return state
+
+
+def _position(key, n):
+    """Row-major position of a tuple of indices below n."""
+    pos = 0
+    for i in key:
+        pos = pos * n + i
+    return pos
 
 
 def _fresh_tuples(values, n, old, ar):
@@ -194,42 +203,71 @@ class Dbta:
                 accepting.add(name(pair))
         return Dbta(self.alphabet, [name(p) for p in pairs], accepting, table, sink=None)
 
+    def _tables(self):
+        """Reachable states in discovery order and, per letter, the flat list
+        of the target indices of all index tuples in row-major order."""
+        reach, table = saturate(self.alphabet, self.step, _same)
+        index = {q: i for i, q in enumerate(reach)}
+        arrays = {
+            letter: [index[table[letter][key]] for key in itertools.product(reach, repeat=ar)]
+            for letter, ar in self.alphabet.items()
+        }
+        return reach, arrays
+
     def is_empty(self):
         """(True, None) if the language is empty, else (False, witness tree).
 
         The witness has minimal node count; ties break on s-expression text,
-        which is exact whenever no label is a prefix of another.
+        which is exact whenever no label is a prefix of another.  Minimum
+        sizes come from Knuth's generalisation of Dijkstra's algorithm: a
+        state's size is final when it leaves the queue, and each index tuple
+        is offered once, when its last state becomes final.  By then every
+        tuple a state can be built from at its minimum size has been offered.
         """
-        minsize = {}
-        changed = True
-        while changed:
-            changed = False
+        reach, arrays = self._tables()
+        n = len(reach)
+        size = [0] * n  # final minimum node counts; 0 until known
+        best = [None] * n  # (size, text, letter, child indices) of the best offer
+        heap = []
+
+        def offer(letter, key):
+            target = arrays[letter][_position(key, n)]
+            if size[target]:
+                return
+            cand = 1 + sum(size[i] for i in key)
+            old = best[target]
+            if old is not None and cand > old[0]:
+                return
+            text = f"{letter}({','.join(best[i][1] for i in key)})" if key else letter
+            if old is None or (cand, text) < old[:2]:
+                best[target] = (cand, text, letter, key)
+                heapq.heappush(heap, (cand, target))
+
+        for letter, ar in self.alphabet.items():
+            if ar == 0:
+                offer(letter, ())
+        done = []
+        while heap:
+            cand, q = heapq.heappop(heap)
+            if size[q]:
+                continue
+            size[q] = cand
+            older = done[:]
+            done.append(q)
             for letter, ar in self.alphabet.items():
-                for key in itertools.product(list(minsize), repeat=ar) if ar else [()]:
-                    cand = 1 + sum(minsize[q] for q in key)
-                    target = self.step(letter, key)
-                    if cand < minsize.get(target, float("inf")):
-                        minsize[target] = cand
-                        changed = True
-        live = [q for q in self.accepting if q in minsize]
+                # tuples over final states whose first q is at position p
+                for p in range(ar):
+                    for head in itertools.product(older, repeat=p):
+                        for tail in itertools.product(done, repeat=ar - 1 - p):
+                            offer(letter, head + (q,) + tail)
+        live = [i for i, q in enumerate(reach) if q in self.accepting]
         if not live:
             return True, None
-        best = {}
-        changed = True
-        while changed:
-            changed = False
-            for letter, ar in self.alphabet.items():
-                for key in itertools.product(list(best), repeat=ar) if ar else [()]:
-                    target = self.step(letter, key)
-                    if 1 + sum(minsize[q] for q in key) != minsize[target]:
-                        continue
-                    cand = Tree(letter, tuple(best[q] for q in key))
-                    text = format_tree(cand)
-                    if target not in best or text < format_tree(best[target]):
-                        best[target] = cand
-                        changed = True
-        witness = min((best[q] for q in live), key=lambda t: (t.size, format_tree(t)))
-        return False, witness
+        trees = {}
+        for q in done:
+            _, _, letter, key = best[q]
+            trees[q] = Tree(letter, tuple(trees[i] for i in key))
+        return False, trees[min(live, key=lambda i: best[i][:2])]
 
     def minimize(self) -> "Dbta":
         """Reachable states merged up to context distinguishability.
@@ -239,46 +277,55 @@ class Dbta:
         sends them to different blocks.  Tree contexts factor through these
         one-node contexts, so the result is the Myhill-Nerode quotient and
         equality of state transformations on it coincides with
-        interchangeability in every context.
+        interchangeability in every context.  Rounds run Moore-style over the
+        integer tables of `_tables`; quotient states are named m0, m1, ...
+        in order of their sorted member lists.
         """
-        reach = self.reachable()
-        block = {q: (q in self.accepting) for q in reach}
+        reach, arrays = self._tables()
+        n = len(reach)
+        block = [q in self.accepting for q in reach]
+        count = len(set(block))
         while True:
-            signature = {}
-            for letter, ar in self.alphabet.items():
-                for key in itertools.product(reach, repeat=ar):
-                    target_block = block[self.step(letter, key)]
-                    for i, q in enumerate(key):
-                        ctx = (letter, i, tuple(key[:i] + key[i + 1 :]))
-                        signature.setdefault(q, {})[ctx] = target_block
-            new_block = {}
+            targets = [(ar, [block[t] for t in arrays[letter]]) for letter, ar in self.alphabet.items()]
             rename = {}
-            for q in reach:
-                sig = (block[q], tuple(sorted(signature.get(q, {}).items())))
-                new_block[q] = rename.setdefault(sig, len(rename))
-            if len(set(new_block.values())) == len(set(block.values())):
-                block = new_block
-                break
+            new_block = []
+            for q in range(n):
+                # q's contexts at position p are the entries whose p-th index
+                # is q: with stride = n ** (ar - 1 - p), one run of `stride`
+                # entries at p = 0, else `stride` slices of step n * stride
+                signature = [block[q]]
+                for ar, row in targets:
+                    for p in range(ar):
+                        stride = n ** (ar - 1 - p)
+                        if p == 0:
+                            signature.append(tuple(row[q * stride:(q + 1) * stride]))
+                        else:
+                            signature += [tuple(row[q * stride + r::n * stride]) for r in range(stride)]
+                new_block.append(rename.setdefault(tuple(signature), len(rename)))
             block = new_block
+            if len(rename) == count:
+                break
+            count = len(rename)
         members = {}
-        for q in reach:
-            members.setdefault(block[q], []).append(q)
-        ordered = sorted(members.values(), key=lambda qs: sorted(qs))
-        name_of = {}
-        for i, qs in enumerate(ordered):
-            for q in qs:
-                name_of[q] = f"m{i}"
-        reps = [qs[0] for qs in ordered]
+        for i, q in enumerate(reach):
+            members.setdefault(block[i], []).append(i)
+        ordered = sorted(members.values(), key=lambda ids: sorted(reach[i] for i in ids))
+        name_of = [None] * n
+        for k, ids in enumerate(ordered):
+            for i in ids:
+                name_of[i] = f"m{k}"
+        reps = [ids[0] for ids in ordered]
         table = {}
         for letter, ar in self.alphabet.items():
-            table[letter] = {}
+            flat = arrays[letter]
+            rows = table[letter] = {}
             for key in itertools.product(reps, repeat=ar):
-                table[letter][tuple(name_of[q] for q in key)] = name_of[self.step(letter, key)]
-        accepting = {name_of[q] for q in reach if q in self.accepting}
-        sink = name_of[self.sink] if self.sink in name_of else None
+                rows[tuple(name_of[i] for i in key)] = name_of[flat[_position(key, n)]]
+        accepting = {name_of[i] for i, q in enumerate(reach) if q in self.accepting}
+        sink = name_of[reach.index(self.sink)] if self.sink in reach else None
         if sink in accepting:
             sink = None
-        return Dbta(self.alphabet, set(name_of.values()), accepting, table, sink=sink)
+        return Dbta(self.alphabet, set(name_of), accepting, table, sink=sink)
 
     def to_text(self) -> str:
         lines = ["alphabet:"]

@@ -65,13 +65,46 @@ def l_equivalent(amin: Dbta, t: Tree, u: Tree) -> bool:
 
 
 def is_associative(amin: Dbta, term: Tree) -> bool:
-    """Do t(t(x,y),z) and t(x,t(y,z)) transform states identically?"""
+    """Do t(t(x,y),z) and t(x,t(y,z)) transform states identically?
+
+    Decided on the table B of `term` over pairs of states: the two
+    re-associations agree exactly when B[B[x][y]][z] == B[x][B[y][z]] for
+    all states x, y, z.
+    """
     if term.arity != 2:
         raise ArityError(f"need a binary term, got arity {term.arity}")
-    port = Tree(PORT)
-    left_nested = compose(term, (term, port))
-    right_nested = compose(term, (port, term))
-    return l_equivalent(amin, left_nested, right_nested)
+    amin.alphabet.validate(term, ports=True)
+    n = len(amin.states)
+    flat = _pair_table(amin, term)
+    rows = [flat[x * n:(x + 1) * n] for x in range(n)]
+    return all(rows[bx[y]] == [bx[v] for v in rows[y]] for bx in rows for y in range(n))
+
+
+def _pair_table(amin: Dbta, term: Tree) -> list:
+    """Indices into `amin.states` of the state `term` makes of each pair of
+    port states, row-major over the pairs.  Steps only the child-state tuples
+    `eval_term` would step on some pair."""
+    states = amin.states
+    n = len(states)
+    index = {q: i for i, q in enumerate(states)}
+    ports = iter(([x for x in range(n) for _ in range(n)], list(range(n)) * n))
+    known = {}  # letter -> {tuple of child indices: target index}
+
+    def step(letter, key):
+        seen = known.setdefault(letter, {})
+        if key not in seen:
+            seen[key] = index[amin.step(letter, tuple(states[i] for i in key))]
+        return seen[key]
+
+    def value(node):
+        if node.label == PORT:
+            return next(ports)
+        if not node.children:
+            return [step(node.label, ())] * (n * n)
+        columns = zip(*[value(c) for c in node.children])
+        return [step(node.label, key) for key in columns]
+
+    return value(term)
 
 
 def find_rotation_term(

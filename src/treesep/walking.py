@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import fmt
 from .errors import AlphabetError, ArityError, FormatError
@@ -89,6 +90,35 @@ class Dtwa:
                         raise FormatError(
                             f"move {move} out of range for letter {letter!r} of arity {ar}"
                         )
+        self._rows = None
+
+    def _compiled(self) -> dict:
+        """Integer form of `delta`, built on first use: per letter, one
+        (move, value) pair per slot (tag, state), tag-major, with the n
+        states numbered in sorted order.
+
+        PARENT ends the local walk with `value` as its outcome code (see
+        `_compose`): the exit state's number, n for accept or n + 1 for
+        reject.  STAY goes on in state number `value`, and a child move i
+        enters child i at slot `value`, i.e. (i, next state) of the child's
+        behaviour.
+        """
+        if self._rows is None:
+            n = len(self.states)
+            number = {q: i for i, q in enumerate(self.states)}
+            ends = {ACCEPT: (PARENT, n), REJECT: (PARENT, n + 1)}
+            self._rows = {}
+            for letter, _ar in self.alphabet.items():
+                row = self._rows[letter] = []
+                for tag in self.tags():
+                    for q in self.states:
+                        act = self.delta[(letter, tag, q)]
+                        if act in (ACCEPT, REJECT):
+                            row.append(ends[act])
+                        else:
+                            q2, move = act
+                            row.append((move, max(move, 0) * n + number[q2]))
+        return self._rows
 
     def action(self, letter, tag, state):
         try:
@@ -255,46 +285,46 @@ def dfs_from_dfa(dfa: Dfa, alphabet: RankedAlphabet) -> Dtwa:
     return Dtwa(alphabet, states, down(dfa.initial), delta)
 
 
-def _local_outcome(dtwa: Dtwa, letter, tag, entry, child_behaviors):
-    """Walk the token while it sits at one `letter` node with the given tag.
+def _compose(dtwa: Dtwa, letter, children) -> tuple:
+    """Behaviour of a `letter` node whose i-th child has the behaviour
+    `children[i - 1]`.
 
-    Child moves are resolved through the child behaviors; a repeated state at
-    this node means the global configuration repeats, which is exact for
-    deterministic automata.
+    A behaviour is a tuple of outcome codes over the slots (tag, entry
+    state), tag-major.  With n states, codes 0..n-1 mean "exits upward in
+    that state", n accept, n + 1 reject and n + 2 loop.  A child exit resumes
+    the walk at this node.  A walk at this node that has not ended after n
+    states repeats one, and so does the global configuration, which is exact
+    for deterministic automata.
     """
-    seen = set()
-    q = entry
-    while True:
-        if q in seen:
-            return OUT_LOOP
-        seen.add(q)
-        act = dtwa.action(letter, tag, q)
-        if act == ACCEPT:
-            return OUT_ACCEPT
-        if act == REJECT:
-            return OUT_REJECT
-        q2, move = act
-        if move == PARENT:
-            return out_exit(q2)
-        if move == STAY:
-            q = q2
-            continue
-        result = child_behaviors[move - 1][(move, q2)]
-        if result[0] == "exit":
-            q = result[1]
-            continue
-        return result
+    row = dtwa._compiled()[letter]
+    n = len(dtwa.states)
+    walk = range(n)
+    out = []
+    for base in range(0, len(row), n):
+        for q in walk:
+            for _ in walk:
+                move, value = row[base + q]
+                if move > 0:
+                    code = children[move - 1][value]
+                    if code >= n:
+                        break
+                    q = code
+                elif move == PARENT:
+                    code = value
+                    break
+                else:
+                    q = value
+            else:
+                code = n + 2
+            out.append(code)
+    return tuple(out)
 
 
 def behavior_of_leaf(dtwa: Dtwa, letter) -> dict:
     """Behavior of a single-node subtree: (tag, entry state) -> local outcome."""
     if dtwa.alphabet.arity(letter) != 0:
         raise ArityError(f"letter {letter!r} is not arity-0")
-    return {
-        (tag, q): _local_outcome(dtwa, letter, tag, q, ())
-        for tag in dtwa.tags()
-        for q in dtwa.states
-    }
+    return behavior_compose(dtwa, letter, ())
 
 
 def behavior_compose(dtwa: Dtwa, letter, child_behaviors) -> dict:
@@ -305,11 +335,11 @@ def behavior_compose(dtwa: Dtwa, letter, child_behaviors) -> dict:
             f"letter {letter!r} has arity {dtwa.alphabet.arity(letter)}, "
             f"got {len(child_behaviors)} child behaviors"
         )
-    return {
-        (tag, q): _local_outcome(dtwa, letter, tag, q, child_behaviors)
-        for tag in dtwa.tags()
-        for q in dtwa.states
-    }
+    outcomes = [out_exit(q) for q in dtwa.states] + [OUT_ACCEPT, OUT_REJECT, OUT_LOOP]
+    code = {out: i for i, out in enumerate(outcomes)}
+    slots = [(tag, q) for tag in dtwa.tags() for q in dtwa.states]
+    children = [tuple(code[child[slot]] for slot in slots) for child in child_behaviors]
+    return dict(zip(slots, (outcomes[c] for c in _compose(dtwa, letter, children))))
 
 
 def to_dbta(dtwa: Dtwa) -> Dbta:
@@ -317,22 +347,28 @@ def to_dbta(dtwa: Dtwa) -> Dbta:
 
     A behavior is accepting when entering the subtree as the whole tree, at
     the root tag in the initial state, leads to Accept.  The table is total
-    over the reachable behaviors, so no sink is needed.  Behaviors are
-    interned by their tuple of outcomes, which is sound because
-    `behavior_compose` always lists the (tag, state) slots in one order.
+    over the reachable behaviors, so no sink is needed.  Behaviors are the
+    outcome-code tuples of `_compose`, which are their own intern keys.
+
+    A node's walk enters child i only at the slots its own child-i moves
+    name, so its behavior is a function of the letter and of the children's
+    codes at those slots, and is composed once per distinct such key.
     """
-    behaviors = {}
+    reads = {}
+    for letter, ar in dtwa.alphabet.items():
+        row = dtwa._compiled()[letter]
+        slots = [sorted({value for move, value in row if move == i}) for i in range(1, ar + 1)]
+        reads[letter] = [itemgetter(*s) if s else (lambda _child: ()) for s in slots]
+    composed = {}
 
     def step(letter, children):
-        behavior = behavior_compose(dtwa, letter, (behaviors[c] for c in children))
-        key = tuple(behavior.values())
-        behaviors.setdefault(key, behavior)
-        return key
+        key = (letter, *[read(child) for read, child in zip(reads[letter], children)])
+        behavior = composed.get(key)
+        if behavior is None:
+            behavior = composed[key] = _compose(dtwa, letter, children)
+        return behavior
 
-    order, table = saturate(dtwa.alphabet, step, lambda _key, i: f"b{i}")
-    accepting = {
-        f"b{i}"
-        for i, key in enumerate(order)
-        if behaviors[key][(ROOT_TAG, dtwa.initial)] == OUT_ACCEPT
-    }
+    order, table = saturate(dtwa.alphabet, step, lambda _behavior, i: f"b{i}")
+    start = ROOT_TAG * len(dtwa.states) + dtwa.states.index(dtwa.initial)
+    accepting = {f"b{i}" for i, behavior in enumerate(order) if behavior[start] == len(dtwa.states)}
     return Dbta(dtwa.alphabet, [f"b{i}" for i in range(len(order))], accepting, table, sink=None)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fmt
-from .errors import AlphabetError, FormatError, ResourceError
+from .errors import AlphabetError, FormatError
 
 
 class Dfa:
@@ -162,7 +162,9 @@ def cfg_dfa_intersection_empty(grammar, dfa: Dfa, max_witness_len: int = 64):
     """Exact emptiness of L(G) with L(K), plus a shortest witness when nonempty.
 
     Returns (empty, witness).  The witness is length-minimal and
-    lexicographically least among words of that length.
+    lexicographically least among words of that length.  It is None when the
+    intersection is empty, and also when it is not but its shortest word is
+    longer than `max_witness_len`: the verdict is decided either way.
     """
     derivable = _product_triples(grammar, dfa)
     goals = {(dfa.initial, grammar.start, f) for f in dfa.accepting}
@@ -192,7 +194,7 @@ def cfg_dfa_intersection_empty(grammar, dfa: Dfa, max_witness_len: int = 64):
                         changed = True
     target_len = min(minlen[t] for t in hits)
     if target_len > max_witness_len:
-        raise ResourceError(f"shortest witness has length {target_len}, above the bound {max_witness_len}")
+        return False, None
 
     # best[(triple, length)] = lexicographically least word of exactly that length
     best = {}
@@ -229,6 +231,8 @@ class SeparatorReport:
     """Outcome of an exact separator check."""
 
     separates: bool
+    # Shortest, lexicographically least violations; None when there is none,
+    # or when the shortest is longer than cfg_dfa_intersection_empty's bound.
     violation_g: tuple | None = None  # word generated by G but outside K
     violation_h: tuple | None = None  # word generated by H and inside K
 

@@ -13,18 +13,21 @@ import random
 
 from treesep.bottomup import Dbta
 from treesep.obfuscation import FRESH_PAIR
-from treesep.trees import PORT, RankedAlphabet, Tree, compose, enumerate_terms
+from treesep.rotation import l_equivalent
+from treesep.trees import PORT, RankedAlphabet, Tree, compose, enumerate_terms, format_tree
 from treesep.walking import (
     ACCEPT,
     ESCAPE,
     LOOP,
     OUT_ACCEPT,
+    OUT_LOOP,
+    OUT_REJECT,
     PARENT,
     REJECT,
     ROOT_TAG,
     STAY,
     Dtwa,
-    behavior_compose,
+    out_exit,
 )
 from treesep.words import Dfa
 
@@ -184,6 +187,16 @@ def random_dbta(rng: random.Random, alphabet: RankedAlphabet, n_states: int = 3)
         }
     accepting = {q for q in states if rng.random() < 0.5}
     return Dbta(alphabet, states, accepting, transitions)
+
+
+def random_dbtas(alphabet: RankedAlphabet, count: int) -> list:
+    """Total random automata and determinized random NTAs (partial, with a sink)."""
+    rng = random.Random(SEED)
+    out = []
+    for _ in range(count):
+        out.append(random_dbta(rng, alphabet, n_states=rng.randint(1, 4)))
+        out.append(random_nta(rng, alphabet, n_states=rng.randint(1, 3)).determinize())
+    return out
 
 
 def smallest_trees(alphabet: RankedAlphabet, max_nodes: int):
@@ -363,9 +376,10 @@ def round_robin_determinize(nta) -> Dbta:
 
 
 def round_robin_to_dbta(dtwa: Dtwa) -> Dbta:
-    """Behaviors interned by their sorted item tuples."""
+    """Behaviors as `dict_behavior_compose` dicts, interned by their sorted
+    item tuples."""
     def step(letter, children):
-        behavior = behavior_compose(dtwa, letter, [dict(c) for c in children])
+        behavior = dict_behavior_compose(dtwa, letter, [dict(c) for c in children])
         return tuple(sorted(behavior.items()))
 
     order, table = round_robin_closure(dtwa.alphabet, step)
@@ -375,3 +389,142 @@ def round_robin_to_dbta(dtwa: Dtwa) -> Dbta:
         if dict(key)[(ROOT_TAG, dtwa.initial)] == OUT_ACCEPT
     }
     return Dbta(dtwa.alphabet, names, accepting, _named_table(table, names))
+
+
+def random_dtwa(rng: random.Random, alphabet: RankedAlphabet, n_states: int = 3) -> Dtwa:
+    """Total walker with uniformly drawn actions: accept, reject, and every
+    legal move, so stays, loops and escapes all occur."""
+    states = [f"w{i}" for i in range(n_states)]
+    delta = {}
+    for letter, ar in alphabet.items():
+        moves = [PARENT, STAY] + list(range(1, ar + 1))
+        for tag in range(alphabet.maxarity + 1):
+            for q in states:
+                kind = rng.randrange(len(moves) + 2)
+                if kind == 0:
+                    delta[(letter, tag, q)] = ACCEPT
+                elif kind == 1:
+                    delta[(letter, tag, q)] = REJECT
+                else:
+                    delta[(letter, tag, q)] = (rng.choice(states), moves[kind - 2])
+    return Dtwa(alphabet, states, states[0], delta)
+
+
+def dict_behavior_compose(dtwa: Dtwa, letter, child_behaviors) -> dict:
+    """Behavior of a `letter` node over dict child behaviors, walking
+    `Dtwa.action` directly: (tag, entry state) -> local outcome."""
+    out = {}
+    for tag in dtwa.tags():
+        for entry in dtwa.states:
+            seen = set()
+            q = entry
+            while True:
+                if q in seen:
+                    result = OUT_LOOP
+                    break
+                seen.add(q)
+                act = dtwa.action(letter, tag, q)
+                if act == ACCEPT:
+                    result = OUT_ACCEPT
+                    break
+                if act == REJECT:
+                    result = OUT_REJECT
+                    break
+                q2, move = act
+                if move == PARENT:
+                    result = out_exit(q2)
+                    break
+                if move == STAY:
+                    q = q2
+                    continue
+                result = child_behaviors[move - 1][(move, q2)]
+                if result[0] != "exit":
+                    break
+                q = result[1]
+            out[(tag, entry)] = result
+    return out
+
+
+def moore_minimize(dbta: Dbta) -> Dbta:
+    """Moore refinement that steps every key tuple over the reachable states
+    in each round, with sibling states as the context key."""
+    reach = dbta.reachable()
+    block = {q: (q in dbta.accepting) for q in reach}
+    while True:
+        signature = {}
+        for letter, ar in dbta.alphabet.items():
+            for key in itertools.product(reach, repeat=ar):
+                target_block = block[dbta.step(letter, key)]
+                for i, q in enumerate(key):
+                    ctx = (letter, i, tuple(key[:i] + key[i + 1 :]))
+                    signature.setdefault(q, {})[ctx] = target_block
+        new_block = {}
+        rename = {}
+        for q in reach:
+            sig = (block[q], tuple(sorted(signature.get(q, {}).items())))
+            new_block[q] = rename.setdefault(sig, len(rename))
+        if len(set(new_block.values())) == len(set(block.values())):
+            block = new_block
+            break
+        block = new_block
+    members = {}
+    for q in reach:
+        members.setdefault(block[q], []).append(q)
+    ordered = sorted(members.values(), key=lambda qs: sorted(qs))
+    name_of = {}
+    for i, qs in enumerate(ordered):
+        for q in qs:
+            name_of[q] = f"m{i}"
+    reps = [qs[0] for qs in ordered]
+    table = {}
+    for letter, ar in dbta.alphabet.items():
+        table[letter] = {}
+        for key in itertools.product(reps, repeat=ar):
+            table[letter][tuple(name_of[q] for q in key)] = name_of[dbta.step(letter, key)]
+    accepting = {name_of[q] for q in reach if q in dbta.accepting}
+    sink = name_of[dbta.sink] if dbta.sink in name_of else None
+    if sink in accepting:
+        sink = None
+    return Dbta(dbta.alphabet, set(name_of.values()), accepting, table, sink=sink)
+
+
+def round_robin_is_empty(dbta: Dbta):
+    """Emptiness by two round-robin fixpoints over all known states: minimum
+    sizes, then the text-least tree of minimum size for each state."""
+    minsize = {}
+    changed = True
+    while changed:
+        changed = False
+        for letter, ar in dbta.alphabet.items():
+            for key in itertools.product(list(minsize), repeat=ar) if ar else [()]:
+                cand = 1 + sum(minsize[q] for q in key)
+                target = dbta.step(letter, key)
+                if cand < minsize.get(target, float("inf")):
+                    minsize[target] = cand
+                    changed = True
+    live = [q for q in dbta.accepting if q in minsize]
+    if not live:
+        return True, None
+    best = {}
+    changed = True
+    while changed:
+        changed = False
+        for letter, ar in dbta.alphabet.items():
+            for key in itertools.product(list(best), repeat=ar) if ar else [()]:
+                target = dbta.step(letter, key)
+                if 1 + sum(minsize[q] for q in key) != minsize[target]:
+                    continue
+                cand = Tree(letter, tuple(best[q] for q in key))
+                text = format_tree(cand)
+                if target not in best or text < format_tree(best[target]):
+                    best[target] = cand
+                    changed = True
+    witness = min((best[q] for q in live), key=lambda t: (t.size, format_tree(t)))
+    return False, witness
+
+
+def tree_walk_is_associative(amin: Dbta, term: Tree) -> bool:
+    """Transformation-table equality of the two re-associations of `term`,
+    each table filled by `eval_term` walks of the nested term."""
+    port = Tree(PORT)
+    return l_equivalent(amin, compose(term, (term, port)), compose(term, (port, term)))

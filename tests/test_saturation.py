@@ -27,8 +27,9 @@ from treesep.walking import dfs_from_dfa, to_dbta
 from oracles import (
     SEED,
     criterion_dfas,
-    random_dbta,
+    random_dbtas,
     random_dfa,
+    random_dtwa,
     random_nta,
     round_robin_complement,
     round_robin_determinize,
@@ -39,16 +40,6 @@ from oracles import (
 
 TERNARY = RankedAlphabet({"f": 3, "g": 1, "p": 0, "q": 0})
 ALPHABETS = {"obf": obf_sigma(), "ternary": TERNARY}
-
-
-def random_dbtas(alphabet, count):
-    """Total random automata and determinized random NTAs (partial, with a sink)."""
-    rng = random.Random(SEED)
-    out = []
-    for _ in range(count):
-        out.append(random_dbta(rng, alphabet, n_states=rng.randint(1, 4)))
-        out.append(random_nta(rng, alphabet, n_states=rng.randint(1, 3)).determinize())
-    return out
 
 
 @pytest.mark.parametrize("alphabet", ALPHABETS.values(), ids=ALPHABETS.keys())
@@ -78,6 +69,7 @@ class TestAgainstRoundRobin:
         rng = random.Random(SEED)
         walkers = [always_accept_dtwa(alphabet), stay_loop_dtwa(alphabet)]
         walkers += [dfs_from_dfa(random_dfa(rng, max_states=2), alphabet) for _ in range(4)]
+        walkers += [random_dtwa(rng, alphabet, n_states=rng.randint(1, 3)) for _ in range(6)]
         for dtwa in walkers:
             assert to_dbta(dtwa).to_text() == round_robin_to_dbta(dtwa).to_text()
 

@@ -13,7 +13,7 @@ from treesep.fixtures import (
     palindrome_grammar,
     q_initial_grammar,
 )
-from treesep.grammar import cyk_member, generate_words
+from treesep.grammar import cyk_member, generate_words, parse_grammar
 from treesep.words import Dfa, cfg_dfa_intersection_empty, parse_dfa, verify_separator
 
 
@@ -29,6 +29,20 @@ def contains_factor_qp() -> Dfa:
         ("hit", "p"): "hit", ("hit", "q"): "hit",
     }
     return Dfa(("p", "q"), ("s", "q1", "hit"), "s", {"hit"}, delta)
+
+
+def fixed_length_grammar(doublings: int):
+    """All words over {p, q} of length 2 ** doublings, by one doubling rule
+    per factor of two."""
+    rules = [f"start: X{doublings}", "L -> p", "L -> q", "X1 -> L L"]
+    rules += [f"X{i} -> X{i - 1} X{i - 1}" for i in range(2, doublings + 1)]
+    return parse_grammar("\n".join(rules))
+
+
+def length_one_dfa() -> Dfa:
+    """Accepts exactly the one-letter words."""
+    delta = {(q, a): {"z0": "z1"}.get(q, "z2") for q in ("z0", "z1", "z2") for a in ("p", "q")}
+    return Dfa(("p", "q"), ("z0", "z1", "z2"), "z0", {"z1"}, delta)
 
 
 def empty_dfa() -> Dfa:
@@ -129,8 +143,22 @@ class TestCfgDfaIntersection:
                     # verdict when it says nonempty with a longer witness
                     assert empty or len(witness) > 8
 
+    def test_verdict_kept_past_the_witness_bound(self):
+        four = fixed_length_grammar(2)
+        assert generate_words(four, 5) == set(itertools.product("pq", repeat=4))
+        outside = length_one_dfa().complement()
+        assert cfg_dfa_intersection_empty(four, outside, max_witness_len=4) == (False, ("p",) * 4)
+        assert cfg_dfa_intersection_empty(four, outside, max_witness_len=3) == (False, None)
+
 
 class TestVerifySeparator:
+    def test_violation_longer_than_the_witness_bound(self):
+        # every word of G has 128 letters, above the default bound of 64
+        g = fixed_length_grammar(7)
+        report = verify_separator(length_one_dfa(), g, g)
+        assert not report.separates
+        assert report.violation_g is None and report.violation_h is None
+
     def test_prefix_language_separates(self):
         report = verify_separator(p_prefix_dfa(), p_initial_grammar(), q_initial_grammar())
         assert report.separates
