@@ -24,7 +24,7 @@ import itertools
 
 from . import fmt
 from .errors import AlphabetError, ArityError, FormatError, TransitionError
-from .trees import PORT, Tree
+from .trees import PORT, Tree, postorder
 
 
 def _same(state, _index):
@@ -143,12 +143,33 @@ class Dbta:
         return got
 
     def eval(self, tree: Tree) -> str:
-        """State reached bottom-up; total and deterministic on conforming trees."""
-        self.alphabet.validate(tree)
-        return self._eval(tree)
+        """State reached bottom-up; total and deterministic on conforming trees.
 
-    def _eval(self, tree: Tree) -> str:
-        return self.step(tree.label, tuple(self._eval(c) for c in tree.children))
+        One post-order pass checks each node's child count as it evaluates.
+        On a bad node, and before a missing transition is reported,
+        `validate` on the whole tree raises the error an up-front check
+        would have raised first.  Entries touching the sink yield the sink
+        (checked in `__init__`), so `step`'s sink rule reduces to "missing
+        means sink".
+        """
+        rows = {letter: (self.transitions[letter], ar) for letter, ar in self.alphabet.items()}
+        values = []
+        for node in postorder(tree):
+            row = rows.get(node.label)
+            if row is None or row[1] != len(node.children):
+                self.alphabet.validate(tree)
+            table, ar = row
+            if ar:
+                key = tuple(values[-ar:])
+                del values[-ar:]
+            else:
+                key = ()
+            state = table.get(key, self.sink)
+            if state is None:
+                self.alphabet.validate(tree)
+                raise TransitionError(f"no transition for {node.label}{key} and no sink")
+            values.append(state)
+        return values[0]
 
     def eval_term(self, term: Tree, port_states) -> str:
         """Value of `term` with port i treated as a subtree evaluated to `port_states[i]`."""
@@ -371,16 +392,19 @@ class Nta:
             self.transitions.setdefault(letter, {})
 
     def eval_set(self, tree: Tree) -> frozenset:
+        """States some run reaches at the root."""
         self.alphabet.validate(tree)
-        return self._eval_set(tree)
-
-    def _eval_set(self, tree: Tree) -> frozenset:
-        child_sets = [self._eval_set(c) for c in tree.children]
-        out = set()
-        for key, values in self.transitions[tree.label].items():
-            if all(key[i] in child_sets[i] for i in range(len(key))):
-                out |= values
-        return frozenset(out)
+        sets = []
+        for node in postorder(tree):
+            cut = len(sets) - len(node.children)
+            child_sets = sets[cut:]
+            del sets[cut:]
+            out = set()
+            for key, values in self.transitions[node.label].items():
+                if all(q in child_set for q, child_set in zip(key, child_sets)):
+                    out |= values
+            sets.append(frozenset(out))
+        return sets[0]
 
     def accepts(self, tree: Tree) -> bool:
         return bool(self.eval_set(tree) & self.accepting)

@@ -1,8 +1,9 @@
-"""Command-line entry point: `treesep extract` and `treesep verify`.
+"""Command-line entry point: `treesep extract`, `treesep verify` and `treesep run`.
 
-Both read the package's text formats and print JSON.  The exit code is 0
-when the word automaton separates the two grammars, 1 when it does not (or
-no separator was found), and 2 when an input cannot be read or parsed.
+All three read the package's text formats and print JSON.  The exit code is
+0 when the word automaton separates the two grammars (for `run`: when the
+walker accepts the tree), 1 when it does not (or no separator was found),
+and 2 when an input cannot be read or parsed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from pathlib import Path
 from .errors import TreesepError
 from .grammar import parse_grammar
 from .rotation import _word_or_none, extract_separator
-from .walking import parse_dtwa
+from .trees import parse_tree
+from .walking import ACCEPT, format_path, parse_dtwa
 from .words import parse_dfa, verify_separator
 
 
@@ -33,12 +35,29 @@ def _parser() -> argparse.ArgumentParser:
     verify.add_argument("dfa", type=Path, help="word automaton file")
     verify.add_argument("g", type=Path, help="grammar the automaton must cover")
     verify.add_argument("h", type=Path, help="grammar the automaton must avoid")
+    run = commands.add_parser("run", help="run a tree-walking automaton on one tree")
+    run.add_argument("dtwa", type=Path, help="walking automaton file")
+    run.add_argument("tree", type=Path, help="tree file, in s-expression form")
+    run.add_argument("--trace", action="store_true",
+                     help="list every configuration visited as [state, path, tag]")
     return parser
+
+
+def _run(args) -> int:
+    outcome = parse_dtwa(args.dtwa.read_text()).run(
+        parse_tree(args.tree.read_text()), collect_trace=args.trace)
+    trace = None
+    if outcome.trace is not None:
+        trace = [[state, format_path(path), tag] for state, path, tag in outcome.trace]
+    print(json.dumps({"kind": outcome.kind, "steps": outcome.steps, "trace": trace}))
+    return 0 if outcome.kind == ACCEPT else 1
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.command == "run":
+            return _run(args)
         g = parse_grammar(args.g.read_text())
         h = parse_grammar(args.h.read_text())
         if args.command == "extract":

@@ -97,7 +97,10 @@ def kop_dbta(grammar: CnfGrammar, pair=FRESH_PAIR) -> Dbta:
 
 
 def kop_member(grammar: CnfGrammar, tree: Tree, pair=FRESH_PAIR) -> bool:
-    """Is the tree in the obfuscation of the grammar?"""
-    alphabet = obf_alphabet(grammar, pair)
-    alphabet.validate(tree)
+    """Is the tree in the obfuscation of the grammar?
+
+    The automaton is over `obf_alphabet(grammar, pair)`, so building it
+    rejects colliding fresh letters and its `eval` rejects trees outside
+    that alphabet.
+    """
     return kop_dbta(grammar, pair).accepts(tree)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import string
 from typing import Iterable, Iterator
 
 from .errors import AlphabetError, ArityError, ParseError, ShapeError
@@ -110,17 +111,15 @@ class Tree:
     def size(self) -> int:
         """Number of nodes, ports included."""
         if self._size < 0:
-            self._size = 1 + sum(c.size for c in self.children)
+            _fill_cache(self, "_size", lambda node: 1 + sum(c._size for c in node.children))
         return self._size
 
     @property
     def arity(self) -> int:
         """Number of ports, i.e. ``*`` leaves."""
         if self._arity < 0:
-            if self.label == PORT:
-                self._arity = 1
-            else:
-                self._arity = sum(c.arity for c in self.children)
+            _fill_cache(self, "_arity", lambda node: 1 if node.label == PORT
+                        else sum(c._arity for c in node.children))
         return self._arity
 
     def is_leaf(self) -> bool:
@@ -129,12 +128,17 @@ class Tree:
     def __eq__(self, other):
         if self is other:
             return True
-        return (
-            isinstance(other, Tree)
-            and self._hash == other._hash
-            and self.label == other.label
-            and self.children == other.children
-        )
+        if not isinstance(other, Tree):
+            return False
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or a.label != b.label or len(a.children) != len(b.children):
+                return False
+            pairs.extend(zip(a.children, b.children))
+        return True
 
     def __ne__(self, other):
         return not self.__eq__(other)
@@ -144,6 +148,39 @@ class Tree:
 
     def __repr__(self):
         return f"Tree[{format_tree(self)}]"
+
+
+def _fill_cache(tree: Tree, slot: str, value) -> None:
+    """Set the per-node cache `slot` on `tree` and on every descendant that
+    lacks it, children first and without recursion; `value(node)` reads the
+    children's caches.  A node stays on the stack until its children are
+    done, so a subtree shared by several parents is computed once."""
+    stack = [tree]
+    while stack:
+        node = stack[-1]
+        if getattr(node, slot) >= 0:
+            stack.pop()
+            continue
+        missing = [c for c in node.children if getattr(c, slot) < 0]
+        if missing:
+            stack.extend(missing)
+        else:
+            setattr(node, slot, value(node))
+            stack.pop()
+
+
+def postorder(tree: Tree) -> list:
+    """All nodes, each after its children and siblings left to right, listed
+    without recursion; a bottom-up fold over it finds each node's child
+    values on top of a value stack."""
+    order = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    order.reverse()
+    return order
 
 
 def subtree_at(tree: Tree, path: Iterable[int]) -> Tree:
@@ -300,74 +337,109 @@ def format_tree(tree: Tree) -> str:
     """S-expression text: ``label`` for leaves, ``label(c1,...,cn)`` otherwise."""
     if not tree.children:
         return tree.label
-    return f"{tree.label}({','.join(format_tree(c) for c in tree.children)})"
+    # The stack holds, last output first, text ready to emit (punctuation and
+    # leaf labels) and inner nodes still to expand.
+    parts = []
+    stack = [tree]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        parts.append(item.label)
+        parts.append("(")
+        stack.append(")")
+        kids = item.children
+        i = len(kids) - 1
+        while True:
+            child = kids[i]
+            stack.append(child if child.children else child.label)
+            if not i:
+                break
+            stack.append(",")
+            i -= 1
+    return "".join(parts)
 
 
 def encode_xml(tree: Tree) -> str:
     """XML encoding with one element per node, no attributes, no whitespace."""
     parts = []
-
-    def walk(node: Tree):
-        parts.append(f"<{node.label}>")
-        for child in node.children:
-            walk(child)
-        parts.append(f"</{node.label}>")
-
-    walk(tree)
+    stack = [tree]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+        else:
+            parts.append(f"<{item.label}>")
+            stack.append(f"</{item.label}>")
+            stack.extend(reversed(item.children))
     return "".join(parts)
 
 
-class _TreeParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# One token per match, after optional whitespace: a name, a port or any other
+# single character.  Trailing whitespace is left unmatched.
+_TOKEN = re.compile(rf"\s*({_NAME.pattern}|\*|\S)")
+# first characters of the tokens that start a node
+_NODE_START = frozenset(string.ascii_letters + string.digits + PORT)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def token(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            raise ParseError("unexpected end of input", self.pos)
-        ch = self.text[self.pos]
-        if ch == PORT:
-            self.pos += 1
-            return PORT
-        m = _NAME.match(self.text, self.pos)
-        if not m:
-            raise ParseError(f"unexpected character {ch!r}", self.pos)
-        self.pos = m.end()
-        return m.group()
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def node(self) -> Tree:
-        name = self.token()
-        if self.peek() != "(":
-            return Tree(name)
-        self.expect("(")
-        kids = [self.node()]
-        while self.peek() == ",":
-            self.expect(",")
-            kids.append(self.node())
-        self.expect(")")
-        return Tree(name, kids)
+# parser states: a node is wanted, a name was read (a leaf unless "(" follows),
+# a child was finished inside an open node, the whole tree was read
+_NODE, _NAMED, _NEXT, _DONE = range(4)
 
 
 def parse_tree(text: str) -> Tree:
-    """Parse the s-expression format; raises ParseError with a position."""
-    parser = _TreeParser(text)
-    tree = parser.node()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise ParseError("trailing input after tree", parser.pos)
-    return tree
+    """Parse the s-expression format; raises ParseError with a position.
+
+    One left-to-right pass over the tokens with an explicit stack of open
+    nodes, so any depth parses.  Equal leaves of one parse are one shared
+    object.  A port may carry children (``*(p)``), as the format has always
+    allowed.
+    """
+    tokens = _TOKEN.findall(text)
+    values = []  # finished children of the open nodes, left to right
+    opened = []  # (label, index of its first child in `values`) per open node
+    leaves = {}
+    state = _NODE
+    for i, tok in enumerate(tokens):
+        if state == _NAMED:
+            if tok == "(":
+                opened.append((name, len(values)))
+                state = _NODE
+                continue
+            leaf = leaves.get(name)
+            if leaf is None:
+                leaf = leaves[name] = Tree(name)
+            values.append(leaf)
+            state = _NEXT if opened else _DONE
+        if state == _NODE:
+            if tok[0] not in _NODE_START:
+                raise ParseError(f"unexpected character {tok!r}", _token_position(text, i))
+            name = tok
+            state = _NAMED
+        elif state == _NEXT:
+            if tok == ",":
+                state = _NODE
+            elif tok == ")":
+                label, first = opened.pop()
+                node = Tree(label, values[first:])
+                del values[first:]
+                values.append(node)
+                if not opened:
+                    state = _DONE
+            else:
+                raise ParseError("expected ')'", _token_position(text, i))
+        else:
+            raise ParseError("trailing input after tree", _token_position(text, i))
+    if state == _NAMED:
+        values.append(Tree(name))
+        state = _NEXT if opened else _DONE
+    if state == _NODE:
+        raise ParseError("unexpected end of input", len(text))
+    if state == _NEXT:
+        raise ParseError("expected ')'", len(text))
+    return values[0]
+
+
+def _token_position(text: str, index: int) -> int:
+    """Offset in `text` of the token `_TOKEN.findall` lists at `index`."""
+    return next(itertools.islice(_TOKEN.finditer(text), index, None)).start(1)

@@ -120,12 +120,6 @@ class Dtwa:
                             row.append((move, max(move, 0) * n + number[q2]))
         return self._rows
 
-    def action(self, letter, tag, state):
-        try:
-            return self.delta[(letter, tag, state)]
-        except KeyError:
-            raise AlphabetError(f"letter {letter!r} not in alphabet") from None
-
     def run(self, tree: Tree, collect_trace: bool = False) -> RunOutcome:
         """Simulate from (initial, root) until a verdict.
 
@@ -133,39 +127,49 @@ class Dtwa:
         parent move at the root is an Escape; a repeated configuration is a
         Loop.  Step count is the number of moves taken.
         """
+        # A run need not visit every node, so the whole tree is checked here.
         self.alphabet.validate(tree)
-        # A configuration's node is keyed by a position id, handed out the
-        # first time the run enters a (parent id, child index); keying by the
-        # path itself would make every move cost the current depth.
-        stack = [(tree, 0)]
+        rows = self._compiled()
+        n = len(self.states)
+        width = self.alphabet.maxarity + 1
+        # A node is keyed by a position id, handed out the first time the run
+        # enters (parent id, child index); keying by the path itself would
+        # make every move cost the current depth.  A configuration is keyed
+        # by pos * n + state, with states numbered as in `_compiled`.
         position_ids = {}
-        path = []
-        state = self.initial
+        above = []  # (node, position id, tag) of every ancestor
+        node, pos, tag = tree, 0, ROOT_TAG
+        state = self.states.index(self.initial)
         steps = 0
-        visited = {(state, 0)}
-        trace = [(state, (), ROOT_TAG)] if collect_trace else None
+        visited = {state}
+        trace = [(self.initial, (), ROOT_TAG)] if collect_trace else None
         while True:
-            node, pos = stack[-1]
-            tag = path[-1] if path else ROOT_TAG
-            act = self.action(node.label, tag, state)
-            if act == ACCEPT:
-                return RunOutcome(ACCEPT, steps, trace)
-            if act == REJECT:
-                return RunOutcome(REJECT, steps, trace)
-            state, move = act
-            steps += 1
+            move, value = rows[node.label][tag * n + state]
             if move == PARENT:
-                if not path:
+                if value >= n:
+                    return RunOutcome(ACCEPT if value == n else REJECT, steps, trace)
+                steps += 1
+                state = value
+                if not above:
                     return RunOutcome(ESCAPE, steps, trace)
-                stack.pop()
-                path.pop()
-            elif move != STAY:
-                child = position_ids.setdefault((pos, move), len(position_ids) + 1)
-                stack.append((node.children[move - 1], child))
-                path.append(move)
+                node, pos, tag = above.pop()
+            elif move == STAY:
+                steps += 1
+                state = value
+            else:
+                steps += 1
+                # the child's row index, (move, next state), is `value` itself
+                state = value - move * n
+                above.append((node, pos, tag))
+                key = pos * width + move
+                pos = position_ids.get(key)
+                if pos is None:
+                    pos = position_ids[key] = len(position_ids) + 1
+                node, tag = node.children[move - 1], move
             if collect_trace:
-                trace.append((state, tuple(path), path[-1] if path else ROOT_TAG))
-            config = (state, stack[-1][1])
+                path = tuple(entry[2] for entry in above[1:]) + (tag,) if above else ()
+                trace.append((self.states[state], path, tag))
+            config = pos * n + state
             if config in visited:
                 return RunOutcome(LOOP, steps, trace)
             visited.add(config)

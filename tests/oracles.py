@@ -12,9 +12,10 @@ import itertools
 import random
 
 from treesep.bottomup import Dbta
+from treesep.errors import ParseError
 from treesep.obfuscation import FRESH_PAIR
 from treesep.rotation import l_equivalent
-from treesep.trees import PORT, RankedAlphabet, Tree, compose, enumerate_terms, format_tree
+from treesep.trees import _NAME, PORT, RankedAlphabet, Tree, compose, enumerate_terms, format_tree
 from treesep.walking import (
     ACCEPT,
     ESCAPE,
@@ -27,6 +28,7 @@ from treesep.walking import (
     ROOT_TAG,
     STAY,
     Dtwa,
+    RunOutcome,
     out_exit,
 )
 from treesep.words import Dfa
@@ -187,6 +189,15 @@ def random_dbta(rng: random.Random, alphabet: RankedAlphabet, n_states: int = 3)
         }
     accepting = {q for q in states if rng.random() < 0.5}
     return Dbta(alphabet, states, accepting, transitions)
+
+
+def random_tree(rng: random.Random, alphabet: RankedAlphabet, depth: int) -> Tree:
+    letters = [name for name, ar in alphabet.items() if ar > 0 and depth > 0]
+    if not letters or rng.random() < 0.3:
+        return Tree(rng.choice(alphabet.zero_arity()))
+    letter = rng.choice(letters)
+    return Tree(letter, [random_tree(rng, alphabet, depth - 1)
+                         for _ in range(alphabet.arity(letter))])
 
 
 def random_dbtas(alphabet: RankedAlphabet, count: int) -> list:
@@ -412,7 +423,7 @@ def random_dtwa(rng: random.Random, alphabet: RankedAlphabet, n_states: int = 3)
 
 def dict_behavior_compose(dtwa: Dtwa, letter, child_behaviors) -> dict:
     """Behavior of a `letter` node over dict child behaviors, walking
-    `Dtwa.action` directly: (tag, entry state) -> local outcome."""
+    `Dtwa.delta` directly: (tag, entry state) -> local outcome."""
     out = {}
     for tag in dtwa.tags():
         for entry in dtwa.states:
@@ -423,7 +434,7 @@ def dict_behavior_compose(dtwa: Dtwa, letter, child_behaviors) -> dict:
                     result = OUT_LOOP
                     break
                 seen.add(q)
-                act = dtwa.action(letter, tag, q)
+                act = dtwa.delta[(letter, tag, q)]
                 if act == ACCEPT:
                     result = OUT_ACCEPT
                     break
@@ -528,3 +539,116 @@ def tree_walk_is_associative(amin: Dbta, term: Tree) -> bool:
     each table filled by `eval_term` walks of the nested term."""
     port = Tree(PORT)
     return l_equivalent(amin, compose(term, (term, port)), compose(term, (port, term)))
+
+
+def dict_run(dtwa: Dtwa, tree: Tree, collect_trace: bool = False) -> RunOutcome:
+    """`Dtwa.run` as it was before the compiled rows: one `delta` lookup per
+    move, configurations keyed by (state name, position id)."""
+    dtwa.alphabet.validate(tree)
+    stack = [(tree, 0)]
+    position_ids = {}
+    path = []
+    state = dtwa.initial
+    steps = 0
+    visited = {(state, 0)}
+    trace = [(state, (), ROOT_TAG)] if collect_trace else None
+    while True:
+        node, pos = stack[-1]
+        tag = path[-1] if path else ROOT_TAG
+        act = dtwa.delta[(node.label, tag, state)]
+        if act == ACCEPT:
+            return RunOutcome(ACCEPT, steps, trace)
+        if act == REJECT:
+            return RunOutcome(REJECT, steps, trace)
+        state, move = act
+        steps += 1
+        if move == PARENT:
+            if not path:
+                return RunOutcome(ESCAPE, steps, trace)
+            stack.pop()
+            path.pop()
+        elif move != STAY:
+            child = position_ids.setdefault((pos, move), len(position_ids) + 1)
+            stack.append((node.children[move - 1], child))
+            path.append(move)
+        if collect_trace:
+            trace.append((state, tuple(path), path[-1] if path else ROOT_TAG))
+        config = (state, stack[-1][1])
+        if config in visited:
+            return RunOutcome(LOOP, steps, trace)
+        visited.add(config)
+
+
+def recursive_eval(dbta: Dbta, tree: Tree) -> str:
+    """`Dbta.eval` as it was before the one-walk form: validate the whole
+    tree, then recurse through `Dbta.step`."""
+    dbta.alphabet.validate(tree)
+
+    def go(node):
+        return dbta.step(node.label, tuple(go(c) for c in node.children))
+
+    return go(tree)
+
+
+def recursive_format_tree(tree: Tree) -> str:
+    """`format_tree` as it was before the iterative form."""
+    if not tree.children:
+        return tree.label
+    return f"{tree.label}({','.join(recursive_format_tree(c) for c in tree.children)})"
+
+
+class _RecursiveTreeParser:
+    """The recursive-descent s-expression parser `parse_tree` replaced."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def token(self) -> str:
+        self.skip_ws()
+        if self.pos >= len(self.text):
+            raise ParseError("unexpected end of input", self.pos)
+        ch = self.text[self.pos]
+        if ch == PORT:
+            self.pos += 1
+            return PORT
+        m = _NAME.match(self.text, self.pos)
+        if not m:
+            raise ParseError(f"unexpected character {ch!r}", self.pos)
+        self.pos = m.end()
+        return m.group()
+
+    def expect(self, ch: str):
+        self.skip_ws()
+        if self.pos >= len(self.text) or self.text[self.pos] != ch:
+            raise ParseError(f"expected {ch!r}", self.pos)
+        self.pos += 1
+
+    def node(self) -> Tree:
+        name = self.token()
+        if self.peek() != "(":
+            return Tree(name)
+        self.expect("(")
+        kids = [self.node()]
+        while self.peek() == ",":
+            self.expect(",")
+            kids.append(self.node())
+        self.expect(")")
+        return Tree(name, kids)
+
+
+def recursive_parse_tree(text: str) -> Tree:
+    parser = _RecursiveTreeParser(text)
+    tree = parser.node()
+    parser.skip_ws()
+    if parser.pos != len(text):
+        raise ParseError("trailing input after tree", parser.pos)
+    return tree

@@ -13,8 +13,10 @@ from treesep.fixtures import (
     p_initial_grammar,
     p_prefix_dfa,
     q_initial_grammar,
+    stay_loop_dtwa,
 )
 from treesep.rotation import extract_separator
+from treesep.trees import parse_tree
 from treesep.walking import dfs_from_dfa
 
 
@@ -74,6 +76,47 @@ class TestVerify:
         assert code == 1
         assert json.loads(out) == {"verified": False,
                                    "violations": {"missed_word": None, "overlap_word": "q"}}
+
+
+class TestRun:
+    def test_accept_with_trace(self, files, capsys):
+        walker = dfs_from_dfa(p_prefix_dfa(), obf_sigma())
+        argv = ["run", files("w.dtwa", walker.to_text()), files("t.tree", "a(p, a(c, q))\n"),
+                "--trace"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        report = json.loads(out)
+        outcome = walker.run(parse_tree("a(p,a(c,q))"), collect_trace=True)
+        assert (report["kind"], report["steps"]) == ("accept", outcome.steps)
+        assert len(report["trace"]) == len(outcome.trace) == outcome.steps + 1
+        assert report["trace"][:3] == [["d_start", "/", 0], ["d_start", "/1", 1], ["u1_yes", "/", 0]]
+        assert ["d_yes", "/2/2", 2] in report["trace"]
+
+    def test_reject_without_trace(self, files, capsys):
+        walker = dfs_from_dfa(p_prefix_dfa(), obf_sigma())
+        code, out, _ = run(capsys, ["run", files("w.dtwa", walker.to_text()), files("t.tree", "a(q,p)")])
+        assert code == 1
+        assert json.loads(out) == {"kind": "reject", "steps": 4, "trace": None}
+
+    def test_loop(self, files, capsys):
+        code, out, _ = run(capsys, ["run", files("w.dtwa", stay_loop_dtwa().to_text()),
+                                    files("t.tree", "c")])
+        assert code == 1
+        assert json.loads(out)["kind"] == "loop"
+
+    @pytest.mark.parametrize("tree", ["a(p,", "a(p)", "b"])
+    def test_bad_tree(self, files, capsys, tree):
+        walker = dfs_from_dfa(p_prefix_dfa(), obf_sigma())
+        code, out, err = run(capsys, ["run", files("w.dtwa", walker.to_text()), files("t.tree", tree)])
+        assert code == 2
+        assert out == "" and err.startswith("treesep: ")
+
+    def test_missing_tree_file(self, files, tmp_path, capsys):
+        walker = dfs_from_dfa(p_prefix_dfa(), obf_sigma())
+        code, _, err = run(capsys, ["run", files("w.dtwa", walker.to_text()),
+                                    str(tmp_path / "absent.tree")])
+        assert code == 2
+        assert "absent.tree" in err
 
 
 class TestInputErrors:

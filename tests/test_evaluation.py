@@ -1,0 +1,298 @@
+"""One-pass tree evaluation against the code it replaced.
+
+`Dtwa.run`, `Dbta.eval` and `parse_tree` each work in one iterative pass;
+their earlier forms (`dict_run`, `recursive_eval`, `recursive_parse_tree`
+in `oracles`) must give the same verdicts, step counts, traces, states,
+trees and errors on every input the oracles can take.  Deep trees, which
+only the new code takes, are checked end to end at the bottom.
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treesep.bottomup import Dbta
+from treesep.errors import AlphabetError, TreesepError
+from treesep.fixtures import (
+    blocks_grammar,
+    even_p_dfa,
+    nonpalindrome_grammar,
+    obf_sigma,
+    p_initial_grammar,
+    palindrome_grammar,
+    pq_grammar,
+    q_initial_grammar,
+    stay_loop_dtwa,
+)
+from treesep.grammar import parse_grammar
+from treesep.obfuscation import kop_dbta, kop_member, kop_nta, obf_alphabet
+from treesep.trees import RankedAlphabet, Tree, encode_xml, format_tree, parse_tree
+from treesep.walking import ACCEPT, ESCAPE, LOOP, REJECT, dfs_from_dfa, to_dbta
+
+from oracles import (
+    SEED,
+    dict_run,
+    random_dbta,
+    random_dtwa,
+    random_nta,
+    random_tree,
+    recursive_eval,
+    recursive_format_tree,
+    recursive_parse_tree,
+)
+
+TERNARY = RankedAlphabet({"f": 3, "g": 1, "p": 0, "q": 0})
+ALPHABETS = {"obf": obf_sigma(), "ternary": TERNARY}
+GRAMMARS = [pq_grammar, blocks_grammar, palindrome_grammar, nonpalindrome_grammar,
+            p_initial_grammar, q_initial_grammar]
+
+
+def outcome(call, *args):
+    """A call's result, or its error as (type, message, position)."""
+    try:
+        return call(*args)
+    except TreesepError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def seeded_trees(rng, alphabet, count, depth=5):
+    return [random_tree(rng, alphabet, depth) for _ in range(count)]
+
+
+def random_sink_dbta(rng, alphabet, n_states):
+    """Partial random table over r0.. with a declared sink that some entries
+    also name; missing entries resolve to the sink."""
+    states = [f"r{i}" for i in range(n_states)]
+    transitions = {}
+    for letter, ar in alphabet.items():
+        table = transitions[letter] = {}
+        for key in itertools.product(states, repeat=ar):
+            if rng.random() < 0.75:
+                table[key] = rng.choice(states + ["sink"])
+    accepting = {q for q in states if rng.random() < 0.5}
+    return Dbta(alphabet, states + ["sink"], accepting, transitions, sink="sink")
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS.values(), ids=ALPHABETS.keys())
+class TestRunAgainstOracle:
+    def test_random_walkers(self, alphabet):
+        rng = random.Random(SEED)
+        kinds = set()
+        for _ in range(30):
+            dtwa = random_dtwa(rng, alphabet, n_states=rng.randint(1, 4))
+            for tree in seeded_trees(rng, alphabet, 25, depth=6):
+                for collect in (False, True):
+                    got = dtwa.run(tree, collect_trace=collect)
+                    want = dict_run(dtwa, tree, collect_trace=collect)
+                    assert (got.kind, got.steps, got.trace) == (want.kind, want.steps, want.trace)
+                kinds.add(got.kind)
+        # stays, loops and escapes all occur, not only verdicts
+        assert kinds == {ACCEPT, REJECT, LOOP, ESCAPE}
+
+    def test_fixture_walkers(self, alphabet):
+        rng = random.Random(SEED)
+        trees = seeded_trees(rng, alphabet, 40)
+        for dtwa in (stay_loop_dtwa(alphabet), dfs_from_dfa(even_p_dfa(), alphabet)):
+            for tree in trees:
+                got = dtwa.run(tree, collect_trace=True)
+                want = dict_run(dtwa, tree, collect_trace=True)
+                assert (got.kind, got.steps, got.trace) == (want.kind, want.steps, want.trace)
+
+    def test_errors(self, alphabet):
+        dtwa = random_dtwa(random.Random(SEED), alphabet, n_states=2)
+        for tree in (Tree("zz"), Tree("*"), Tree("p", [Tree("p")]),
+                     Tree(alphabet.items()[0][0], [Tree("x")] * 5)):
+            assert outcome(dtwa.run, tree) == outcome(dict_run, dtwa, tree)
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS.values(), ids=ALPHABETS.keys())
+class TestEvalAgainstOracle:
+    def test_total_random(self, alphabet):
+        rng = random.Random(SEED)
+        for _ in range(12):
+            dbta = random_dbta(rng, alphabet, n_states=rng.randint(1, 4))
+            for tree in seeded_trees(rng, alphabet, 30):
+                assert dbta.eval(tree) == recursive_eval(dbta, tree)
+
+    def test_with_sink(self, alphabet):
+        rng = random.Random(SEED)
+        automata = [random_sink_dbta(rng, alphabet, rng.randint(1, 3)) for _ in range(8)]
+        automata += [random_nta(rng, alphabet, n_states=rng.randint(1, 3)).determinize()
+                     for _ in range(8)]
+        for dbta in automata:
+            assert dbta.sink is not None
+            for tree in seeded_trees(rng, alphabet, 30):
+                assert dbta.eval(tree) == recursive_eval(dbta, tree)
+
+    def test_errors(self, alphabet):
+        """The first error an up-front `validate` finds wins over a missing
+        transition met earlier in the post-order."""
+        rng = random.Random(SEED)
+        sinkless = Dbta(alphabet, ("q",), (), {alphabet.zero_arity()[0]: {(): "q"}})
+        automata = [random_dbta(rng, alphabet, 2), random_sink_dbta(rng, alphabet, 2), sinkless]
+        binary = [name for name, ar in alphabet.items() if ar >= 1]
+        trees = seeded_trees(rng, alphabet, 10)
+        bad = [Tree("zz"), Tree("*"), Tree("p", [Tree("q")]), Tree(binary[0], [])]
+        for tree in trees + bad:
+            for wrong in bad:
+                kids = list(tree.children)
+                if kids:
+                    kids[-1] = wrong
+                    trees.append(Tree(tree.label, kids))
+        for dbta in automata:
+            for tree in trees + bad:
+                assert outcome(dbta.eval, tree) == outcome(recursive_eval, dbta, tree)
+
+
+@pytest.mark.parametrize("grammar", GRAMMARS)
+def test_kop_dbta_eval(grammar):
+    g = grammar()
+    dbta = kop_dbta(g)
+    rng = random.Random(SEED)
+    for tree in seeded_trees(rng, dbta.alphabet, 60, depth=6):
+        assert dbta.eval(tree) == recursive_eval(dbta, tree)
+
+
+def test_kop_member_errors_unchanged():
+    """`kop_member` no longer validates separately; its automaton's `eval`
+    raises what `obf_alphabet(...).validate` raised."""
+    g = palindrome_grammar()
+    alphabet = obf_alphabet(g)
+    for text in ("b", "*", "a(p)", "a(p,q,c)", "a(p,a(b,q))", "c(p)"):
+        tree = parse_tree(text)
+        with pytest.raises(AlphabetError) as err:
+            alphabet.validate(tree)
+        with pytest.raises(AlphabetError) as got:
+            kop_member(g, tree)
+        assert str(got.value) == str(err.value)
+
+
+class TestParseAgainstOracle:
+    FIXED = ["", "a(", "a(p,", "a(p q)", "a(p))", "a(p,q) junk", "$", "*(p)",
+             " a ( p , q ) ", "*p", "p*", "a()", "a(,p)", "\ta(p,\nq)\r\n", "a(p,q", "a (",
+             "a (p,q)", "a(p,q) ", "é", "aé"]
+
+    def test_fixed_cases(self):
+        for text in self.FIXED:
+            assert outcome(parse_tree, text) == outcome(recursive_parse_tree, text), text
+
+    def test_formatted_random_trees(self):
+        rng = random.Random(SEED)
+        for alphabet in ALPHABETS.values():
+            for tree in seeded_trees(rng, alphabet, 100, depth=6):
+                text = format_tree(tree)
+                assert text == recursive_format_tree(tree)
+                assert parse_tree(text) == recursive_parse_tree(text) == tree
+
+    def test_one_character_mutations(self):
+        rng = random.Random(SEED)
+        marks = "(),* pqa"
+        errors = set()
+        for alphabet in ALPHABETS.values():
+            for tree in seeded_trees(rng, alphabet, 60, depth=4):
+                text = format_tree(tree)
+                for _ in range(20):
+                    i = rng.randrange(len(text) + 1)
+                    op = rng.randrange(3)
+                    if op == 0:
+                        mutated = text[:i] + rng.choice(marks) + text[i:]
+                    elif op == 1:
+                        mutated = text[:i] + text[i + 1:]
+                    else:
+                        mutated = text[:i] + rng.choice(marks) + text[i + 1:]
+                    got = outcome(parse_tree, mutated)
+                    assert got == outcome(recursive_parse_tree, mutated), mutated
+                    if isinstance(got, tuple):
+                        kind = got[1].split(" (at")[0]
+                        errors.add("unexpected character" if kind.startswith("unexpected character")
+                                   else kind)
+        # every kind of parse error is among the mutations
+        assert errors == {"unexpected end of input", "unexpected character", "expected ')'",
+                          "trailing input after tree"}
+
+
+# Words with an even number of p; every binary bracketing of such a word is a
+# derivation, so membership of an obfuscated comb follows from its leaves.
+EVEN_P_TEXT = """
+start: E
+E -> E E
+E -> O O
+E -> q
+O -> E O
+O -> O E
+O -> p
+"""
+
+
+def left_comb(letters):
+    """a(a(acc, c), x) at every step: a left comb over `letters` padded on
+    the right by one `c` per binary node, built bottom-up without recursion."""
+    acc = Tree(letters[0])
+    for x in letters[1:]:
+        acc = Tree("a", (Tree("a", (acc, Tree("c"))), Tree(x)))
+    return acc
+
+
+def test_equality_is_structural_under_equal_hashes():
+    # hash(-1) == hash(-2), so these trees' hashes collide at every level
+    left = Tree("a", (Tree("p"), Tree("a", (Tree("q"), Tree(-1)))))
+    right = Tree("a", (Tree("p"), Tree("a", (Tree("q"), Tree(-2)))))
+    assert hash(left) == hash(right)
+    assert left != right and not left == right
+    assert left == Tree("a", (Tree("p"), Tree("a", (Tree("q"), Tree(-1)))))
+
+
+class TestDeepTrees:
+    """A 10^4-leaf left comb has depth about 2 * 10^4, far past the
+    interpreter's recursion limit."""
+
+    LEAVES = 10_000
+
+    def test_left_comb_end_to_end(self):
+        rng = random.Random(SEED)
+        word = [rng.choice("pq") for _ in range(self.LEAVES)]
+        tree, twin = left_comb(word), left_comb(word)
+        even = word.count("p") % 2 == 0
+        text = "a(a(" * (self.LEAVES - 1) + word[0] + "".join(f",c),{x})" for x in word[1:])
+        parsed = parse_tree(text)
+        walker = dfs_from_dfa(even_p_dfa(), obf_sigma())
+        assert walker.run(parsed).kind == (ACCEPT if even else REJECT)
+        assert to_dbta(walker).minimize().accepts(parsed) == even
+        assert kop_member(parse_grammar(EVEN_P_TEXT), parsed) == even
+        assert format_tree(parsed) == text
+        assert parsed == twin and tree == twin and tree is not twin
+        assert parsed.size == 4 * self.LEAVES - 3 and parsed.arity == 0
+        flipped = left_comb(word[:-1] + ["q" if word[-1] == "p" else "p"])
+        assert parsed != flipped
+
+    def test_port_comb(self):
+        term = Tree("*")
+        for _ in range(self.LEAVES):
+            term = Tree("a", (term, Tree("*")))
+        assert term.arity == self.LEAVES + 1
+        assert parse_tree(format_tree(term)) == term
+
+    def test_nta_and_xml(self):
+        tree = left_comb(["p"] * self.LEAVES)
+        nta = kop_nta(parse_grammar(EVEN_P_TEXT))
+        assert nta.accepts(tree)  # 10^4 p: even
+        xml = encode_xml(tree)
+        assert xml.startswith("<a>" * 4) and xml.endswith("</a><p></p></a>")
+        assert xml.count("<a>") == xml.count("</a>") == 2 * (self.LEAVES - 1)
+
+
+trees_strategy = st.recursive(
+    st.sampled_from(["p", "q", "c", "*"]).map(Tree),
+    lambda kids: st.builds(Tree, st.sampled_from(["a", "f", "g"]),
+                           st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees_strategy)
+def test_parse_format_round_trip(tree):
+    assert parse_tree(format_tree(tree)) == tree

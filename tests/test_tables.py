@@ -25,7 +25,7 @@ from treesep.fixtures import (
 from treesep.bottomup import Dbta
 from treesep.obfuscation import kop_nta
 from treesep.rotation import is_associative
-from treesep.trees import RankedAlphabet, Tree, enumerate_terms
+from treesep.trees import RankedAlphabet, enumerate_terms
 from treesep.walking import behavior_compose, behavior_of_leaf, dfs_from_dfa, to_dbta
 
 from oracles import (
@@ -35,6 +35,7 @@ from oracles import (
     moore_minimize,
     random_dbtas,
     random_dtwa,
+    random_tree,
     round_robin_is_empty,
     tree_walk_is_associative,
 )
@@ -50,15 +51,6 @@ CRITERION = [i for i in range(20) if i != 18]
 
 def criterion_dbta(index):
     return to_dbta(dfs_from_dfa(criterion_dfas()[index], obf_sigma()))
-
-
-def random_tree(rng, alphabet, depth):
-    letters = [name for name, ar in alphabet.items() if ar > 0 and depth > 0]
-    if not letters or rng.random() < 0.3:
-        return Tree(rng.choice(alphabet.zero_arity()))
-    letter = rng.choice(letters)
-    return Tree(letter, [random_tree(rng, alphabet, depth - 1)
-                         for _ in range(alphabet.arity(letter))])
 
 
 @pytest.mark.parametrize("alphabet", ALPHABETS.values(), ids=ALPHABETS.keys())
