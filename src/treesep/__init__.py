@@ -17,7 +17,6 @@ from .errors import (
 from .grammar import (
     CnfGrammar,
     cyk_member,
-    derivation_yield,
     derivations,
     generate_words,
     is_valid_derivation,

@@ -177,14 +177,39 @@ class Dbta:
         if term.arity != len(port_states):
             raise ArityError(f"term has {term.arity} ports, got {len(port_states)} states")
         self.alphabet.validate(term, ports=True)
-        it = iter(port_states)
+        return self.eval_columns(term, [(q,) for q in port_states])[0]
 
-        def go(node):
-            if node.label == PORT:
-                return next(it)
-            return self.step(node.label, tuple(go(c) for c in node.children))
+    def eval_columns(self, term: Tree, columns) -> list:
+        """States `term` makes of many assignments of port states at once.
 
-        return go(term)
+        `columns[i]` lists port i's state in each assignment, all of one
+        length; the result lists the root state of each assignment.  One
+        post-order pass over a checked term, each letter stepping each
+        distinct tuple of child states once.
+        """
+        ports = iter(columns)
+        width = len(columns[0]) if columns else 1
+        known = {}  # letter -> {tuple of child states: state}
+        values = []
+        for node in postorder(term):
+            label, ar = node.label, len(node.children)
+            if label == PORT:
+                values.append(next(ports))
+            elif not ar:
+                values.append([self.step(label, ())] * width)
+            else:
+                seen = known.get(label)
+                if seen is None:
+                    seen = known[label] = {}
+                column = []
+                for key in zip(*values[-ar:]):
+                    state = seen.get(key)
+                    if state is None:
+                        state = seen[key] = self.step(label, key)
+                    column.append(state)
+                del values[-ar:]
+                values.append(column)
+        return values[0]
 
     def accepts(self, tree: Tree) -> bool:
         return self.eval(tree) in self.accepting

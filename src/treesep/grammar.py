@@ -208,21 +208,6 @@ def derivations(grammar: CnfGrammar, word):
     yield from expand(grammar.start, 0, len(word))
 
 
-def derivation_yield(derivation: Tree) -> tuple:
-    """Left-to-right terminal leaves of a derivation tree."""
-    out = []
-
-    def walk(node):
-        if node.is_leaf():
-            out.append(node.label)
-        else:
-            for child in node.children:
-                walk(child)
-
-    walk(derivation)
-    return tuple(out)
-
-
 def is_valid_derivation(grammar: CnfGrammar, tree: Tree) -> bool:
     """Does the tree satisfy the derivation invariants for this grammar?"""
 

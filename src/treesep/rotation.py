@@ -51,10 +51,9 @@ def transformation(amin: Dbta, term: Tree, max_arity: int = TUPLE_ARITY_CAP) -> 
     n = term.arity
     if n > max_arity:
         raise ResourceError(f"transformation tables capped at arity {max_arity}, term has {n} ports")
-    return {
-        key: amin.eval_term(term, key)
-        for key in itertools.product(amin.states, repeat=n)
-    }
+    amin.alphabet.validate(term, ports=True)
+    keys = list(itertools.product(amin.states, repeat=n))
+    return dict(zip(keys, amin.eval_columns(term, list(zip(*keys)))))
 
 
 def l_equivalent(amin: Dbta, t: Tree, u: Tree) -> bool:
@@ -82,29 +81,12 @@ def is_associative(amin: Dbta, term: Tree) -> bool:
 
 def _pair_table(amin: Dbta, term: Tree) -> list:
     """Indices into `amin.states` of the state `term` makes of each pair of
-    port states, row-major over the pairs.  Steps only the child-state tuples
-    `eval_term` would step on some pair."""
+    port states, row-major over the pairs."""
     states = amin.states
     n = len(states)
     index = {q: i for i, q in enumerate(states)}
-    ports = iter(([x for x in range(n) for _ in range(n)], list(range(n)) * n))
-    known = {}  # letter -> {tuple of child indices: target index}
-
-    def step(letter, key):
-        seen = known.setdefault(letter, {})
-        if key not in seen:
-            seen[key] = index[amin.step(letter, tuple(states[i] for i in key))]
-        return seen[key]
-
-    def value(node):
-        if node.label == PORT:
-            return next(ports)
-        if not node.children:
-            return [step(node.label, ())] * (n * n)
-        columns = zip(*[value(c) for c in node.children])
-        return [step(node.label, key) for key in columns]
-
-    return value(term)
+    columns = [[x for x in states for _ in range(n)], list(states) * n]
+    return [index[q] for q in amin.eval_columns(term, columns)]
 
 
 def find_rotation_term(
@@ -173,12 +155,15 @@ def comb_dfa(dbta: Dbta, term: Tree, gamma) -> Dfa:
     initial = "init"
     while initial in dbta.states:
         initial = "_" + initial
-    leaf_state = {sigma: dbta.eval(Tree(sigma)) for sigma in gamma}
+    n = len(dbta.states)
+    index = {q: i for i, q in enumerate(dbta.states)}
+    flat = _pair_table(dbta, term)
     delta = {}
     for sigma in gamma:
-        delta[(initial, sigma)] = leaf_state[sigma]
-        for q in dbta.states:
-            delta[(q, sigma)] = dbta.eval_term(term, (q, leaf_state[sigma]))
+        leaf = dbta.eval(Tree(sigma))
+        delta[(initial, sigma)] = leaf
+        for i, q in enumerate(dbta.states):
+            delta[(q, sigma)] = dbta.states[flat[i * n + index[leaf]]]
     states = list(dbta.states) + [initial]
     return Dfa(gamma, states, initial, dbta.accepting, delta)
 

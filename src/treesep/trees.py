@@ -214,15 +214,18 @@ def compose(term: Tree, args: Iterable[Tree]) -> Tree:
     if term.arity != len(args):
         raise ArityError(f"term has {term.arity} ports, got {len(args)} arguments")
     it = iter(args)
-
-    def sub(node: Tree) -> Tree:
+    values = []
+    for node in postorder(term):
         if node.label == PORT and not node.children:
-            return next(it)
-        if not node.children:
-            return node
-        return Tree(node.label, tuple(sub(c) for c in node.children))
-
-    return sub(term)
+            values.append(next(it))
+        elif not node.children:
+            values.append(node)
+        else:
+            ar = len(node.children)
+            kids = tuple(values[-ar:])
+            del values[-ar:]
+            values.append(Tree(node.label, kids))
+    return values[0]
 
 
 def comb(term: Tree, letters: Iterable[str]) -> Tree:

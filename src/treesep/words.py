@@ -2,7 +2,11 @@
 
 Separation of a context-free language by a regular language is decidable, so
 `verify_separator` gives an exact verdict via product-grammar emptiness
-rather than bounded sampling.
+rather than bounded sampling.  `cfg_dfa_intersection_empty` is one fixpoint
+over the Bar-Hillel triples (p, X, q), X deriving a word that drives the
+automaton from p to q.  Each derivable triple keeps the least (length, word)
+it derives, length first, then lexicographic; the word is kept only while
+the length is within the witness bound.
 """
 
 from __future__ import annotations
@@ -38,9 +42,10 @@ class Dfa:
                     raise FormatError(f"undeclared target in transition ({q!r}, {letter!r})")
 
     def final_state(self, word) -> str:
+        letters = set(self.alphabet)
         q = self.initial
         for letter in word:
-            if letter not in set(self.alphabet):
+            if letter not in letters:
                 raise AlphabetError(f"letter {letter!r} not in alphabet")
             q = self.delta[(q, letter)]
         return q
@@ -134,30 +139,6 @@ def parse_dfa(text: str) -> Dfa:
     return Dfa(alphabet_obj.zero_arity(), states, initial, accepting, delta)
 
 
-def _product_triples(grammar, dfa: Dfa):
-    """Derivable triples (p, X, q): X derives some word driving the DFA p -> q."""
-    if set(dfa.alphabet) != set(grammar.terminals):
-        raise AlphabetError("grammar terminals and word-automaton alphabet differ")
-    derivable = set()
-    for x, sigma in grammar.leaf_rules:
-        for p in dfa.states:
-            derivable.add((p, x, dfa.delta[(p, sigma)]))
-    changed = True
-    while changed:
-        changed = False
-        for x, y, z in grammar.binary_rules:
-            for (p, y2, r) in list(derivable):
-                if y2 != y:
-                    continue
-                for (r2, z2, q) in list(derivable):
-                    if r2 != r or z2 != z:
-                        continue
-                    if (p, x, q) not in derivable:
-                        derivable.add((p, x, q))
-                        changed = True
-    return derivable
-
-
 def cfg_dfa_intersection_empty(grammar, dfa: Dfa, max_witness_len: int = 64):
     """Exact emptiness of L(G) with L(K), plus a shortest witness when nonempty.
 
@@ -165,65 +146,40 @@ def cfg_dfa_intersection_empty(grammar, dfa: Dfa, max_witness_len: int = 64):
     lexicographically least among words of that length.  It is None when the
     intersection is empty, and also when it is not but its shortest word is
     longer than `max_witness_len`: the verdict is decided either way.
-    """
-    derivable = _product_triples(grammar, dfa)
-    goals = {(dfa.initial, grammar.start, f) for f in dfa.accepting}
-    hits = goals & derivable
-    if not hits:
-        return True, None
 
-    minlen = {}
+    Concatenation on either side preserves the (length, word) order, so
+    rescanning every rule until no pair improves reaches each least pair.
+    """
+    if set(dfa.alphabet) != set(grammar.terminals):
+        raise AlphabetError("grammar terminals and word-automaton alphabet differ")
+    best = {}  # (p, X, q) -> (length, word), the word None above the bound
+
+    def offer(key, length, word):
+        old = best.get(key)
+        if old is None or length < old[0] or (word is not None and length == old[0] and word < old[1]):
+            best[key] = (length, word)
+            return True
+        return False
+
     for x, sigma in grammar.leaf_rules:
         for p in dfa.states:
-            key = (p, x, dfa.delta[(p, sigma)])
-            minlen[key] = 1
+            offer((p, x, dfa.delta[(p, sigma)]), 1, (sigma,) if max_witness_len >= 1 else None)
     changed = True
     while changed:
         changed = False
         for x, y, z in grammar.binary_rules:
-            for (p, y2, r), ly in list(minlen.items()):
+            items = list(best.items())
+            for (p, y2, r), (ly, wy) in items:
                 if y2 != y:
                     continue
-                for (r2, z2, q), lz in list(minlen.items()):
-                    if r2 != r or z2 != z:
-                        continue
-                    cand = ly + lz
-                    key = (p, x, q)
-                    if cand < minlen.get(key, float("inf")):
-                        minlen[key] = cand
-                        changed = True
-    target_len = min(minlen[t] for t in hits)
-    if target_len > max_witness_len:
-        return False, None
-
-    # best[(triple, length)] = lexicographically least word of exactly that length
-    best = {}
-    for x, sigma in grammar.leaf_rules:
-        for p in dfa.states:
-            key = ((p, x, dfa.delta[(p, sigma)]), 1)
-            word = (sigma,)
-            if key not in best or word < best[key]:
-                best[key] = word
-    for length in range(2, target_len + 1):
-        for x, y, z in grammar.binary_rules:
-            for p in dfa.states:
-                for r in dfa.states:
-                    for q in dfa.states:
-                        acc = None
-                        for split in range(1, length):
-                            left = best.get(((p, y, r), split))
-                            right = best.get(((r, z, q), length - split))
-                            if left is None or right is None:
-                                continue
-                            cand = left + right
-                            if acc is None or cand < acc:
-                                acc = cand
-                        if acc is not None:
-                            key = ((p, x, q), length)
-                            if key not in best or acc < best[key]:
-                                best[key] = acc
-    witness = min(best[(t, target_len)] for t in hits if (t, target_len) in best)
-    return False, witness
+                for (r2, z2, q), (lz, wz) in items:
+                    if r2 == r and z2 == z:
+                        length = ly + lz
+                        changed |= offer((p, x, q), length, wy + wz if length <= max_witness_len else None)
+    goals = [v for k, v in best.items() if k[:2] == (dfa.initial, grammar.start) and k[2] in dfa.accepting]
+    if not goals:
+        return True, None
+    return False, min(goals, key=lambda pair: (pair[0], pair[1] or ()))[1]
 
 
 @dataclass

@@ -12,7 +12,8 @@ import itertools
 import random
 
 from treesep.bottomup import Dbta
-from treesep.errors import ParseError
+from treesep.errors import AlphabetError, FormatError, ParseError
+from treesep.grammar import parse_grammar
 from treesep.obfuscation import FRESH_PAIR
 from treesep.rotation import l_equivalent
 from treesep.trees import _NAME, PORT, RankedAlphabet, Tree, compose, enumerate_terms, format_tree
@@ -536,7 +537,7 @@ def round_robin_is_empty(dbta: Dbta):
 
 def tree_walk_is_associative(amin: Dbta, term: Tree) -> bool:
     """Transformation-table equality of the two re-associations of `term`,
-    each table filled by `eval_term` walks of the nested term."""
+    each table filled by evaluating the nested term on every triple."""
     port = Tree(PORT)
     return l_equivalent(amin, compose(term, (term, port)), compose(term, (port, term)))
 
@@ -652,3 +653,107 @@ def recursive_parse_tree(text: str) -> Tree:
     if parser.pos != len(text):
         raise ParseError("trailing input after tree", parser.pos)
     return tree
+
+
+def random_cnf_grammar(rng: random.Random, nonterminals: int = 3, terminals=("p", "q")):
+    """Seeded random CNF grammar with start S, drawn again until
+    normalisation keeps every terminal."""
+    names = ["S"] + [f"N{i}" for i in range(1, nonterminals)]
+    while True:
+        rules = [f"{x} -> {rng.choice(terminals)}" for x in names if rng.random() < 0.6]
+        rules += [f"{x} -> {rng.choice(names)} {rng.choice(names)}"
+                  for x in names for _ in range(rng.randint(0, 2))]
+        try:
+            grammar = parse_grammar("start: S\n" + "\n".join(rules))
+        except FormatError:
+            continue
+        if set(grammar.terminals) == set(terminals):
+            return grammar
+
+
+def _derivable_triples(grammar, dfa: Dfa):
+    """Derivable triples (p, X, q): X derives some word driving the DFA p -> q."""
+    if set(dfa.alphabet) != set(grammar.terminals):
+        raise AlphabetError("grammar terminals and word-automaton alphabet differ")
+    derivable = set()
+    for x, sigma in grammar.leaf_rules:
+        for p in dfa.states:
+            derivable.add((p, x, dfa.delta[(p, sigma)]))
+    changed = True
+    while changed:
+        changed = False
+        for x, y, z in grammar.binary_rules:
+            for (p, y2, r) in list(derivable):
+                if y2 != y:
+                    continue
+                for (r2, z2, q) in list(derivable):
+                    if r2 != r or z2 != z:
+                        continue
+                    if (p, x, q) not in derivable:
+                        derivable.add((p, x, q))
+                        changed = True
+    return derivable
+
+
+def three_pass_intersection_empty(grammar, dfa: Dfa, max_witness_len: int = 64):
+    """`cfg_dfa_intersection_empty` as it was before the single fixpoint:
+    derivable triples, then their minimal lengths, then a per-length table of
+    lexicographically least words up to the goal length."""
+    derivable = _derivable_triples(grammar, dfa)
+    goals = {(dfa.initial, grammar.start, f) for f in dfa.accepting}
+    hits = goals & derivable
+    if not hits:
+        return True, None
+
+    minlen = {}
+    for x, sigma in grammar.leaf_rules:
+        for p in dfa.states:
+            key = (p, x, dfa.delta[(p, sigma)])
+            minlen[key] = 1
+    changed = True
+    while changed:
+        changed = False
+        for x, y, z in grammar.binary_rules:
+            for (p, y2, r), ly in list(minlen.items()):
+                if y2 != y:
+                    continue
+                for (r2, z2, q), lz in list(minlen.items()):
+                    if r2 != r or z2 != z:
+                        continue
+                    cand = ly + lz
+                    key = (p, x, q)
+                    if cand < minlen.get(key, float("inf")):
+                        minlen[key] = cand
+                        changed = True
+    target_len = min(minlen[t] for t in hits)
+    if target_len > max_witness_len:
+        return False, None
+
+    # best[(triple, length)] = lexicographically least word of exactly that length
+    best = {}
+    for x, sigma in grammar.leaf_rules:
+        for p in dfa.states:
+            key = ((p, x, dfa.delta[(p, sigma)]), 1)
+            word = (sigma,)
+            if key not in best or word < best[key]:
+                best[key] = word
+    for length in range(2, target_len + 1):
+        for x, y, z in grammar.binary_rules:
+            for p in dfa.states:
+                for r in dfa.states:
+                    for q in dfa.states:
+                        acc = None
+                        for split in range(1, length):
+                            left = best.get(((p, y, r), split))
+                            right = best.get(((r, z, q), length - split))
+                            if left is None or right is None:
+                                continue
+                            cand = left + right
+                            if acc is None or cand < acc:
+                                acc = cand
+                        if acc is not None:
+                            key = ((p, x, q), length)
+                            if key not in best or acc < best[key]:
+                                best[key] = acc
+    witness = min(best[(t, target_len)] for t in hits if (t, target_len) in best)
+    return False, witness

@@ -82,15 +82,22 @@ class TestEvalTerm:
 
     def test_substitution_oracle(self):
         rng = random.Random(SEED + 1)
-        automata = [leaf_parity_dbta(), height_bounded_dbta(), random_dbta(rng, SIGMA)]
-        terms = [u for u in brute_trees(SIGMA, 5, ports=2)]
-        fillers = sorted(brute_trees(SIGMA, 4), key=lambda x: (x.size, str(x)))
-        for dbta in automata:
-            for term in rng.sample(terms, min(25, len(terms))):
-                for _ in range(6):
-                    args = (rng.choice(fillers), rng.choice(fillers))
-                    via_states = dbta.eval_term(term, tuple(dbta.eval(s) for s in args))
-                    assert via_states == dbta.eval(compose(term, args))
+        two_binary = RankedAlphabet({"a": 2, "b": 2, "p": 0, "q": 0})
+        other = random.Random(SEED + 2)
+        cases = [
+            (SIGMA, [leaf_parity_dbta(), height_bounded_dbta(), random_dbta(rng, SIGMA)]),
+            # two letters of one arity: each letter's steps are its own
+            (two_binary, [random_dbta(other, two_binary) for _ in range(3)]),
+        ]
+        for alphabet, automata in cases:
+            terms = [u for u in brute_trees(alphabet, 5, ports=2)]
+            fillers = sorted(brute_trees(alphabet, 4), key=lambda x: (x.size, str(x)))
+            for dbta in automata:
+                for term in rng.sample(terms, min(25, len(terms))):
+                    for _ in range(6):
+                        args = (rng.choice(fillers), rng.choice(fillers))
+                        via_states = dbta.eval_term(term, tuple(dbta.eval(s) for s in args))
+                        assert via_states == dbta.eval(compose(term, args))
 
 
 class TestDeterminize:

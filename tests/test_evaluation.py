@@ -19,6 +19,7 @@ from treesep.errors import AlphabetError, TreesepError
 from treesep.fixtures import (
     blocks_grammar,
     even_p_dfa,
+    leaf_parity_dbta,
     nonpalindrome_grammar,
     obf_sigma,
     p_initial_grammar,
@@ -29,11 +30,13 @@ from treesep.fixtures import (
 )
 from treesep.grammar import parse_grammar
 from treesep.obfuscation import kop_dbta, kop_member, kop_nta, obf_alphabet
-from treesep.trees import RankedAlphabet, Tree, encode_xml, format_tree, parse_tree
+from treesep.rotation import comb_dfa, is_associative
+from treesep.trees import RankedAlphabet, Tree, compose, encode_xml, format_tree, parse_tree
 from treesep.walking import ACCEPT, ESCAPE, LOOP, REJECT, dfs_from_dfa, to_dbta
 
 from oracles import (
     SEED,
+    brute_trees,
     dict_run,
     random_dbta,
     random_dtwa,
@@ -274,6 +277,45 @@ class TestDeepTrees:
             term = Tree("a", (term, Tree("*")))
         assert term.arity == self.LEAVES + 1
         assert parse_tree(format_tree(term)) == term
+
+    def deep_port_term(self, right: Tree) -> Tree:
+        """a(a(...a(*,c)...,c),right) with 3,000 binary nodes."""
+        term = Tree("*")
+        for _ in range(2_999):
+            term = Tree("a", (term, Tree("c")))
+        return Tree("a", (term, right))
+
+    def test_deep_port_term(self):
+        term = self.deep_port_term(Tree("c"))
+        rng = random.Random(SEED)
+        automata = [leaf_parity_dbta()] + [random_dbta(rng, obf_sigma()) for _ in range(4)]
+        for arg in map(parse_tree, ("p", "a(p,q)", "a(a(q,c),p)")):
+            filled = compose(term, (arg,))
+            assert format_tree(filled) == format_tree(term).replace("*", format_tree(arg))
+            for dbta in automata:
+                assert dbta.eval_term(term, (dbta.eval(arg),)) == dbta.eval(filled)
+
+    def test_deep_binary_term(self):
+        # is_associative and comb_dfa against Dbta.eval on composed trees
+        term = self.deep_port_term(Tree("*"))
+        rng = random.Random(SEED)
+        fillers = sorted(brute_trees(obf_sigma(), 5), key=lambda x: (x.size, format_tree(x)))
+        for dbta in [leaf_parity_dbta()] + [random_dbta(rng, obf_sigma()) for _ in range(4)]:
+            amin = dbta.minimize()
+            reps = {}
+            for tree in fillers:
+                reps.setdefault(amin.eval(tree), tree)
+            assert len(reps) == len(amin.states)
+            k = comb_dfa(amin, term, ("p", "q"))
+            for q, rep in reps.items():
+                for sigma in ("p", "q"):
+                    assert k.delta[(q, sigma)] == amin.eval(compose(term, (rep, Tree(sigma))))
+            expected = all(
+                amin.eval(compose(term, (compose(term, (x, y)), z)))
+                == amin.eval(compose(term, (x, compose(term, (y, z)))))
+                for x, y, z in itertools.product(reps.values(), repeat=3)
+            )
+            assert is_associative(amin, term) == expected
 
     def test_nta_and_xml(self):
         tree = left_comb(["p"] * self.LEAVES)

@@ -11,13 +11,12 @@ from treesep.fixtures import (
 )
 from treesep.grammar import (
     cyk_member,
-    derivation_yield,
     derivations,
     generate_words,
     is_valid_derivation,
     parse_grammar,
 )
-from treesep.trees import parse_tree
+from treesep.trees import leaf_word, parse_tree
 
 
 def words_up_to(alphabet, max_len):
@@ -112,7 +111,7 @@ class TestDerivations:
         g = palindrome_grammar()
         for w in [("p", "p"), ("p", "q", "p"), ("q", "p", "p", "q")]:
             for d in derivations(g, w):
-                assert derivation_yield(d) == w
+                assert leaf_word(d) == w
                 assert is_valid_derivation(g, d)
 
     def test_pq_has_exactly_one_derivation(self):

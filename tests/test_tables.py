@@ -109,7 +109,7 @@ def test_criterion_walkers(index):
     assert dbta.is_empty() == round_robin_is_empty(dbta)
     flipped = dbta.complement()
     assert flipped.is_empty() == round_robin_is_empty(flipped)
-    # The search's own candidates.  The oracle walks eval_term |Q|^3 times
+    # The search's own candidates.  The oracle's tables have |Q|^3 entries
     # per term, so #19's 24 states get the terms up to 5 nodes only.
     for term in enumerate_terms(PAIR, 2, 7 if len(amin.states) <= 12 else 5):
         assert is_associative(amin, term) == tree_walk_is_associative(amin, term)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,8 @@ from treesep.fixtures import (
 )
 from treesep.grammar import cyk_member, generate_words, parse_grammar
 from treesep.words import Dfa, cfg_dfa_intersection_empty, parse_dfa, verify_separator
+
+from oracles import SEED, random_cnf_grammar, random_dfa, three_pass_intersection_empty
 
 
 def words_up_to(alphabet, max_len):
@@ -43,6 +46,13 @@ def length_one_dfa() -> Dfa:
     """Accepts exactly the one-letter words."""
     delta = {(q, a): {"z0": "z1"}.get(q, "z2") for q in ("z0", "z1", "z2") for a in ("p", "q")}
     return Dfa(("p", "q"), ("z0", "z1", "z2"), "z0", {"z1"}, delta)
+
+
+def threshold_dfa(m: int) -> Dfa:
+    """Accepts exactly the words with at least m letters."""
+    states = [f"t{i:02d}" for i in range(m + 1)]
+    delta = {(states[i], a): states[min(i + 1, m)] for i in range(m + 1) for a in ("p", "q")}
+    return Dfa(("p", "q"), states, states[0], {states[m]}, delta)
 
 
 def empty_dfa() -> Dfa:
@@ -149,6 +159,31 @@ class TestCfgDfaIntersection:
         outside = length_one_dfa().complement()
         assert cfg_dfa_intersection_empty(four, outside, max_witness_len=4) == (False, ("p",) * 4)
         assert cfg_dfa_intersection_empty(four, outside, max_witness_len=3) == (False, None)
+
+
+class TestAgainstThreePass:
+    """The single fixpoint against the derivable / min-length / per-length
+    table passes it replaced, kept in `oracles`."""
+
+    def test_random_grammars(self):
+        rng = random.Random(SEED)
+        kinds = set()
+        for _ in range(120):
+            grammar, dfa = random_cnf_grammar(rng), random_dfa(rng)
+            for bound in (64, 3, 1):
+                got = cfg_dfa_intersection_empty(grammar, dfa, max_witness_len=bound)
+                assert got == three_pass_intersection_empty(grammar, dfa, max_witness_len=bound)
+                kinds.add("empty" if got[0] else "within" if got[1] is not None else "above")
+        assert kinds == {"empty", "within", "above"}
+
+    @pytest.mark.parametrize("m", [8, 9, 10])
+    def test_threshold_dfas(self, m):
+        k = threshold_dfa(m)
+        for grammar in (palindrome_grammar(), nonpalindrome_grammar()):
+            for dfa in (k, k.complement()):
+                got = cfg_dfa_intersection_empty(grammar, dfa)
+                assert got == three_pass_intersection_empty(grammar, dfa)
+                assert len(got[1]) == (m if dfa is k else 2)
 
 
 class TestVerifySeparator:
