@@ -14,26 +14,15 @@ from .errors import (
     TransitionError,
     TreesepError,
 )
-from .grammar import (
-    CnfGrammar,
-    cyk_member,
-    derivations,
-    generate_words,
-    is_valid_derivation,
-    parse_grammar,
-)
+from .grammar import CnfGrammar, cyk_member, derivations, parse_grammar
 from .obfuscation import kop_dbta, kop_member, kop_nta, obf_alphabet
 from .rotation import (
     ExtractReport,
     RotationWitness,
     comb_dfa,
-    comb_normalize,
     extract_separator,
     find_rotation_term,
     is_associative,
-    l_equivalent,
-    transformation,
-    tstar_members,
 )
 from .trees import (
     PORT,
@@ -41,12 +30,10 @@ from .trees import (
     Tree,
     comb,
     compose,
-    encode_xml,
     enumerate_terms,
     format_tree,
     leaf_word,
     parse_tree,
-    rotate_at,
 )
 from .walking import (
     ACCEPT,
@@ -55,8 +42,6 @@ from .walking import (
     REJECT,
     Dtwa,
     RunOutcome,
-    behavior_compose,
-    behavior_of_leaf,
     dfs_from_dfa,
     parse_dtwa,
     to_dbta,

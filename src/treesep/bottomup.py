@@ -416,24 +416,6 @@ class Nta:
         for letter, _ in alphabet.items():
             self.transitions.setdefault(letter, {})
 
-    def eval_set(self, tree: Tree) -> frozenset:
-        """States some run reaches at the root."""
-        self.alphabet.validate(tree)
-        sets = []
-        for node in postorder(tree):
-            cut = len(sets) - len(node.children)
-            child_sets = sets[cut:]
-            del sets[cut:]
-            out = set()
-            for key, values in self.transitions[node.label].items():
-                if all(q in child_set for q, child_set in zip(key, child_sets)):
-                    out |= values
-            sets.append(frozenset(out))
-        return sets[0]
-
-    def accepts(self, tree: Tree) -> bool:
-        return bool(self.eval_set(tree) & self.accepting)
-
     def determinize(self) -> Dbta:
         """Subset construction over reachable subsets; the empty subset is the sink."""
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import TreesepError
 from .grammar import parse_grammar
-from .rotation import _word_or_none, extract_separator
+from .rotation import extract_separator
 from .trees import parse_tree
 from .walking import ACCEPT, format_path, parse_dtwa
 from .words import parse_dfa, verify_separator
@@ -65,14 +65,10 @@ def main(argv=None) -> int:
             print(report.to_json())
             return 0 if report.verified else 1
         report = verify_separator(parse_dfa(args.dfa.read_text()), g, h)
-    except (TreesepError, OSError) as exc:
+    except (TreesepError, OSError, UnicodeDecodeError) as exc:
         print(f"treesep: {exc}", file=sys.stderr)
         return 2
-    violations = {
-        "missed_word": _word_or_none(report.violation_g),
-        "overlap_word": _word_or_none(report.violation_h),
-    }
-    print(json.dumps({"verified": report.separates, "violations": violations},
+    print(json.dumps({"verified": report.separates, "violations": report.violations()},
                      indent=2, sort_keys=True))
     return 0 if report.separates else 1
 

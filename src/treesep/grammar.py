@@ -43,14 +43,6 @@ class CnfGrammar:
         return out
 
     @cached_property
-    def leaves_of(self):
-        """nonterminal -> sorted terminals it derives in one leaf step."""
-        out = {}
-        for x, sigma in self.leaf_rules:
-            out.setdefault(x, set()).add(sigma)
-        return {x: tuple(sorted(v)) for x, v in out.items()}
-
-    @cached_property
     def binary_of(self):
         """nonterminal -> sorted (Y, Z) right-hand sides."""
         out = {}
@@ -206,43 +198,3 @@ def derivations(grammar: CnfGrammar, word):
                             yield node
 
     yield from expand(grammar.start, 0, len(word))
-
-
-def is_valid_derivation(grammar: CnfGrammar, tree: Tree) -> bool:
-    """Does the tree satisfy the derivation invariants for this grammar?"""
-
-    def fits(nonterminal, node) -> bool:
-        if node.is_leaf():
-            return nonterminal in grammar.leaf_index.get(node.label, ())
-        if node.label != nonterminal or len(node.children) != 2:
-            return False
-        left, right = node.children
-        return any(
-            fits(y, left) and fits(z, right)
-            for y, z in grammar.binary_of.get(nonterminal, ())
-        )
-
-    return fits(grammar.start, tree)
-
-
-def generate_words(grammar: CnfGrammar, max_len: int) -> set:
-    """All generated words of length 1..max_len, as tuples of terminals."""
-    by_len = {x: {1: set(map(lambda s: (s,), sigmas))}
-              for x, sigmas in grammar.leaves_of.items()}
-    for x in grammar.nonterminals:
-        by_len.setdefault(x, {})
-    for length in range(2, max_len + 1):
-        for x in grammar.nonterminals:
-            bucket = set()
-            for y, z in grammar.binary_of.get(x, ()):
-                for split in range(1, length):
-                    for left in by_len[y].get(split, ()):
-                        for right in by_len[z].get(length - split, ()):
-                            bucket.add(left + right)
-            if bucket:
-                by_len[x][length] = bucket
-    out = set()
-    for length, words in by_len.get(grammar.start, {}).items():
-        if length <= max_len:
-            out |= words
-    return out

@@ -1,4 +1,4 @@
-"""Interchangeability of terms, re-association search, and separator extraction.
+"""Re-association search, comb word automata, and separator extraction.
 
 Two equal-arity terms are interchangeable for a language L when wrapping
 either of them, filled with any subtrees, in any unary context gives the
@@ -6,31 +6,21 @@ same L-membership.  On a minimized reachable bottom-up automaton this holds
 exactly when the two terms induce the same state transformation: distinct
 minimized states are context-distinguishable and every reachable state is
 realized by a concrete subtree.  That identification makes the search for a
-re-association-invariant binary term a finite, exact procedure.
+re-association-invariant binary term a finite, exact procedure; the comb word
+automaton of the term found is the separator `extract_separator` verifies.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
 from .bottomup import Dbta
-from .errors import AlphabetError, ArityError, ResourceError, RotationSearchExhausted
+from .errors import AlphabetError, ArityError, RotationSearchExhausted
 from .grammar import CnfGrammar
-from .trees import (
-    PORT,
-    RankedAlphabet,
-    Tree,
-    compose,
-    enumerate_terms,
-    format_tree,
-    rotate_at,
-)
+from .trees import RankedAlphabet, Tree, enumerate_terms, format_tree
 from .walking import Dtwa, to_dbta
 from .words import Dfa, SeparatorReport, verify_separator
-
-TUPLE_ARITY_CAP = 3  # ternary tables decide associativity; |Q|**3 is the budget
 
 
 @dataclass(frozen=True)
@@ -40,27 +30,6 @@ class RotationWitness:
     term: Tree
     found_at_size: int
     fingerprint: str  # of the minimized automaton the term was verified against
-
-
-def transformation(amin: Dbta, term: Tree, max_arity: int = TUPLE_ARITY_CAP) -> dict:
-    """Full table of the state transformation induced by a term.
-
-    Keyed by tuples over the automaton's states; `amin` should be minimized
-    and reachable so that every tuple is realized by actual subtrees.
-    """
-    n = term.arity
-    if n > max_arity:
-        raise ResourceError(f"transformation tables capped at arity {max_arity}, term has {n} ports")
-    amin.alphabet.validate(term, ports=True)
-    keys = list(itertools.product(amin.states, repeat=n))
-    return dict(zip(keys, amin.eval_columns(term, list(zip(*keys)))))
-
-
-def l_equivalent(amin: Dbta, t: Tree, u: Tree) -> bool:
-    """Interchangeability of two equal-arity terms, decided by table equality."""
-    if t.arity != u.arity:
-        raise ArityError(f"terms have arities {t.arity} and {u.arity}")
-    return transformation(amin, t) == transformation(amin, u)
 
 
 def is_associative(amin: Dbta, term: Tree) -> bool:
@@ -109,31 +78,6 @@ def find_rotation_term(
         if is_associative(amin, term):
             return RotationWitness(term, term.size, fingerprint)
     raise RotationSearchExhausted(max_size)
-
-
-def tstar_members(term: Tree, arity: int, budget: int):
-    """Members of the closure of {*} under t-composition, with `arity` ports.
-
-    Yields at most `budget` members.  All n-port members have equal node
-    count, so the order is by s-expression text.
-    """
-    if term.arity != 2:
-        raise ArityError(f"need a binary term, got arity {term.arity}")
-    if arity < 1:
-        raise ValueError("closure members have at least one port")
-    memo = {1: [Tree(PORT)]}
-
-    def members(n):
-        if n not in memo:
-            out = []
-            for i in range(1, n):
-                for left in members(i):
-                    for right in members(n - i):
-                        out.append(compose(term, (left, right)))
-            memo[n] = out
-        return memo[n]
-
-    yield from sorted(members(arity), key=format_tree)[:budget]
 
 
 def comb_dfa(dbta: Dbta, term: Tree, gamma) -> Dfa:
@@ -194,15 +138,8 @@ class ExtractReport:
             doc["separator"] = self.separator.to_text()
         if self.verification is not None:
             doc["verified"] = self.verification.separates
-            doc["violations"] = {
-                "missed_word": _word_or_none(self.verification.violation_g),
-                "overlap_word": _word_or_none(self.verification.violation_h),
-            }
+            doc["violations"] = self.verification.violations()
         return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _word_or_none(word):
-    return None if word is None else " ".join(word)
 
 
 def extract_separator(
@@ -231,33 +168,3 @@ def extract_separator(
         separator=separator,
         verification=verification,
     )
-
-
-def comb_normalize(tree: Tree, letter: str):
-    """Left-normalize a tree built from one binary letter via single rotations.
-
-    Returns (normal form, steps), each step a (path, "left") rotation whose
-    pivot node and right child both carry `letter`.  On closure members of a
-    pure binary term this reaches the left-comb form; every step preserves
-    the leaf sequence.
-    """
-    steps = []
-    current = tree
-
-    def find(node, path):
-        if node.label == letter and len(node.children) == 2:
-            right = node.children[1]
-            if right.label == letter and len(right.children) == 2:
-                return path
-        for i, child in enumerate(node.children, start=1):
-            hit = find(child, path + (i,))
-            if hit is not None:
-                return hit
-        return None
-
-    while True:
-        path = find(current, ())
-        if path is None:
-            return current, steps
-        current = rotate_at(current, path, "left")
-        steps.append((path, "left"))

@@ -3,7 +3,10 @@
 A term is an ordinary tree that may contain the reserved leaf ``*`` (a port).
 Ports are numbered 1..n in left-to-right leaf order and each port is a
 substitution slot used exactly once, so composition never duplicates an
-argument.
+argument.  Terms are composed (`compose`, `comb`), enumerated by size
+(`enumerate_terms`), and written and read in one s-expression format
+(`format_tree`, `parse_tree`).  Every walk over a tree is iterative, so no
+depth raises RecursionError.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import re
 import string
 from typing import Iterable, Iterator
 
-from .errors import AlphabetError, ArityError, ParseError, ShapeError
+from .errors import AlphabetError, ArityError, ParseError
 
 PORT = "*"
 
@@ -140,9 +143,6 @@ class Tree:
             pairs.extend(zip(a.children, b.children))
         return True
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return self._hash
 
@@ -183,28 +183,6 @@ def postorder(tree: Tree) -> list:
     return order
 
 
-def subtree_at(tree: Tree, path: Iterable[int]) -> Tree:
-    """Node reached by following 1-based child indices from the root."""
-    node = tree
-    for i in path:
-        if i < 1 or i > len(node.children):
-            raise ShapeError(f"no child {i} at node {format_tree(node)!r}")
-        node = node.children[i - 1]
-    return node
-
-
-def replace_at(tree: Tree, path, replacement: Tree) -> Tree:
-    path = tuple(path)
-    if not path:
-        return replacement
-    i = path[0]
-    if i < 1 or i > len(tree.children):
-        raise ShapeError(f"no child {i} at node {format_tree(tree)!r}")
-    kids = list(tree.children)
-    kids[i - 1] = replace_at(kids[i - 1], path[1:], replacement)
-    return Tree(tree.label, kids)
-
-
 def compose(term: Tree, args: Iterable[Tree]) -> Tree:
     """Substitute `args[i]` for the i-th port, in left-to-right leaf order.
 
@@ -242,33 +220,6 @@ def comb(term: Tree, letters: Iterable[str]) -> Tree:
     for name in names[2:]:
         acc = compose(term, (acc, Tree(name)))
     return acc
-
-
-def rotate_at(tree: Tree, path, direction: str) -> Tree:
-    """Single re-association at `path`; the leaf sequence is unchanged.
-
-    `direction="right"` rewrites a(a(x,y),z) into a(x,a(y,z)); `"left"` is the
-    inverse.  The node and its designated child (left child for a right
-    rotation, right child for a left one) must carry the same binary letter.
-    """
-    node = subtree_at(tree, tuple(path))
-    if len(node.children) != 2:
-        raise ShapeError(f"node {format_tree(node)!r} is not binary")
-    if direction == "right":
-        pivot, z = node.children
-        if pivot.label != node.label or len(pivot.children) != 2:
-            raise ShapeError("left child does not match the node's binary letter")
-        x, y = pivot.children
-        new = Tree(node.label, (x, Tree(node.label, (y, z))))
-    elif direction == "left":
-        x, pivot = node.children
-        if pivot.label != node.label or len(pivot.children) != 2:
-            raise ShapeError("right child does not match the node's binary letter")
-        y, z = pivot.children
-        new = Tree(node.label, (Tree(node.label, (x, y)), z))
-    else:
-        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-    return replace_at(tree, path, new)
 
 
 def leaf_word(tree: Tree, keep=None) -> tuple:
@@ -361,21 +312,6 @@ def format_tree(tree: Tree) -> str:
                 break
             stack.append(",")
             i -= 1
-    return "".join(parts)
-
-
-def encode_xml(tree: Tree) -> str:
-    """XML encoding with one element per node, no attributes, no whitespace."""
-    parts = []
-    stack = [tree]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            parts.append(item)
-        else:
-            parts.append(f"<{item.label}>")
-            stack.append(f"</{item.label}>")
-            stack.extend(reversed(item.children))
     return "".join(parts)
 
 

@@ -10,6 +10,12 @@ Position tags are integers: 0 for the root, i >= 1 for "this node is the
 i-th child of its parent".  Transition maps must be total over
 (state, tag in 0..maxarity) for every letter, even for tags a letter can
 never actually occupy.
+
+The behaviour of a subtree says, for each slot (tag, entry state), how a
+walk entering the subtree there ends: it exits upward in some state,
+accepts, rejects or loops.  A node's behaviour depends only on its letter and
+its children's behaviours, so `to_dbta` turns the walker into a bottom-up
+automaton over behaviours, each a tuple of integer outcome codes (`_compose`).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from . import fmt
-from .errors import AlphabetError, ArityError, FormatError
+from .errors import AlphabetError, FormatError
 from .trees import RankedAlphabet, Tree
 from .bottomup import Dbta, saturate
 from .words import Dfa
@@ -32,15 +38,6 @@ ESCAPE = "escape"
 PARENT = -1
 STAY = 0
 ROOT_TAG = 0
-
-# local outcomes of a subtree behavior
-OUT_ACCEPT = ("accept",)
-OUT_REJECT = ("reject",)
-OUT_LOOP = ("loop",)
-
-
-def out_exit(state) -> tuple:
-    return ("exit", state)
 
 
 @dataclass
@@ -229,7 +226,7 @@ def parse_dtwa(text: str) -> Dtwa:
             act = (tokens[0], PARENT)
         elif len(tokens) == 2 and tokens[1] == "stay":
             act = (tokens[0], STAY)
-        elif len(tokens) == 3 and tokens[1] == "child" and tokens[2].isdigit():
+        elif len(tokens) == 3 and tokens[1] == "child" and tokens[2].isdigit() and int(tokens[2]) >= 1:
             act = (tokens[0], int(tokens[2]))
         else:
             raise FormatError(f"line {lineno}: bad action {rhs!r}")
@@ -322,28 +319,6 @@ def _compose(dtwa: Dtwa, letter, children) -> tuple:
                 code = n + 2
             out.append(code)
     return tuple(out)
-
-
-def behavior_of_leaf(dtwa: Dtwa, letter) -> dict:
-    """Behavior of a single-node subtree: (tag, entry state) -> local outcome."""
-    if dtwa.alphabet.arity(letter) != 0:
-        raise ArityError(f"letter {letter!r} is not arity-0")
-    return behavior_compose(dtwa, letter, ())
-
-
-def behavior_compose(dtwa: Dtwa, letter, child_behaviors) -> dict:
-    """Behavior of a subtree with the given root letter and child behaviors."""
-    child_behaviors = tuple(child_behaviors)
-    if len(child_behaviors) != dtwa.alphabet.arity(letter):
-        raise ArityError(
-            f"letter {letter!r} has arity {dtwa.alphabet.arity(letter)}, "
-            f"got {len(child_behaviors)} child behaviors"
-        )
-    outcomes = [out_exit(q) for q in dtwa.states] + [OUT_ACCEPT, OUT_REJECT, OUT_LOOP]
-    code = {out: i for i, out in enumerate(outcomes)}
-    slots = [(tag, q) for tag in dtwa.tags() for q in dtwa.states]
-    children = [tuple(code[child[slot]] for slot in slots) for child in child_behaviors]
-    return dict(zip(slots, (outcomes[c] for c in _compose(dtwa, letter, children))))
 
 
 def to_dbta(dtwa: Dtwa) -> Dbta:

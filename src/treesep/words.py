@@ -57,53 +57,6 @@ class Dfa:
         return Dfa(self.alphabet, self.states, self.initial,
                    set(self.states) - set(self.accepting), self.delta)
 
-    def product(self, other: "Dfa", op: str) -> "Dfa":
-        if op not in ("and", "or", "andnot"):
-            raise ValueError(f"unknown op {op!r}")
-        if self.alphabet != other.alphabet:
-            raise AlphabetError("product needs a shared alphabet")
-        pairs = [(self.initial, other.initial)]
-        seen = {pairs[0]}
-        delta = {}
-        i = 0
-        while i < len(pairs):
-            a, b = pairs[i]
-            i += 1
-            for letter in self.alphabet:
-                target = (self.delta[(a, letter)], other.delta[(b, letter)])
-                if target not in seen:
-                    seen.add(target)
-                    pairs.append(target)
-                delta[(f"{a}|{b}", letter)] = f"{target[0]}|{target[1]}"
-        accepting = set()
-        for a, b in pairs:
-            in_a, in_b = a in self.accepting, b in other.accepting
-            keep = (in_a and in_b) if op == "and" else (in_a or in_b) if op == "or" else (in_a and not in_b)
-            if keep:
-                accepting.add(f"{a}|{b}")
-        names = [f"{a}|{b}" for a, b in pairs]
-        return Dfa(self.alphabet, names, f"{self.initial}|{other.initial}", accepting, delta)
-
-    def is_empty(self):
-        """(True, None) or (False, witness); the witness is the shortest word,
-        lexicographically least among the shortest."""
-        if self.initial in self.accepting:
-            return False, ()
-        best = {self.initial: ()}
-        for _ in range(len(self.states)):
-            nxt = {}
-            for q, word in best.items():
-                for letter in self.alphabet:
-                    target = self.delta[(q, letter)]
-                    cand = word + (letter,)
-                    if target not in nxt or cand < nxt[target]:
-                        nxt[target] = cand
-            hits = [w for q, w in nxt.items() if q in self.accepting]
-            if hits:
-                return False, min(hits)
-            best = nxt
-        return True, None
-
     def to_text(self) -> str:
         lines = ["alphabet:"]
         lines += list(self.alphabet)
@@ -194,6 +147,13 @@ class SeparatorReport:
 
     def __bool__(self):
         return self.separates
+
+    def violations(self) -> dict:
+        """The two violations as space-joined words, None where there is none."""
+        return {
+            "missed_word": None if self.violation_g is None else " ".join(self.violation_g),
+            "overlap_word": None if self.violation_h is None else " ".join(self.violation_h),
+        }
 
 
 def verify_separator(dfa: Dfa, grammar_g, grammar_h) -> SeparatorReport:

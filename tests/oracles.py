@@ -2,35 +2,57 @@
 
 Everything here recomputes expected values by brute force or by a second
 route (direct recursion, step-bounded simulation, exhaustive enumeration) so
-the tests never trust the code path they are checking.  The few helpers
-only the tests use (`smallest_trees`) live here too.
+the tests never trust the code path they are checking.  The definitions the
+tests check the pipeline against, and the helpers only the tests use, live
+here too:
+
+- `transformation` and `l_equivalent`: a term's full table of state
+  transformations (arity at most `TUPLE_ARITY_CAP`), and interchangeability
+  of two terms as equality of their tables;
+- `tstar_members`: the closure of ``*`` under composition with a binary term;
+- `comb_normalize`, `rotate_at`, `replace_at` and `subtree_at`: single
+  re-associations, and left normalisation by them;
+- `behavior_of_leaf`, `behavior_compose`, `out_exit`, `OUT_ACCEPT`,
+  `OUT_REJECT` and `OUT_LOOP`: walker behaviours as dicts from
+  (tag, entry state) to a local outcome, composed by the package's walk;
+- `is_valid_derivation`, and `generate_words` with `leaves_of`: the
+  derivation invariants and the bounded language of a CNF grammar;
+- `nta_eval_set` and `nta_accepts`: runs of a nondeterministic bottom-up
+  automaton;
+- `smallest_trees`.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterable
 
 from treesep.bottomup import Dbta
-from treesep.errors import AlphabetError, FormatError, ParseError
-from treesep.grammar import parse_grammar
+from treesep.errors import AlphabetError, ArityError, FormatError, ParseError, ResourceError, ShapeError
+from treesep.grammar import CnfGrammar, parse_grammar
 from treesep.obfuscation import FRESH_PAIR
-from treesep.rotation import l_equivalent
-from treesep.trees import _NAME, PORT, RankedAlphabet, Tree, compose, enumerate_terms, format_tree
+from treesep.trees import (
+    _NAME,
+    PORT,
+    RankedAlphabet,
+    Tree,
+    compose,
+    enumerate_terms,
+    format_tree,
+    postorder,
+)
 from treesep.walking import (
     ACCEPT,
     ESCAPE,
     LOOP,
-    OUT_ACCEPT,
-    OUT_LOOP,
-    OUT_REJECT,
     PARENT,
     REJECT,
     ROOT_TAG,
     STAY,
     Dtwa,
     RunOutcome,
-    out_exit,
+    _compose,
 )
 from treesep.words import Dfa
 
@@ -250,7 +272,7 @@ def kop_language(grammar, max_nodes: int) -> set:
 
     A member for a word of length n has at least 2n - 1 nodes, so words
     longer than (max_nodes + 1) // 2 cannot contribute."""
-    from treesep.grammar import derivations, generate_words
+    from treesep.grammar import derivations
 
     out = set()
     max_word = (max_nodes + 1) // 2
@@ -757,3 +779,231 @@ def three_pass_intersection_empty(grammar, dfa: Dfa, max_witness_len: int = 64):
                                 best[key] = acc
     witness = min(best[(t, target_len)] for t in hits if (t, target_len) in best)
     return False, witness
+
+
+TUPLE_ARITY_CAP = 3  # ternary tables decide associativity; |Q|**3 is the budget
+
+
+def transformation(amin: Dbta, term: Tree, max_arity: int = TUPLE_ARITY_CAP) -> dict:
+    """Full table of the state transformation induced by a term.
+
+    Keyed by tuples over the automaton's states; `amin` should be minimized
+    and reachable so that every tuple is realized by actual subtrees.
+    """
+    n = term.arity
+    if n > max_arity:
+        raise ResourceError(f"transformation tables capped at arity {max_arity}, term has {n} ports")
+    amin.alphabet.validate(term, ports=True)
+    keys = list(itertools.product(amin.states, repeat=n))
+    return dict(zip(keys, amin.eval_columns(term, list(zip(*keys)))))
+
+
+def l_equivalent(amin: Dbta, t: Tree, u: Tree) -> bool:
+    """Interchangeability of two equal-arity terms, decided by table equality."""
+    if t.arity != u.arity:
+        raise ArityError(f"terms have arities {t.arity} and {u.arity}")
+    return transformation(amin, t) == transformation(amin, u)
+
+
+def tstar_members(term: Tree, arity: int, budget: int):
+    """Members of the closure of {*} under t-composition, with `arity` ports.
+
+    Yields at most `budget` members.  All n-port members have equal node
+    count, so the order is by s-expression text.
+    """
+    if term.arity != 2:
+        raise ArityError(f"need a binary term, got arity {term.arity}")
+    if arity < 1:
+        raise ValueError("closure members have at least one port")
+    memo = {1: [Tree(PORT)]}
+
+    def members(n):
+        if n not in memo:
+            out = []
+            for i in range(1, n):
+                for left in members(i):
+                    for right in members(n - i):
+                        out.append(compose(term, (left, right)))
+            memo[n] = out
+        return memo[n]
+
+    yield from sorted(members(arity), key=format_tree)[:budget]
+
+
+def comb_normalize(tree: Tree, letter: str):
+    """Left-normalize a tree built from one binary letter via single rotations.
+
+    Returns (normal form, steps), each step a (path, "left") rotation whose
+    pivot node and right child both carry `letter`.  On closure members of a
+    pure binary term this reaches the left-comb form; every step preserves
+    the leaf sequence.
+    """
+    steps = []
+    current = tree
+
+    def find(node, path):
+        if node.label == letter and len(node.children) == 2:
+            right = node.children[1]
+            if right.label == letter and len(right.children) == 2:
+                return path
+        for i, child in enumerate(node.children, start=1):
+            hit = find(child, path + (i,))
+            if hit is not None:
+                return hit
+        return None
+
+    while True:
+        path = find(current, ())
+        if path is None:
+            return current, steps
+        current = rotate_at(current, path, "left")
+        steps.append((path, "left"))
+
+
+def subtree_at(tree: Tree, path: Iterable[int]) -> Tree:
+    """Node reached by following 1-based child indices from the root."""
+    node = tree
+    for i in path:
+        if i < 1 or i > len(node.children):
+            raise ShapeError(f"no child {i} at node {format_tree(node)!r}")
+        node = node.children[i - 1]
+    return node
+
+
+def replace_at(tree: Tree, path, replacement: Tree) -> Tree:
+    path = tuple(path)
+    if not path:
+        return replacement
+    i = path[0]
+    if i < 1 or i > len(tree.children):
+        raise ShapeError(f"no child {i} at node {format_tree(tree)!r}")
+    kids = list(tree.children)
+    kids[i - 1] = replace_at(kids[i - 1], path[1:], replacement)
+    return Tree(tree.label, kids)
+
+
+def rotate_at(tree: Tree, path, direction: str) -> Tree:
+    """Single re-association at `path`; the leaf sequence is unchanged.
+
+    `direction="right"` rewrites a(a(x,y),z) into a(x,a(y,z)); `"left"` is the
+    inverse.  The node and its designated child (left child for a right
+    rotation, right child for a left one) must carry the same binary letter.
+    """
+    node = subtree_at(tree, tuple(path))
+    if len(node.children) != 2:
+        raise ShapeError(f"node {format_tree(node)!r} is not binary")
+    if direction == "right":
+        pivot, z = node.children
+        if pivot.label != node.label or len(pivot.children) != 2:
+            raise ShapeError("left child does not match the node's binary letter")
+        x, y = pivot.children
+        new = Tree(node.label, (x, Tree(node.label, (y, z))))
+    elif direction == "left":
+        x, pivot = node.children
+        if pivot.label != node.label or len(pivot.children) != 2:
+            raise ShapeError("right child does not match the node's binary letter")
+        y, z = pivot.children
+        new = Tree(node.label, (Tree(node.label, (x, y)), z))
+    else:
+        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    return replace_at(tree, path, new)
+
+
+# local outcomes of a subtree behavior
+OUT_ACCEPT = ("accept",)
+OUT_REJECT = ("reject",)
+OUT_LOOP = ("loop",)
+
+
+def out_exit(state) -> tuple:
+    return ("exit", state)
+
+
+def behavior_of_leaf(dtwa: Dtwa, letter) -> dict:
+    """Behavior of a single-node subtree: (tag, entry state) -> local outcome."""
+    if dtwa.alphabet.arity(letter) != 0:
+        raise ArityError(f"letter {letter!r} is not arity-0")
+    return behavior_compose(dtwa, letter, ())
+
+
+def behavior_compose(dtwa: Dtwa, letter, child_behaviors) -> dict:
+    """Behavior of a subtree with the given root letter and child behaviors."""
+    child_behaviors = tuple(child_behaviors)
+    if len(child_behaviors) != dtwa.alphabet.arity(letter):
+        raise ArityError(
+            f"letter {letter!r} has arity {dtwa.alphabet.arity(letter)}, "
+            f"got {len(child_behaviors)} child behaviors"
+        )
+    outcomes = [out_exit(q) for q in dtwa.states] + [OUT_ACCEPT, OUT_REJECT, OUT_LOOP]
+    code = {out: i for i, out in enumerate(outcomes)}
+    slots = [(tag, q) for tag in dtwa.tags() for q in dtwa.states]
+    children = [tuple(code[child[slot]] for slot in slots) for child in child_behaviors]
+    return dict(zip(slots, (outcomes[c] for c in _compose(dtwa, letter, children))))
+
+
+def is_valid_derivation(grammar: CnfGrammar, tree: Tree) -> bool:
+    """Does the tree satisfy the derivation invariants for this grammar?"""
+
+    def fits(nonterminal, node) -> bool:
+        if node.is_leaf():
+            return nonterminal in grammar.leaf_index.get(node.label, ())
+        if node.label != nonterminal or len(node.children) != 2:
+            return False
+        left, right = node.children
+        return any(
+            fits(y, left) and fits(z, right)
+            for y, z in grammar.binary_of.get(nonterminal, ())
+        )
+
+    return fits(grammar.start, tree)
+
+
+def generate_words(grammar: CnfGrammar, max_len: int) -> set:
+    """All generated words of length 1..max_len, as tuples of terminals."""
+    by_len = {x: {1: set(map(lambda s: (s,), sigmas))}
+              for x, sigmas in leaves_of(grammar).items()}
+    for x in grammar.nonterminals:
+        by_len.setdefault(x, {})
+    for length in range(2, max_len + 1):
+        for x in grammar.nonterminals:
+            bucket = set()
+            for y, z in grammar.binary_of.get(x, ()):
+                for split in range(1, length):
+                    for left in by_len[y].get(split, ()):
+                        for right in by_len[z].get(length - split, ()):
+                            bucket.add(left + right)
+            if bucket:
+                by_len[x][length] = bucket
+    out = set()
+    for length, words in by_len.get(grammar.start, {}).items():
+        if length <= max_len:
+            out |= words
+    return out
+
+
+def leaves_of(grammar):
+    """nonterminal -> sorted terminals it derives in one leaf step."""
+    out = {}
+    for x, sigma in grammar.leaf_rules:
+        out.setdefault(x, set()).add(sigma)
+    return {x: tuple(sorted(v)) for x, v in out.items()}
+
+
+def nta_eval_set(nta, tree: Tree) -> frozenset:
+    """States some run of `nta` reaches at the root."""
+    nta.alphabet.validate(tree)
+    sets = []
+    for node in postorder(tree):
+        cut = len(sets) - len(node.children)
+        child_sets = sets[cut:]
+        del sets[cut:]
+        out = set()
+        for key, values in nta.transitions[node.label].items():
+            if all(q in child_set for q, child_set in zip(key, child_sets)):
+                out |= values
+        sets.append(frozenset(out))
+    return sets[0]
+
+
+def nta_accepts(nta, tree: Tree) -> bool:
+    return bool(nta_eval_set(nta, tree) & nta.accepting)

@@ -8,7 +8,7 @@ from treesep.errors import AlphabetError, ArityError, TransitionError
 from treesep.fixtures import height_bounded_dbta, leaf_parity_dbta, left_leaf_dbta, obf_sigma
 from treesep.trees import RankedAlphabet, Tree, compose, enumerate_terms, parse_tree
 
-from oracles import SEED, brute_trees, random_dbta, random_nta, smallest_trees
+from oracles import SEED, brute_trees, nta_accepts, random_dbta, random_dbtas, random_nta, smallest_trees
 
 SIGMA = obf_sigma()
 
@@ -128,7 +128,7 @@ class TestDeterminize:
             nta = random_nta(rng, SIGMA)
             det = nta.determinize()
             for tree in smallest_trees(SIGMA, 7):
-                assert det.accepts(tree) == nta.accepts(tree)
+                assert det.accepts(tree) == nta_accepts(nta, tree)
 
 
 class TestMinimize:
@@ -242,7 +242,11 @@ class TestEmptiness:
 
 class TestTextFormat:
     def test_dbta_round_trip(self):
-        for dbta in (leaf_parity_dbta(), height_bounded_dbta().minimize()):
+        # random total automata and determinized random NTAs (d{i}, sink
+        # dempty), a product (x|y) and minimized automata (m{k})
+        product = leaf_parity_dbta().product(left_leaf_dbta(), "and")
+        for dbta in (leaf_parity_dbta(), height_bounded_dbta().minimize(), product,
+                     product.minimize(), *random_dbtas(SIGMA, 4)):
             text = dbta.to_text()
             back = parse_dbta(text)
             assert back.to_text() == text
@@ -251,11 +255,12 @@ class TestTextFormat:
 
     def test_nta_round_trip(self):
         rng = random.Random(SEED + 7)
-        nta = random_nta(rng, SIGMA)
-        back = parse_nta(nta.to_text())
-        assert back.to_text() == nta.to_text()
-        for tree in smallest_trees(SIGMA, 5):
-            assert back.accepts(tree) == nta.accepts(tree)
+        for n_states in (3, 1, 2, 4, 4):
+            nta = random_nta(rng, SIGMA, n_states)
+            back = parse_nta(nta.to_text())
+            assert back.to_text() == nta.to_text()
+            for tree in smallest_trees(SIGMA, 5):
+                assert nta_accepts(back, tree) == nta_accepts(nta, tree)
 
     def test_fingerprint_stability(self):
         assert leaf_parity_dbta().fingerprint() == leaf_parity_dbta().fingerprint()

@@ -138,3 +138,13 @@ class TestInputErrors:
         code, _, err = run(capsys, ["extract", str(tmp_path / "absent.dtwa"), g, g])
         assert code == 2
         assert "absent.dtwa" in err
+
+    @pytest.mark.parametrize("command", ["extract", "verify", "run"])
+    def test_not_utf8(self, files, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe" + "alphabet:".encode("utf-16-le"))
+        g = files("g.cfg", P_INITIAL_TEXT)
+        rest = [files("t.tree", "p")] if command == "run" else [g, g]
+        code, out, err = run(capsys, [command, str(bad), *rest])
+        assert code == 2
+        assert out == "" and err.startswith("treesep: ")

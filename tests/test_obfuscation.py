@@ -6,7 +6,7 @@ from treesep.grammar import cyk_member, parse_grammar
 from treesep.obfuscation import kop_member, kop_nta, obf_alphabet
 from treesep.trees import leaf_word, parse_tree
 
-from oracles import kop_language, kop_oracle, smallest_trees
+from oracles import kop_language, kop_oracle, nta_accepts, nta_eval_set, smallest_trees
 
 
 def t(text):
@@ -64,8 +64,8 @@ class TestAutomaton:
         g = pq_grammar()
         nta = kop_nta(g)
         assert any(state.startswith("P_") for state in nta.states)
-        assert nta.accepts(t("a(a(p,c),q)"))
-        left = nta.eval_set(t("a(p,c)"))
+        assert nta_accepts(nta, t("a(a(p,c),q)"))
+        left = nta_eval_set(nta, t("a(p,c)"))
         assert left and all(state.startswith("P_") for state in left)
 
     def test_single_leaf_grammar_rejects_padding(self):

@@ -18,26 +18,23 @@ from treesep.fixtures import (
     pq_grammar,
     q_initial_grammar,
 )
-from treesep.rotation import (
-    comb_dfa,
-    comb_normalize,
-    extract_separator,
-    find_rotation_term,
-    is_associative,
-    l_equivalent,
-    transformation,
-    tstar_members,
-)
-from treesep.trees import PORT, Tree, comb, compose, format_tree, leaf_word, parse_tree, rotate_at
+from treesep.rotation import comb_dfa, extract_separator, find_rotation_term, is_associative
+from treesep.trees import PORT, Tree, comb, compose, format_tree, leaf_word, parse_tree
 from treesep.walking import dfs_from_dfa, to_dbta
 
 from oracles import (
     SEED,
     brute_trees,
+    comb_normalize,
     criterion_dfas,
     definitional_l_equivalent,
     definitional_l_equivalent_literal,
+    generate_words,
+    l_equivalent,
     leaves_left_to_right,
+    rotate_at,
+    transformation,
+    tstar_members,
 )
 
 SIGMA = obf_sigma()
@@ -284,8 +281,6 @@ class TestExtractSeparator:
         assert report.verified
         assert report.witness.term == STAR
         # the extracted separator must contain L(G) and avoid L(H)
-        from treesep.grammar import generate_words
-
         for word in generate_words(g, 7):
             assert report.separator.run(word)
         for word in generate_words(h, 7):

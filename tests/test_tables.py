@@ -26,10 +26,12 @@ from treesep.bottomup import Dbta
 from treesep.obfuscation import kop_nta
 from treesep.rotation import is_associative
 from treesep.trees import RankedAlphabet, enumerate_terms
-from treesep.walking import behavior_compose, behavior_of_leaf, dfs_from_dfa, to_dbta
+from treesep.walking import dfs_from_dfa, to_dbta
 
 from oracles import (
     SEED,
+    behavior_compose,
+    behavior_of_leaf,
     criterion_dfas,
     dict_behavior_compose,
     moore_minimize,

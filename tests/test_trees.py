@@ -10,15 +10,13 @@ from treesep.trees import (
     Tree,
     comb,
     compose,
-    encode_xml,
     enumerate_terms,
     format_tree,
     leaf_word,
     parse_tree,
-    rotate_at,
 )
 
-from oracles import SEED, brute_trees, leaves_left_to_right
+from oracles import SEED, brute_trees, leaves_left_to_right, rotate_at
 
 AC = RankedAlphabet({"a": 2, "c": 0})
 SIGMA = RankedAlphabet({"a": 2, "c": 0, "p": 0, "q": 0})
@@ -196,12 +194,6 @@ class TestEnumerateTerms:
 
 
 class TestTextFormats:
-    def test_xml_single_leaf(self):
-        assert encode_xml(t("c")) == "<c></c>"
-
-    def test_xml_nested(self):
-        assert encode_xml(t("a(b(c,d),e)")) == "<a><b><c></c><d></d></b><e></e></a>"
-
     def test_sexpr_round_trip_random(self):
         rng = random.Random(SEED)
         pool = sorted(brute_trees(SIGMA, 9),

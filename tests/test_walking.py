@@ -19,8 +19,6 @@ from treesep.walking import (
     PARENT,
     REJECT,
     Dtwa,
-    behavior_compose,
-    behavior_of_leaf,
     dfs_from_dfa,
     parse_dtwa,
     to_dbta,
@@ -28,10 +26,13 @@ from treesep.walking import (
 
 from oracles import (
     SEED,
+    behavior_compose,
+    behavior_of_leaf,
     bounded_run,
     criterion_dfas,
     leaves_left_to_right,
     random_dfa,
+    random_dtwa,
     run_inside_host,
     smallest_trees,
 )
@@ -242,7 +243,9 @@ class TestToDbta:
 
 class TestTextFormat:
     def test_round_trip(self):
-        for w in (dfs_from_dfa(even_p_dfa(), SIGMA), stay_loop_dtwa()):
+        rng = random.Random(SEED + 9)
+        randoms = [random_dtwa(rng, SIGMA, n_states=rng.randint(1, 4)) for _ in range(6)]
+        for w in (dfs_from_dfa(even_p_dfa(), SIGMA), stay_loop_dtwa(), *randoms):
             text = w.to_text()
             back = parse_dtwa(text)
             assert back.to_text() == text
@@ -253,4 +256,10 @@ class TestTextFormat:
         w = stay_loop_dtwa()
         text = w.to_text().replace("spin stay", "spin hop", 1)
         with pytest.raises(FormatError):
+            parse_dtwa(text)
+
+    def test_child_zero_rejected(self):
+        # "child 0" would otherwise read as a stay move
+        text = stay_loop_dtwa().to_text().replace("spin stay", "spin child 0", 1)
+        with pytest.raises(FormatError, match=r"^line 8: "):
             parse_dtwa(text)

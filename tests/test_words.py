@@ -8,16 +8,19 @@ from treesep.fixtures import (
     all_words_dfa,
     blocks_grammar,
     even_p_dfa,
+    leaf_parity_dbta,
     nonpalindrome_grammar,
     p_initial_grammar,
     p_prefix_dfa,
     palindrome_grammar,
     q_initial_grammar,
 )
-from treesep.grammar import cyk_member, generate_words, parse_grammar
+from treesep.grammar import cyk_member, parse_grammar
+from treesep.rotation import comb_dfa
+from treesep.trees import parse_tree
 from treesep.words import Dfa, cfg_dfa_intersection_empty, parse_dfa, verify_separator
 
-from oracles import SEED, random_cnf_grammar, random_dfa, three_pass_intersection_empty
+from oracles import SEED, generate_words, random_cnf_grammar, random_dfa, three_pass_intersection_empty
 
 
 def words_up_to(alphabet, max_len):
@@ -81,27 +84,11 @@ class TestDfaBasics:
         for w in words_up_to(("p", "q"), 8):
             assert back.run(w) == k.run(w)
 
-    def test_product_semantics(self):
-        a, b = p_prefix_dfa(), even_p_dfa()
-        conj, disj, diff = (a.product(b, op) for op in ("and", "or", "andnot"))
-        for w in words_up_to(("p", "q"), 6):
-            assert conj.run(w) == (a.run(w) and b.run(w))
-            assert disj.run(w) == (a.run(w) or b.run(w))
-            assert diff.run(w) == (a.run(w) and not b.run(w))
-
-    def test_emptiness(self):
-        empty, witness = empty_dfa().is_empty()
-        assert empty and witness is None
-        empty, witness = even_p_dfa().is_empty()
-        assert not empty and witness == ()
-        # shortest, lexicographically least accepted word
-        empty, witness = contains_factor_qp().is_empty()
-        shortest = min((w for w in words_up_to(("p", "q"), 4)
-                        if contains_factor_qp().run(w)), key=lambda w: (len(w), w))
-        assert not empty and witness == shortest
-
     def test_text_round_trip(self):
-        for k in (p_prefix_dfa(), even_p_dfa()):
+        rng = random.Random(SEED + 5)
+        # comb_dfa names its initial state "init"
+        comb = comb_dfa(leaf_parity_dbta().minimize(), parse_tree("a(*,*)"), ("p", "q"))
+        for k in (p_prefix_dfa(), even_p_dfa(), comb, *(random_dfa(rng) for _ in range(8))):
             text = k.to_text()
             back = parse_dfa(text)
             assert back.to_text() == text
