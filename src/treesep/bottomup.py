@@ -374,16 +374,10 @@ class Dbta:
         return Dbta(self.alphabet, set(name_of), accepting, table, sink=sink)
 
     def to_text(self) -> str:
-        lines = ["alphabet:"]
-        lines += [f"{name}/{ar}" for name, ar in self.alphabet.items()]
-        lines.append(f"states: {' '.join(self.states)}")
-        lines.append(f"accepting: {' '.join(sorted(self.accepting))}")
-        if self.sink is not None:
-            lines.append(f"sink: {self.sink}")
-        for letter in sorted(self.transitions):
-            for key in sorted(self.transitions[letter]):
-                lines.append(f"{letter}({','.join(key)}) -> {self.transitions[letter][key]}")
-        return "\n".join(lines) + "\n"
+        headers = {"states": self.states, "accepting": sorted(self.accepting), "sink": self.sink}
+        lines = [f"{letter}({','.join(key)}) -> {target}" for letter in sorted(self.transitions)
+                 for key, target in sorted(self.transitions[letter].items())]
+        return fmt.write(self.alphabet.items(), headers, lines)
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
@@ -433,51 +427,36 @@ class Nta:
         return Dbta(self.alphabet, states, accepting, table, sink=sink)
 
     def to_text(self) -> str:
-        lines = ["alphabet:"]
-        lines += [f"{name}/{ar}" for name, ar in self.alphabet.items()]
-        lines.append(f"states: {' '.join(self.states)}")
-        lines.append(f"accepting: {' '.join(sorted(self.accepting))}")
-        for letter in sorted(self.transitions):
-            for key in sorted(self.transitions[letter]):
-                targets = ",".join(sorted(self.transitions[letter][key]))
-                lines.append(f"{letter}({','.join(key)}) -> {{{targets}}}")
-        return "\n".join(lines) + "\n"
-
-
-def _parse_common(text: str, where: str):
-    letters, headers, transition_lines = fmt.split_document(text)
-    alphabet = fmt.parse_alphabet(letters, where)
-    states = fmt.header_tokens(headers, "states")
-    if not states:
-        raise FormatError(f"{where}: missing 'states' header")
-    accepting = fmt.header_tokens(headers, "accepting")
-    return alphabet, states, accepting, headers, transition_lines
+        headers = {"states": self.states, "accepting": sorted(self.accepting)}
+        lines = [f"{letter}({','.join(key)}) -> {{{','.join(sorted(targets))}}}"
+                 for letter in sorted(self.transitions)
+                 for key, targets in sorted(self.transitions[letter].items())]
+        return fmt.write(self.alphabet.items(), headers, lines)
 
 
 def parse_dbta(text: str) -> Dbta:
-    alphabet, states, accepting, headers, lines = _parse_common(text, "dbta")
-    sink_tokens = fmt.header_tokens(headers, "sink")
-    sink = sink_tokens[0] if sink_tokens else None
-    transitions = {}
-    for lineno, line in lines:
-        lhs, rhs = fmt.split_transition(lineno, line)
-        letter, key = fmt.parse_application(lineno, lhs)
+    alphabet, states, headers, lines = fmt.read(text, "dbta")
+    entries = []
+    for lineno, lhs, rhs in lines:
         if "{" in rhs:
             raise FormatError(f"line {lineno}: set-valued target in a deterministic automaton")
-        transitions.setdefault(letter, {})[key] = rhs
-    return Dbta(alphabet, states, accepting, transitions, sink=sink)
+        entries.append((lineno, lhs, fmt.parse_application(lineno, lhs), rhs))
+    transitions = {}
+    for (letter, key), value in fmt.table(entries).items():
+        transitions.setdefault(letter, {})[key] = value
+    return Dbta(alphabet, states, headers.get("accepting", []), transitions, sink=headers.get("sink"))
 
 
 def parse_nta(text: str) -> Nta:
-    alphabet, states, accepting, _headers, lines = _parse_common(text, "nta")
-    transitions = {}
-    for lineno, line in lines:
-        lhs, rhs = fmt.split_transition(lineno, line)
-        letter, key = fmt.parse_application(lineno, lhs)
+    alphabet, states, headers, lines = fmt.read(text, "nta")
+    entries = []
+    for lineno, lhs, rhs in lines:
         if not (rhs.startswith("{") and rhs.endswith("}")):
             raise FormatError(f"line {lineno}: expected a {{...}} target set")
         inner = rhs[1:-1].strip()
         values = {part.strip() for part in inner.split(",")} if inner else set()
-        table = transitions.setdefault(letter, {})
-        table[key] = table.get(key, frozenset()) | values
-    return Nta(alphabet, states, accepting, transitions)
+        entries.append((lineno, lhs, fmt.parse_application(lineno, lhs), values))
+    transitions = {}
+    for (letter, key), values in fmt.table(entries).items():
+        transitions.setdefault(letter, {})[key] = values
+    return Nta(alphabet, states, headers.get("accepting", []), transitions)

@@ -1,9 +1,17 @@
-"""Shared helpers for the line-oriented automaton text formats.
+"""The shared layout of the line-oriented automaton text formats.
 
-All formats share the same skeleton: an ``alphabet:`` section with one
-``letter/arity`` (or bare ``letter``) line per letter, single-line sections
-like ``states:`` or ``accepting:``, then one line per transition.  Blank
-lines and ``#`` comments are ignored everywhere.
+DFA, DBTA, NTA and DTWA files share one skeleton, read by `read` and
+written by `write`:
+
+- an ``alphabet:`` section with one ``letter/arity`` (or bare ``letter``,
+  arity 0) line per letter; each letter is listed once;
+- one-line headers ``name: value``, each given once: ``states:`` (required)
+  and ``accepting:`` list states, every other header (``initial:``,
+  ``sink:``) names exactly one;
+- one ``lhs -> rhs`` line per transition key in all four formats; an NTA
+  lists all targets of a key in its one ``{...}`` set.
+
+Blank lines and ``#`` comments are ignored everywhere, grammar files too.
 """
 
 from __future__ import annotations
@@ -13,7 +21,8 @@ import re
 from .errors import FormatError
 from .trees import RankedAlphabet
 
-_TRANS = re.compile(r"^(?P<lhs>.+?)->(?P<rhs>.+)$")
+_HEADER = re.compile(r"([A-Za-z_][A-Za-z0-9_-]*)\s*:\s*(.*)")
+_LISTS = ("states", "accepting")
 
 
 def logical_lines(text: str):
@@ -24,74 +33,80 @@ def logical_lines(text: str):
             yield lineno, line
 
 
-def split_document(text: str):
-    """Split into (alphabet letters dict or None, headers dict, transition lines).
+def read(text: str, where: str):
+    """Split an automaton file into (alphabet, states, headers, lines).
 
-    Headers are lines of the form ``name: value...``; transition lines are
-    everything containing ``->``.  Alphabet entries are the lines between
-    ``alphabet:`` and the next header.
+    `headers` maps ``accepting`` to its list of states and each other header
+    but ``states:`` to its one token; `lines` lists (lineno, lhs, rhs) per
+    transition line, both sides stripped.  Alphabet entries are the lines
+    between ``alphabet:`` and the next header or transition.
     """
-    letters = None
-    headers = {}
-    transitions = []
-    in_alphabet = False
+    letters, headers, lines, in_alphabet = None, {}, [], False
     for lineno, line in logical_lines(text):
-        if "->" in line:
-            in_alphabet = False
-            transitions.append((lineno, line))
-            continue
-        m = re.match(r"^([A-Za-z_][A-Za-z0-9_-]*)\s*:\s*(.*)$", line)
-        if m:
-            name, value = m.group(1), m.group(2).strip()
+        lhs, arrow, rhs = line.partition("->")
+        m = None if arrow else _HEADER.fullmatch(line)
+        in_alphabet = in_alphabet and not (arrow or m)  # both end the alphabet section
+        if arrow:
+            if not lhs.strip() or not rhs.strip():
+                raise FormatError(f"line {lineno}: expected a transition with '->'")
+            lines.append((lineno, lhs.strip(), rhs.strip()))
+        elif m:
+            name, value = m.group(1), m.group(2).split()
+            if name in headers:
+                raise FormatError(f"line {lineno}: duplicate header {name!r}")
             if name == "alphabet":
-                letters = {}
-                in_alphabet = True
                 if value:
                     raise FormatError(f"line {lineno}: alphabet entries go on their own lines")
-            else:
-                in_alphabet = False
-                if name in headers:
-                    raise FormatError(f"line {lineno}: duplicate header {name!r}")
-                headers[name] = (lineno, value)
-            continue
-        if in_alphabet:
-            if "/" in line:
-                name, _, ar = line.partition("/")
-                name, ar = name.strip(), ar.strip()
-                if not ar.isdigit():
-                    raise FormatError(f"line {lineno}: bad arity in {line!r}")
-                letters[name] = int(ar)
-            else:
-                letters[line] = 0
-            continue
-        raise FormatError(f"line {lineno}: cannot interpret {line!r}")
-    return letters, headers, transitions
-
-
-def require_header(headers, name, where):
-    if name not in headers:
-        raise FormatError(f"{where}: missing {name!r} header")
-    return headers[name][1]
-
-
-def header_tokens(headers, name):
-    if name not in headers:
-        return []
-    return headers[name][1].split()
-
-
-def parse_alphabet(letters, where) -> RankedAlphabet:
+                letters, in_alphabet = {}, True
+            elif name not in _LISTS:
+                if len(value) != 1:
+                    raise FormatError(f"line {lineno}: {name!r} names one state, got {m.group(2)!r}")
+                value = value[0]
+            headers[name] = value
+        elif in_alphabet:
+            name, slash, ar = (part.strip() for part in line.partition("/"))
+            if slash and not ar.isdecimal():
+                raise FormatError(f"line {lineno}: bad arity in {line!r}")
+            if name in letters:
+                raise FormatError(f"line {lineno}: letter {name!r} listed twice")
+            letters[name] = int(ar) if slash else 0
+        else:
+            raise FormatError(f"line {lineno}: cannot interpret {line!r}")
     if letters is None:
         raise FormatError(f"{where}: missing alphabet section")
-    return RankedAlphabet(letters)
+    states = headers.pop("states", None)
+    if not states:
+        raise FormatError(f"{where}: missing 'states' header")
+    del headers["alphabet"]
+    return RankedAlphabet(letters), states, headers, lines
 
 
-def split_transition(lineno: int, line: str):
-    """Split a transition line at ``->``; returns (lhs, rhs) stripped."""
-    m = _TRANS.match(line)
-    if not m:
-        raise FormatError(f"line {lineno}: expected a transition with '->'")
-    return m.group("lhs").strip(), m.group("rhs").strip()
+def table(entries) -> dict:
+    """{key: value} from (lineno, lhs, key, value) entries, one per key.
+
+    A key on a second line is an error naming both lines.
+    """
+    out, first = {}, {}
+    for lineno, lhs, key, value in entries:
+        if first.setdefault(key, lineno) != lineno:
+            raise FormatError(f"line {lineno}: second transition for {lhs}, first on line {first[key]}")
+        out[key] = value
+    return out
+
+
+def write(letters, headers: dict, lines) -> str:
+    """Automaton text from alphabet entries, headers and transition lines.
+
+    A letter is a bare name (arity 0, word automata) or a (name, arity)
+    pair; a header value is one token, a sequence of them, or None to leave
+    the header out.
+    """
+    out = ["alphabet:"]
+    out += [letter if isinstance(letter, str) else f"{letter[0]}/{letter[1]}" for letter in letters]
+    out += [f"{name}: {value if isinstance(value, str) else ' '.join(value)}"
+            for name, value in headers.items() if value is not None]
+    out += lines
+    return "\n".join(out) + "\n"
 
 
 def parse_application(lineno: int, text: str):
@@ -100,8 +115,7 @@ def parse_application(lineno: int, text: str):
     m = re.fullmatch(r"([A-Za-z0-9]+)\s*(?:\(([^)]*)\))?", text)
     if not m:
         raise FormatError(f"line {lineno}: bad application {text!r}")
-    letter = m.group(1)
-    inner = m.group(2)
+    letter, inner = m.groups()
     if inner is None or not inner.strip():
         return letter, ()
     return letter, tuple(part.strip() for part in inner.split(","))

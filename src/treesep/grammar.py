@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import fmt
 from .errors import FormatError
 from .trees import Tree
 
@@ -54,15 +55,15 @@ class CnfGrammar:
 def parse_grammar(text: str) -> CnfGrammar:
     """Parse and normalize a grammar.
 
-    Lines are `X -> Y Z` or `X -> sigma`, separated by newlines or `;`.  The
+    Lines are `X -> Y Z` or `X -> sigma`, separated by newlines or `;`;
+    blanks and `#` comments are skipped as in the automaton formats.  The
     start symbol is the first rule's left side unless a `start:` header is
     given.  Unproductive and unreachable symbols are removed and reported via
     the `removed` field.
     """
     start = None
     raw_rules = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
+    for lineno, line in fmt.logical_lines(text):
         for chunk in line.split(";"):
             chunk = chunk.strip()
             if not chunk:

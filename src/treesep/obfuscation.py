@@ -19,18 +19,18 @@ from .trees import RankedAlphabet, Tree
 FRESH_PAIR = ("a", "c")
 
 
-def obf_alphabet(grammar: CnfGrammar, pair=FRESH_PAIR) -> RankedAlphabet:
+def obf_alphabet(grammar: CnfGrammar) -> RankedAlphabet:
     """Grammar terminals as arity-0 letters plus the fresh binary/leaf pair."""
-    binary, pad = pair
+    binary, pad = FRESH_PAIR
     if binary in grammar.terminals or pad in grammar.terminals:
-        raise AlphabetError(f"fresh letters {pair} collide with the terminals")
+        raise AlphabetError(f"fresh letters {FRESH_PAIR} collide with the terminals")
     letters = {t: 0 for t in grammar.terminals}
     letters[binary] = 2
     letters[pad] = 0
     return RankedAlphabet(letters)
 
 
-def kop_nta(grammar: CnfGrammar, pair=FRESH_PAIR) -> Nta:
+def kop_nta(grammar: CnfGrammar) -> Nta:
     """Nondeterministic tree automaton recognising the obfuscation.
 
     States: C for pure fresh-letter trees; per nonterminal X a leaf-member
@@ -42,8 +42,8 @@ def kop_nta(grammar: CnfGrammar, pair=FRESH_PAIR) -> Nta:
     argument sits below padding, e.g. the tree obtained by wrapping the left
     argument of a two-leaf derivation.
     """
-    binary, pad = pair
-    alphabet = obf_alphabet(grammar, pair)
+    binary, pad = FRESH_PAIR
+    alphabet = obf_alphabet(grammar)
     c_state = "C"
 
     def l(x):
@@ -88,19 +88,18 @@ def kop_nta(grammar: CnfGrammar, pair=FRESH_PAIR) -> Nta:
 _dbta_cache: dict = {}
 
 
-def kop_dbta(grammar: CnfGrammar, pair=FRESH_PAIR) -> Dbta:
+def kop_dbta(grammar: CnfGrammar) -> Dbta:
     """Determinization of the obfuscation automaton, memoized per grammar."""
-    key = (grammar, pair)
-    if key not in _dbta_cache:
-        _dbta_cache[key] = kop_nta(grammar, pair).determinize()
-    return _dbta_cache[key]
+    if grammar not in _dbta_cache:
+        _dbta_cache[grammar] = kop_nta(grammar).determinize()
+    return _dbta_cache[grammar]
 
 
-def kop_member(grammar: CnfGrammar, tree: Tree, pair=FRESH_PAIR) -> bool:
+def kop_member(grammar: CnfGrammar, tree: Tree) -> bool:
     """Is the tree in the obfuscation of the grammar?
 
-    The automaton is over `obf_alphabet(grammar, pair)`, so building it
-    rejects colliding fresh letters and its `eval` rejects trees outside
-    that alphabet.
+    The automaton is over `obf_alphabet(grammar)`, so building it rejects
+    colliding fresh letters and its `eval` rejects trees outside that
+    alphabet.
     """
-    return kop_dbta(grammar, pair).accepts(tree)
+    return kop_dbta(grammar).accepts(tree)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .bottomup import Dbta
 from .errors import AlphabetError, ArityError, RotationSearchExhausted
 from .grammar import CnfGrammar
+from .obfuscation import FRESH_PAIR
 from .trees import RankedAlphabet, Tree, enumerate_terms, format_tree
 from .walking import Dtwa, to_dbta
 from .words import Dfa, SeparatorReport, verify_separator
@@ -58,9 +59,7 @@ def _pair_table(amin: Dbta, term: Tree) -> list:
     return [index[q] for q in amin.eval_columns(term, columns)]
 
 
-def find_rotation_term(
-    dbta: Dbta, max_size: int, binary_letter: str = "a", pad_letter: str = "c"
-) -> RotationWitness:
+def find_rotation_term(dbta: Dbta, max_size: int) -> RotationWitness:
     """Smallest binary term over the fresh pair whose re-associations agree.
 
     Minimizes the automaton, then tries candidates by node count with
@@ -68,12 +67,13 @@ def find_rotation_term(
     RotationSearchExhausted past the bound; for languages of deterministic
     tree-walking automata a witness exists at some finite size.
     """
-    for name, want in ((binary_letter, 2), (pad_letter, 0)):
+    binary, pad = FRESH_PAIR
+    for name, want in ((binary, 2), (pad, 0)):
         if name not in dbta.alphabet or dbta.alphabet.arity(name) != want:
             raise AlphabetError(f"alphabet needs letter {name!r} with arity {want}")
     amin = dbta.minimize()
     fingerprint = amin.fingerprint()
-    pair_alphabet = RankedAlphabet({binary_letter: 2, pad_letter: 0})
+    pair_alphabet = RankedAlphabet({binary: 2, pad: 0})
     for term in enumerate_terms(pair_alphabet, 2, max_size):
         if is_associative(amin, term):
             return RotationWitness(term, term.size, fingerprint)

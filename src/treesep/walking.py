@@ -9,7 +9,7 @@ distinct outcome, folded into non-acceptance.
 Position tags are integers: 0 for the root, i >= 1 for "this node is the
 i-th child of its parent".  Transition maps must be total over
 (state, tag in 0..maxarity) for every letter, even for tags a letter can
-never actually occupy.
+never actually occupy, and hold no other key.
 
 The behaviour of a subtree says, for each slot (tag, entry state), how a
 walk entering the subtree there ends: it exits upward in some state,
@@ -87,6 +87,11 @@ class Dtwa:
                         raise FormatError(
                             f"move {move} out of range for letter {letter!r} of arity {ar}"
                         )
+        if len(self.delta) != len(alphabet.items()) * len(self.tags()) * len(self.states):
+            slots = {(letter, tag, q) for letter, _ar in alphabet.items()
+                     for tag in self.tags() for q in self.states}
+            stray = next(key for key in self.delta if key not in slots)
+            raise FormatError(f"action for {stray!r} outside the letters, tags and states")
         self._rows = None
 
     def _compiled(self) -> dict:
@@ -178,60 +183,46 @@ class Dtwa:
         return range(0, self.alphabet.maxarity + 1)
 
     def to_text(self) -> str:
-        lines = ["alphabet:"]
-        lines += [f"{name}/{ar}" for name, ar in self.alphabet.items()]
-        lines.append(f"states: {' '.join(self.states)}")
-        lines.append(f"initial: {self.initial}")
+        lines = []
         for letter, _ar in self.alphabet.items():
             for tag in self.tags():
                 for q in self.states:
                     act = self.delta[(letter, tag, q)]
-                    tag_text = "root" if tag == ROOT_TAG else str(tag)
                     if act in (ACCEPT, REJECT):
                         rhs = act
                     else:
                         q2, move = act
-                        if move == PARENT:
-                            rhs = f"{q2} parent"
-                        elif move == STAY:
-                            rhs = f"{q2} stay"
-                        else:
-                            rhs = f"{q2} child {move}"
-                    lines.append(f"{letter}[{tag_text}] {q} -> {rhs}")
-        return "\n".join(lines) + "\n"
+                        rhs = f"{q2} {_MOVES.get(move, f'child {move}')}"
+                    lines.append(f"{letter}[{'root' if tag == ROOT_TAG else tag}] {q} -> {rhs}")
+        return fmt.write(self.alphabet.items(), {"states": self.states, "initial": self.initial}, lines)
+
+
+_MOVES = {PARENT: "parent", STAY: "stay"}
+_LINE = re.compile(r"([A-Za-z0-9]+)\[(root|\d+)\]\s+(\S+)")
 
 
 def parse_dtwa(text: str) -> Dtwa:
-    letters, headers, transition_lines = fmt.split_document(text)
-    alphabet = fmt.parse_alphabet(letters, "dtwa")
-    states = fmt.header_tokens(headers, "states")
-    if not states:
-        raise FormatError("dtwa: missing 'states' header")
-    initial = fmt.require_header(headers, "initial", "dtwa").strip()
-    delta = {}
-    pattern = re.compile(r"^([A-Za-z0-9]+)\[(root|\d+)\]\s+(\S+)$")
-    for lineno, line in transition_lines:
-        lhs, rhs = fmt.split_transition(lineno, line)
-        m = pattern.match(lhs)
+    alphabet, states, headers, lines = fmt.read(text, "dtwa")
+    if "initial" not in headers:
+        raise FormatError("dtwa: missing 'initial' header")
+    entries = []
+    for lineno, lhs, rhs in lines:
+        m = _LINE.fullmatch(lhs)
         if not m:
             raise FormatError(f"line {lineno}: expected letter[tag] state -> action")
         letter, tag_text, q = m.groups()
         tag = ROOT_TAG if tag_text == "root" else int(tag_text)
         tokens = rhs.split()
-        if tokens == [ACCEPT]:
-            act = ACCEPT
-        elif tokens == [REJECT]:
-            act = REJECT
-        elif len(tokens) == 2 and tokens[1] == "parent":
-            act = (tokens[0], PARENT)
-        elif len(tokens) == 2 and tokens[1] == "stay":
-            act = (tokens[0], STAY)
-        elif len(tokens) == 3 and tokens[1] == "child" and tokens[2].isdigit() and int(tokens[2]) >= 1:
+        if tokens in ([ACCEPT], [REJECT]):
+            act = tokens[0]
+        elif len(tokens) == 2 and tokens[1] in ("parent", "stay"):
+            act = (tokens[0], PARENT if tokens[1] == "parent" else STAY)
+        elif len(tokens) == 3 and tokens[1] == "child" and tokens[2].isdecimal() and int(tokens[2]) >= 1:
             act = (tokens[0], int(tokens[2]))
         else:
             raise FormatError(f"line {lineno}: bad action {rhs!r}")
-        delta[(letter, tag, q)] = act
-    return Dtwa(alphabet, states, initial, delta)
+        entries.append((lineno, lhs, (letter, tag, q), act))
+    return Dtwa(alphabet, states, headers["initial"], fmt.table(entries))
 
 
 def format_path(path) -> str:

@@ -40,6 +40,10 @@ class Dfa:
                     raise FormatError(f"missing transition ({q!r}, {letter!r}); word automata are total")
                 if self.delta[(q, letter)] not in state_set:
                     raise FormatError(f"undeclared target in transition ({q!r}, {letter!r})")
+        if len(self.delta) != len(self.states) * len(self.alphabet):
+            slots = {(q, letter) for q in self.states for letter in self.alphabet}
+            stray = next(key for key in self.delta if key not in slots)
+            raise FormatError(f"transition for {stray!r} outside the states and letters")
 
     def final_state(self, word) -> str:
         letters = set(self.alphabet)
@@ -58,29 +62,20 @@ class Dfa:
                    set(self.states) - set(self.accepting), self.delta)
 
     def to_text(self) -> str:
-        lines = ["alphabet:"]
-        lines += list(self.alphabet)
-        lines.append(f"states: {' '.join(self.states)}")
-        lines.append(f"initial: {self.initial}")
-        lines.append(f"accepting: {' '.join(sorted(self.accepting))}")
-        for (q, letter) in sorted(self.delta, key=lambda k: (k[1], k[0])):
-            lines.append(f"{letter}({q}) -> {self.delta[(q, letter)]}")
-        return "\n".join(lines) + "\n"
+        headers = {"states": self.states, "initial": self.initial, "accepting": sorted(self.accepting)}
+        lines = [f"{letter}({q}) -> {self.delta[(q, letter)]}"
+                 for q, letter in sorted(self.delta, key=lambda k: (k[1], k[0]))]
+        return fmt.write(self.alphabet, headers, lines)
 
 
 def parse_dfa(text: str) -> Dfa:
-    letters, headers, lines = fmt.split_document(text)
-    alphabet_obj = fmt.parse_alphabet(letters, "dfa")
-    if any(ar != 0 for _, ar in alphabet_obj.items()):
+    alphabet, states, headers, lines = fmt.read(text, "dfa")
+    if any(ar != 0 for _, ar in alphabet.items()):
         raise FormatError("word automaton letters must all have arity 0")
-    states = fmt.header_tokens(headers, "states")
-    if not states:
-        raise FormatError("dfa: missing 'states' header")
-    initial = fmt.require_header(headers, "initial", "dfa").strip()
-    accepting = fmt.header_tokens(headers, "accepting")
-    delta = {}
-    for lineno, line in lines:
-        lhs, rhs = fmt.split_transition(lineno, line)
+    if "initial" not in headers:
+        raise FormatError("dfa: missing 'initial' header")
+    entries = []
+    for lineno, lhs, rhs in lines:
         if "(" not in lhs and " " in lhs:
             letter, _, src = lhs.partition(" ")
             key = (src.strip(),)
@@ -88,8 +83,9 @@ def parse_dfa(text: str) -> Dfa:
             letter, key = fmt.parse_application(lineno, lhs)
         if len(key) != 1:
             raise FormatError(f"line {lineno}: expected letter(state) -> state")
-        delta[(key[0], letter)] = rhs
-    return Dfa(alphabet_obj.zero_arity(), states, initial, accepting, delta)
+        entries.append((lineno, lhs, (key[0], letter), rhs))
+    return Dfa(alphabet.zero_arity(), states, headers["initial"], headers.get("accepting", []),
+               fmt.table(entries))
 
 
 def cfg_dfa_intersection_empty(grammar, dfa: Dfa, max_witness_len: int = 64):

@@ -4,8 +4,15 @@ import random
 import pytest
 
 from treesep.bottomup import Dbta, Nta, parse_dbta, parse_nta
-from treesep.errors import AlphabetError, ArityError, TransitionError
-from treesep.fixtures import height_bounded_dbta, leaf_parity_dbta, left_leaf_dbta, obf_sigma
+from treesep.errors import AlphabetError, ArityError, FormatError, TransitionError
+from treesep.fixtures import (
+    height_bounded_dbta,
+    leaf_parity_dbta,
+    left_leaf_dbta,
+    obf_sigma,
+    p_initial_grammar,
+)
+from treesep.obfuscation import kop_nta
 from treesep.trees import RankedAlphabet, Tree, compose, enumerate_terms, parse_tree
 
 from oracles import SEED, brute_trees, nta_accepts, random_dbta, random_dbtas, random_nta, smallest_trees
@@ -261,6 +268,26 @@ class TestTextFormat:
             assert back.to_text() == nta.to_text()
             for tree in smallest_trees(SIGMA, 5):
                 assert nta_accepts(back, tree) == nta_accepts(nta, tree)
+
+    @pytest.mark.parametrize("parse, text, match", [
+        # the file's own p() -> odd is line 13
+        (parse_dbta, leaf_parity_dbta().to_text() + "p() -> even\n",
+         r"^line 15: second transition for p\(\), first on line 13$"),
+        # an NTA lists all targets of a key in its one set
+        (parse_nta, kop_nta(p_initial_grammar()).to_text() + "c() -> {P_A}\n",
+         r"^line 54: second transition for c\(\), first on line 51$"),
+        (parse_dbta, leaf_parity_dbta().to_text().replace("p/0\n", "p/0\np/1\n"),
+         r"^line 5: letter 'p' listed twice$"),
+        (parse_dbta, height_bounded_dbta().to_text().replace("sink: tall", "sink: tall h0"),
+         r"^line 8: 'sink' names one state"),
+        # a digit that int() does not take
+        (parse_dbta, leaf_parity_dbta().to_text().replace("a/2", "a/\u00b2"),
+         r"^line 2: bad arity"),
+    ], ids=["repeated-dbta-key", "repeated-nta-key", "repeated-letter", "two-token-sink",
+            "superscript-arity"])
+    def test_bad_file_rejected(self, parse, text, match):
+        with pytest.raises(FormatError, match=match):
+            parse(text)
 
     def test_fingerprint_stability(self):
         assert leaf_parity_dbta().fingerprint() == leaf_parity_dbta().fingerprint()

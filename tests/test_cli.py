@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -125,6 +126,18 @@ class TestInputErrors:
         code, out, err = run(capsys, ["verify", files("k.dfa", "alphabet:\np\n"), g, g])
         assert code == 2
         assert out == "" and err.startswith("treesep: ")
+
+    @pytest.mark.parametrize("command, text", [
+        ("run", always_accept_dtwa().to_text() + "p[root] go -> reject\n"),
+        ("verify", p_prefix_dfa().to_text() + "q(yes) -> no\n"),
+    ], ids=["run-dtwa", "verify-dfa"])
+    def test_conflicting_repeated_line(self, files, capsys, command, text):
+        g = files("g.cfg", P_INITIAL_TEXT)
+        rest = [files("t.tree", "p")] if command == "run" else [g, files("h.cfg", Q_INITIAL_TEXT)]
+        code, out, err = run(capsys, [command, files("automaton.txt", text), *rest])
+        assert code == 2
+        assert out == ""
+        assert re.match(r"treesep: line \d+: second transition for ", err)
 
     def test_malformed_grammar(self, files, capsys):
         argv = ["verify", files("k.dfa", p_prefix_dfa().to_text()),

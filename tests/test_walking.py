@@ -87,6 +87,12 @@ class TestRun:
         with pytest.raises(FormatError):
             Dtwa(SIGMA, ("q",), "q", {("a", 0, "q"): ACCEPT})
 
+    def test_stray_key_rejected(self):
+        delta = dict(always_accept_dtwa().delta)
+        delta[("a", 0, "elsewhere")] = ACCEPT
+        with pytest.raises(FormatError, match="'elsewhere'"):
+            Dtwa(SIGMA, ("go",), "go", delta)
+
     def test_child_moves_bounded_by_arity(self):
         delta = {
             (letter, tag, "q"): ACCEPT
@@ -257,6 +263,17 @@ class TestTextFormat:
         text = w.to_text().replace("spin stay", "spin hop", 1)
         with pytest.raises(FormatError):
             parse_dtwa(text)
+
+    @pytest.mark.parametrize("extra, match", [
+        ("a[root] spin -> accept", r"^line 20: second transition for a\[root\] spin, first on line 8$"),
+        ("a[9] spin -> accept", r"^action for \('a', 9, 'spin'\) outside"),
+        ("z[1] spin -> accept", r"^action for \('z', 1, 'spin'\) outside"),
+        # a digit that int() does not take
+        ("a[root] spin -> spin child \u00b2", r"^line 20: bad action"),
+    ], ids=["repeated", "stray-tag", "stray-letter", "superscript-child"])
+    def test_bad_line_rejected(self, extra, match):
+        with pytest.raises(FormatError, match=match):
+            parse_dtwa(stay_loop_dtwa().to_text() + extra + "\n")
 
     def test_child_zero_rejected(self):
         # "child 0" would otherwise read as a stay move

@@ -74,6 +74,11 @@ class TestDfaBasics:
         with pytest.raises(FormatError):
             Dfa(("p",), ("s",), "s", set(), {})
 
+    def test_stray_key_rejected(self):
+        delta = {("s", "p"): "s", ("s", "q"): "s"}
+        with pytest.raises(FormatError, match="'q'"):
+            Dfa(("p",), ("s",), "s", set(), delta)
+
     def test_alphabet_checked(self):
         with pytest.raises(AlphabetError):
             p_prefix_dfa().run(("x",))
@@ -94,6 +99,15 @@ class TestDfaBasics:
             assert back.to_text() == text
             for w in words_up_to(("p", "q"), 5):
                 assert back.run(w) == k.run(w)
+
+    @pytest.mark.parametrize("extra, match", [
+        ("q(yes) -> no", r"^line 13: second transition for q\(yes\), first on line 12$"),
+        ("z(yes) -> no", r"^transition for \('yes', 'z'\) outside"),
+        ("p(nowhere) -> no", r"^transition for \('nowhere', 'p'\) outside"),
+    ], ids=["repeated", "stray-letter", "stray-state"])
+    def test_bad_line_rejected(self, extra, match):
+        with pytest.raises(FormatError, match=match):
+            parse_dfa(p_prefix_dfa().to_text() + extra + "\n")
 
     def test_parse_accepts_space_form(self):
         text = "alphabet:\np\nstates: s0 s1\ninitial: s0\naccepting: s1\np s0 -> s1\np s1 -> s1\n"
