@@ -43,6 +43,7 @@ from .walking import (
     Dtwa,
     RunOutcome,
     dfs_from_dfa,
+    minimal_dbta,
     parse_dtwa,
     to_dbta,
 )

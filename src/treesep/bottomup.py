@@ -127,6 +127,20 @@ class Dbta:
         for letter, _ in alphabet.items():
             self.transitions.setdefault(letter, {})
 
+    @classmethod
+    def _trusted(cls, alphabet, states, accepting, transitions, sink=None) -> "Dbta":
+        """A Dbta over a table built from states the caller just declared,
+        without `__init__`'s per-entry checks: `transitions` has a row for
+        every letter, keys are tuples of the letter's arity over `states`,
+        and entries touching the sink yield the sink."""
+        dbta = cls.__new__(cls)
+        dbta.alphabet = alphabet
+        dbta.states = tuple(sorted(set(states)))
+        dbta.accepting = frozenset(accepting)
+        dbta.sink = sink
+        dbta.transitions = transitions
+        return dbta
+
     def step(self, letter, child_states) -> str:
         key = tuple(child_states)
         if self.sink is not None and self.sink in key:
@@ -149,7 +163,8 @@ class Dbta:
         On a bad node, and before a missing transition is reported,
         `validate` on the whole tree raises the error an up-front check
         would have raised first.  Entries touching the sink yield the sink
-        (checked in `__init__`), so `step`'s sink rule reduces to "missing
+        (checked in `__init__`, and true by construction of the tables
+        `_trusted` receives), so `step`'s sink rule reduces to "missing
         means sink".
         """
         rows = {letter: (self.transitions[letter], ar) for letter, ar in self.alphabet.items()}
@@ -221,7 +236,7 @@ class Dbta:
     def complement(self) -> "Dbta":
         """Reachable part with total tables and the accepting set flipped."""
         reach, table = saturate(self.alphabet, self.step, _same)
-        return Dbta(self.alphabet, reach, set(reach) - self.accepting, table, sink=None)
+        return Dbta._trusted(self.alphabet, reach, set(reach) - self.accepting, table)
 
     def product(self, other: "Dbta", op: str) -> "Dbta":
         """Pairing construction; `op` is one of and / or / andnot."""
@@ -247,7 +262,7 @@ class Dbta:
             keep = (in_a and in_b) if op == "and" else (in_a or in_b) if op == "or" else (in_a and not in_b)
             if keep:
                 accepting.add(name(pair))
-        return Dbta(self.alphabet, [name(p) for p in pairs], accepting, table, sink=None)
+        return Dbta._trusted(self.alphabet, [name(p) for p in pairs], accepting, table)
 
     def _tables(self):
         """Reachable states in discovery order and, per letter, the flat list
@@ -371,7 +386,7 @@ class Dbta:
         sink = name_of[reach.index(self.sink)] if self.sink in reach else None
         if sink in accepting:
             sink = None
-        return Dbta(self.alphabet, set(name_of), accepting, table, sink=sink)
+        return Dbta._trusted(self.alphabet, set(name_of), accepting, table, sink=sink)
 
     def to_text(self) -> str:
         headers = {"states": self.states, "accepting": sorted(self.accepting), "sink": self.sink}
@@ -424,7 +439,7 @@ class Nta:
         sink = "dempty"
         states = [f"d{i}" for i in range(len(order))] + [sink]
         accepting = {f"d{i}" for i, s in enumerate(order) if s & self.accepting}
-        return Dbta(self.alphabet, states, accepting, table, sink=sink)
+        return Dbta._trusted(self.alphabet, states, accepting, table, sink=sink)
 
     def to_text(self) -> str:
         headers = {"states": self.states, "accepting": sorted(self.accepting)}
@@ -435,7 +450,7 @@ class Nta:
 
 
 def parse_dbta(text: str) -> Dbta:
-    alphabet, states, headers, lines = fmt.read(text, "dbta")
+    alphabet, states, headers, lines = fmt.read(text, "dbta", ("accepting", "sink"))
     entries = []
     for lineno, lhs, rhs in lines:
         if "{" in rhs:
@@ -448,7 +463,7 @@ def parse_dbta(text: str) -> Dbta:
 
 
 def parse_nta(text: str) -> Nta:
-    alphabet, states, headers, lines = fmt.read(text, "nta")
+    alphabet, states, headers, lines = fmt.read(text, "nta", ("accepting",))
     entries = []
     for lineno, lhs, rhs in lines:
         if not (rhs.startswith("{") and rhs.endswith("}")):

@@ -4,8 +4,8 @@ All three read the package's text formats and print JSON.  The exit code is
 0 when the word automaton separates the two grammars (for `run`: when the
 walker accepts the tree), 1 when it does not (or no separator was found),
 and 2 when an input cannot be read or parsed, including an automaton file
-that gives one transition key on two lines or a transition outside its
-letters and states.
+that gives one transition key on two lines, a transition outside its
+letters and states, or a header its format does not take.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ written by `write`:
   arity 0) line per letter; each letter is listed once;
 - one-line headers ``name: value``, each given once: ``states:`` (required)
   and ``accepting:`` list states, every other header (``initial:``,
-  ``sink:``) names exactly one;
+  ``sink:``) names exactly one; each format names the headers it takes,
+  and any other header is an error, so a misspelt one is not dropped;
 - one ``lhs -> rhs`` line per transition key in all four formats; an NTA
   lists all targets of a key in its one ``{...}`` set.
 
@@ -33,13 +34,15 @@ def logical_lines(text: str):
             yield lineno, line
 
 
-def read(text: str, where: str):
+def read(text: str, where: str, takes):
     """Split an automaton file into (alphabet, states, headers, lines).
 
-    `headers` maps ``accepting`` to its list of states and each other header
-    but ``states:`` to its one token; `lines` lists (lineno, lhs, rhs) per
-    transition line, both sides stripped.  Alphabet entries are the lines
-    between ``alphabet:`` and the next header or transition.
+    `takes` names the headers the format allows besides ``alphabet:`` and
+    ``states:``.  `headers` maps ``accepting`` to its list of states and
+    each other header but ``states:`` to its one token; `lines` lists
+    (lineno, lhs, rhs) per transition line, both sides stripped.  Alphabet
+    entries are the lines between ``alphabet:`` and the next header or
+    transition.
     """
     letters, headers, lines, in_alphabet = None, {}, [], False
     for lineno, line in logical_lines(text):
@@ -52,6 +55,8 @@ def read(text: str, where: str):
             lines.append((lineno, lhs.strip(), rhs.strip()))
         elif m:
             name, value = m.group(1), m.group(2).split()
+            if name not in ("alphabet", "states", *takes):
+                raise FormatError(f"line {lineno}: unknown header {name!r}")
             if name in headers:
                 raise FormatError(f"line {lineno}: duplicate header {name!r}")
             if name == "alphabet":

@@ -20,7 +20,7 @@ from .errors import AlphabetError, ArityError, RotationSearchExhausted
 from .grammar import CnfGrammar
 from .obfuscation import FRESH_PAIR
 from .trees import RankedAlphabet, Tree, enumerate_terms, format_tree
-from .walking import Dtwa, to_dbta
+from .walking import Dtwa, minimal_dbta
 from .words import Dfa, SeparatorReport, verify_separator
 
 
@@ -147,14 +147,14 @@ def extract_separator(
 ) -> ExtractReport:
     """Full pipeline from a walking automaton to a verified word separator.
 
-    Converts to a bottom-up automaton, minimizes, searches for a
+    Builds the walker's minimal bottom-up automaton, searches for a
     re-association witness, reads off the comb word automaton, and checks the
     separation of the two grammars exactly.  If the walking automaton truly
     separates the two obfuscations, the produced word automaton verifies.
     """
     if set(grammar_g.terminals) != set(grammar_h.terminals):
         raise AlphabetError("the two grammars use different terminal alphabets")
-    amin = to_dbta(dtwa).minimize()
+    amin = minimal_dbta(dtwa)
     try:
         witness = find_rotation_term(amin, search_bound)
     except RotationSearchExhausted:

@@ -16,6 +16,15 @@ walk entering the subtree there ends: it exits upward in some state,
 accepts, rejects or loops.  A node's behaviour depends only on its letter and
 its children's behaviours, so `to_dbta` turns the walker into a bottom-up
 automaton over behaviours, each a tuple of integer outcome codes (`_compose`).
+
+A parent's walk enters child i only at the slots (i, q) its own child moves
+name.  So two behaviours that agree at every slot some child move enters,
+and on root acceptance, compose to the same behaviour in every context: this
+read-slot equivalence is a congruence between behaviour equality and the
+Myhill-Nerode equivalence.  `minimal_dbta` saturates over its classes and
+minimizes that small automaton.  It names each class by its members' least
+`to_dbta` name `b{i}`, compared as a string, so its text is exactly that of
+`to_dbta(dtwa).minimize()`.
 """
 
 from __future__ import annotations
@@ -202,7 +211,7 @@ _LINE = re.compile(r"([A-Za-z0-9]+)\[(root|\d+)\]\s+(\S+)")
 
 
 def parse_dtwa(text: str) -> Dtwa:
-    alphabet, states, headers, lines = fmt.read(text, "dtwa")
+    alphabet, states, headers, lines = fmt.read(text, "dtwa", ("initial",))
     if "initial" not in headers:
         raise FormatError("dtwa: missing 'initial' header")
     entries = []
@@ -341,4 +350,43 @@ def to_dbta(dtwa: Dtwa) -> Dbta:
     order, table = saturate(dtwa.alphabet, step, lambda _behavior, i: f"b{i}")
     start = ROOT_TAG * len(dtwa.states) + dtwa.states.index(dtwa.initial)
     accepting = {f"b{i}" for i, behavior in enumerate(order) if behavior[start] == len(dtwa.states)}
-    return Dbta(dtwa.alphabet, [f"b{i}" for i in range(len(order))], accepting, table, sink=None)
+    return Dbta._trusted(dtwa.alphabet, [f"b{i}" for i in range(len(order))], accepting, table)
+
+
+def minimal_dbta(dtwa: Dtwa) -> Dbta:
+    """`to_dbta(dtwa).minimize()`, with the same text, built over read-slot
+    classes instead of behaviours.
+
+    `saturate` runs with read-slot classes as its states and steps each
+    (letter, class tuple) once.  Classes are numbered by their first member,
+    so class tuples come in the order of their least `to_dbta` index tuples.
+    A letter's pass in `to_dbta` finds new behaviours only at class tuples
+    holding a class new since that letter's previous pass, which are the
+    ones `saturate` steps in the same pass here.  So full behaviours are
+    numbered as in `to_dbta`, each class is named by its members' least
+    `b{i}` as a string, and `minimize` orders its blocks, and names them
+    `m{k}`, as it does on `to_dbta`'s automaton.
+    """
+    n = len(dtwa.states)
+    read = sorted({value for row in dtwa._compiled().values() for move, value in row if move > 0})
+    start = ROOT_TAG * n + dtwa.states.index(dtwa.initial)
+    behaviours = set()
+    member = {}  # class -> one of its behaviours
+    least = {}  # class -> least b{i} name of its members
+
+    def step(letter, classes):
+        behaviour = _compose(dtwa, letter, [member[c] for c in classes])
+        key = (behaviour[start] == n, *[behaviour[slot] for slot in read])
+        if behaviour not in behaviours:
+            name = f"b{len(behaviours)}"
+            behaviours.add(behaviour)
+            member.setdefault(key, behaviour)
+            least[key] = min(least.get(key, name), name)
+        return key
+
+    order, table = saturate(dtwa.alphabet, step, lambda _key, i: i)
+    names = [least[key] for key in order]
+    renamed = {letter: {tuple(names[i] for i in key): names[i] for key, i in rows.items()}
+               for letter, rows in table.items()}
+    accepting = [names[i] for i, key in enumerate(order) if key[0]]
+    return Dbta._trusted(dtwa.alphabet, names, accepting, renamed).minimize()

@@ -6,7 +6,10 @@ rather than bounded sampling.  `cfg_dfa_intersection_empty` is one fixpoint
 over the Bar-Hillel triples (p, X, q), X deriving a word that drives the
 automaton from p to q.  Each derivable triple keeps the least (length, word)
 it derives, length first, then lexicographic; the word is kept only while
-the length is within the witness bound.
+the length is within the witness bound.  `verify_separator` runs it on the
+separator's minimal automaton (`Dfa.minimize`), since the verdict and the
+least words depend on the language only; a comb automaton is often many
+times the size of its quotient.
 """
 
 from __future__ import annotations
@@ -61,6 +64,38 @@ class Dfa:
         return Dfa(self.alphabet, self.states, self.initial,
                    set(self.states) - set(self.accepting), self.delta)
 
+    def minimize(self) -> "Dfa":
+        """Reachable states merged up to language equivalence.
+
+        Moore's refinement: start from the accepting split and split a block
+        while its states step some letter into different blocks.  Each
+        block keeps the name of its least member.
+        """
+        reach, seen = [self.initial], {self.initial}
+        for q in reach:
+            for letter in self.alphabet:
+                target = self.delta[(q, letter)]
+                if target not in seen:
+                    seen.add(target)
+                    reach.append(target)
+        block = {q: q in self.accepting for q in reach}
+        count = len(set(block.values()))
+        while True:
+            signature = {q: (block[q], *[block[self.delta[(q, letter)]] for letter in self.alphabet])
+                         for q in reach}
+            ids = {}
+            block = {q: ids.setdefault(sig, len(ids)) for q, sig in signature.items()}
+            if len(ids) == count:
+                break
+            count = len(ids)
+        least = {}
+        for q in sorted(reach):
+            least.setdefault(block[q], q)
+        name = {q: least[block[q]] for q in reach}
+        delta = {(name[q], letter): name[self.delta[(q, letter)]] for q in reach for letter in self.alphabet}
+        return Dfa(self.alphabet, set(name.values()), name[self.initial],
+                   {name[q] for q in reach if q in self.accepting}, delta)
+
     def to_text(self) -> str:
         headers = {"states": self.states, "initial": self.initial, "accepting": sorted(self.accepting)}
         lines = [f"{letter}({q}) -> {self.delta[(q, letter)]}"
@@ -69,7 +104,7 @@ class Dfa:
 
 
 def parse_dfa(text: str) -> Dfa:
-    alphabet, states, headers, lines = fmt.read(text, "dfa")
+    alphabet, states, headers, lines = fmt.read(text, "dfa", ("initial", "accepting"))
     if any(ar != 0 for _, ar in alphabet.items()):
         raise FormatError("word automaton letters must all have arity 0")
     if "initial" not in headers:
@@ -153,9 +188,14 @@ class SeparatorReport:
 
 
 def verify_separator(dfa: Dfa, grammar_g, grammar_h) -> SeparatorReport:
-    """K separates G from H iff K contains L(G) and is disjoint from L(H)."""
+    """K separates G from H iff K contains L(G) and is disjoint from L(H).
+
+    Both checks run on K's minimal automaton: the verdict and the least
+    violations depend on K's language only.
+    """
     if set(grammar_g.terminals) != set(grammar_h.terminals):
         raise AlphabetError("the two grammars use different terminal alphabets")
+    dfa = dfa.minimize()
     ok_g, missed = cfg_dfa_intersection_empty(grammar_g, dfa.complement())
     ok_h, overlap = cfg_dfa_intersection_empty(grammar_h, dfa)
     return SeparatorReport(ok_g and ok_h, violation_g=missed, violation_h=overlap)

@@ -180,6 +180,25 @@ def random_dfa(rng: random.Random, max_states: int = 4, alphabet=("p", "q")) -> 
     return Dfa(alphabet, states, "k0", accepting, delta)
 
 
+def dfa_walk(dfa: Dfa, state, word):
+    """State the table reaches from `state` on `word`."""
+    for letter in word:
+        state = dfa.delta[(state, letter)]
+    return state
+
+
+def words_up_to(alphabet, max_len: int):
+    for length in range(max_len + 1):
+        yield from itertools.product(alphabet, repeat=length)
+
+
+def told_apart(dfa: Dfa, p, q, max_len: int) -> bool:
+    """Does some word of at most `max_len` letters lead exactly one of the
+    states p and q into an accepting state?"""
+    return any((dfa_walk(dfa, p, w) in dfa.accepting) != (dfa_walk(dfa, q, w) in dfa.accepting)
+               for w in words_up_to(dfa.alphabet, max_len))
+
+
 def criterion_dfas(count: int = 20):
     """The fixed family of seeded random word automata shared by the
     acceptance criteria."""
@@ -423,6 +442,24 @@ def round_robin_to_dbta(dtwa: Dtwa) -> Dbta:
         if dict(key)[(ROOT_TAG, dtwa.initial)] == OUT_ACCEPT
     }
     return Dbta(dtwa.alphabet, names, accepting, _named_table(table, names))
+
+
+def read_slot_classes(dtwa: Dtwa):
+    """(behaviours, read-slot classes) of the walker's reachable subtree
+    behaviours, found by the round-robin closure over dict behaviours.  Two
+    behaviours share a class when they agree on root acceptance and at every
+    (tag, state) slot that some child move enters."""
+    read = sorted({(move, q2) for act in dtwa.delta.values()
+                   if act not in (ACCEPT, REJECT) for q2, move in [act] if move >= 1})
+
+    def step(letter, children):
+        behavior = dict_behavior_compose(dtwa, letter, [dict(c) for c in children])
+        return tuple(sorted(behavior.items()))
+
+    order = round_robin_closure(dtwa.alphabet, step)[0]
+    classes = {(dict(b)[(ROOT_TAG, dtwa.initial)] == OUT_ACCEPT, tuple(dict(b)[slot] for slot in read))
+               for b in order}
+    return len(order), len(classes)
 
 
 def random_dtwa(rng: random.Random, alphabet: RankedAlphabet, n_states: int = 3) -> Dtwa:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from treesep import fmt
 from treesep.bottomup import Dbta, Nta, parse_dbta, parse_nta
 from treesep.errors import AlphabetError, ArityError, FormatError, TransitionError
 from treesep.fixtures import (
@@ -283,11 +284,39 @@ class TestTextFormat:
         # a digit that int() does not take
         (parse_dbta, leaf_parity_dbta().to_text().replace("a/2", "a/\u00b2"),
          r"^line 2: bad arity"),
+        # each format takes only its own headers
+        (parse_dbta, leaf_parity_dbta().to_text().replace("accepting: even", "initial: even"),
+         r"^line 7: unknown header 'initial'$"),
+        (parse_dbta, leaf_parity_dbta().to_text().replace("accepting:", "acepting:"),
+         r"^line 7: unknown header 'acepting'$"),
+        (parse_nta, kop_nta(p_initial_grammar()).to_text().replace("accepting:", "sink: C\naccepting:"),
+         r"^line 7: unknown header 'sink'$"),
     ], ids=["repeated-dbta-key", "repeated-nta-key", "repeated-letter", "two-token-sink",
-            "superscript-arity"])
+            "superscript-arity", "dbta-initial", "dbta-misspelt", "nta-sink"])
     def test_bad_file_rejected(self, parse, text, match):
         with pytest.raises(FormatError, match=match):
             parse(text)
+
+    @pytest.mark.parametrize("transitions, sink, error, match", [
+        ({"a": {("even",): "even"}}, None, ArityError, "keyed by 1 states, arity is 2"),
+        ({"a": {("even", "nowhere"): "even"}}, None, FormatError, "undeclared state"),
+        ({"c": {(): "nowhere"}}, None, FormatError, "undeclared state"),
+        ({"a": {("even", "odd"): "even"}}, "odd", FormatError, "touching the sink must yield the sink"),
+    ], ids=["arity", "undeclared-key", "undeclared-target", "sink-escapes"])
+    def test_bad_table_rejected(self, transitions, sink, error, match):
+        # the public constructor, and the parser that builds through it,
+        # check every entry; only tables built from just-declared states
+        # skip the checks
+        table = {letter: dict(rows) for letter, rows in leaf_parity_dbta().transitions.items()}
+        for letter, rows in transitions.items():
+            table[letter].update(rows)
+        with pytest.raises(error, match=match):
+            Dbta(SIGMA, ("even", "odd"), {"even"}, table, sink=sink)
+        lines = [f"{letter}({','.join(key)}) -> {value}"
+                 for letter, rows in table.items() for key, value in rows.items()]
+        headers = {"states": ("even", "odd"), "accepting": ["even"], "sink": sink}
+        with pytest.raises(error, match=match):
+            parse_dbta(fmt.write(SIGMA.items(), headers, lines))
 
     def test_fingerprint_stability(self):
         assert leaf_parity_dbta().fingerprint() == leaf_parity_dbta().fingerprint()

@@ -139,6 +139,15 @@ class TestInputErrors:
         assert out == ""
         assert re.match(r"treesep: line \d+: second transition for ", err)
 
+    def test_misspelt_header(self, files, capsys):
+        text = p_prefix_dfa().to_text().replace("accepting:", "acepting:")
+        argv = ["verify", files("k.dfa", text), files("g.cfg", P_INITIAL_TEXT),
+                files("h.cfg", Q_INITIAL_TEXT)]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "treesep: line 6: unknown header 'acepting'\n"
+
     def test_malformed_grammar(self, files, capsys):
         argv = ["verify", files("k.dfa", p_prefix_dfa().to_text()),
                 files("g.cfg", "S -> p q r"), files("h.cfg", Q_INITIAL_TEXT)]

@@ -32,7 +32,7 @@ from treesep.grammar import parse_grammar
 from treesep.obfuscation import kop_dbta, kop_member, kop_nta, obf_alphabet
 from treesep.rotation import comb_dfa, is_associative
 from treesep.trees import RankedAlphabet, Tree, compose, format_tree, parse_tree
-from treesep.walking import ACCEPT, ESCAPE, LOOP, REJECT, dfs_from_dfa, to_dbta
+from treesep.walking import ACCEPT, ESCAPE, LOOP, REJECT, dfs_from_dfa, minimal_dbta
 
 from oracles import (
     SEED,
@@ -264,7 +264,7 @@ class TestDeepTrees:
         parsed = parse_tree(text)
         walker = dfs_from_dfa(even_p_dfa(), obf_sigma())
         assert walker.run(parsed).kind == (ACCEPT if even else REJECT)
-        assert to_dbta(walker).minimize().accepts(parsed) == even
+        assert minimal_dbta(walker).accepts(parsed) == even
         assert kop_member(parse_grammar(EVEN_P_TEXT), parsed) == even
         assert format_tree(parsed) == text
         assert parsed == twin and tree == twin and tree is not twin

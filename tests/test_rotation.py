@@ -20,7 +20,7 @@ from treesep.fixtures import (
 )
 from treesep.rotation import comb_dfa, extract_separator, find_rotation_term, is_associative
 from treesep.trees import PORT, Tree, comb, compose, format_tree, leaf_word, parse_tree
-from treesep.walking import dfs_from_dfa, to_dbta
+from treesep.walking import dfs_from_dfa, minimal_dbta
 
 from oracles import (
     SEED,
@@ -149,7 +149,7 @@ class TestFindRotationTerm:
 
     def test_leaf_language_automata_regression(self):
         for dfa in criterion_dfas():
-            amin = to_dbta(dfs_from_dfa(dfa, SIGMA)).minimize()
+            amin = minimal_dbta(dfs_from_dfa(dfa, SIGMA))
             witness = find_rotation_term(amin, 9)
             assert witness.found_at_size == 3
             assert witness.term == STAR
@@ -209,7 +209,7 @@ class TestTstar:
 
 class TestCombDfa:
     def test_two_letter_base_case(self):
-        amin = to_dbta(dfs_from_dfa(p_prefix_dfa(), SIGMA)).minimize()
+        amin = minimal_dbta(dfs_from_dfa(p_prefix_dfa(), SIGMA))
         witness = find_rotation_term(amin, 9)
         k = comb_dfa(amin, witness.term, ("p", "q"))
         for pair in itertools.product(("p", "q"), repeat=2):
@@ -217,7 +217,7 @@ class TestCombDfa:
 
     def test_words_track_combs_exhaustively(self):
         for dfa in criterion_dfas()[:5]:
-            amin = to_dbta(dfs_from_dfa(dfa, SIGMA)).minimize()
+            amin = minimal_dbta(dfs_from_dfa(dfa, SIGMA))
             witness = find_rotation_term(amin, 9)
             k = comb_dfa(amin, witness.term, ("p", "q"))
             assert len(k.states) <= len(amin.states) + 1
@@ -227,7 +227,7 @@ class TestCombDfa:
 
     def test_full_claim_over_sampled_members(self):
         for dfa in criterion_dfas()[:3]:
-            amin = to_dbta(dfs_from_dfa(dfa, SIGMA)).minimize()
+            amin = minimal_dbta(dfs_from_dfa(dfa, SIGMA))
             witness = find_rotation_term(amin, 9)
             k = comb_dfa(amin, witness.term, ("p", "q"))
             for n in range(2, 7):

@@ -71,6 +71,14 @@ class TestRandomAutomata:
                     single = Dbta(alphabet, dbta.states, {q}, dbta.transitions, sink=dbta.sink)
                     assert single.is_empty() == round_robin_is_empty(single)
 
+    def test_built_tables_pass_constructor_checks(self, alphabet):
+        # determinize (half of random_dbtas), complement, product and
+        # minimize build without the per-entry checks
+        for dbta in random_dbtas(alphabet, 20):
+            flipped = dbta.complement()
+            for built in (dbta, flipped, dbta.product(flipped, "or"), dbta.minimize()):
+                assert_passes_checks(built)
+
     def test_behavior_compose(self, alphabet):
         rng = random.Random(SEED)
         for _ in range(12):
@@ -78,6 +86,12 @@ class TestRandomAutomata:
             for _ in range(20):
                 tree = random_tree(rng, alphabet, depth=4)
                 assert compiled_behavior(dtwa, tree) == oracle_behavior(dtwa, tree)
+
+
+def assert_passes_checks(dbta):
+    rebuilt = Dbta(dbta.alphabet, dbta.states, dbta.accepting, dbta.transitions, sink=dbta.sink)
+    assert (rebuilt.states, rebuilt.accepting, rebuilt.sink) == (dbta.states, dbta.accepting, dbta.sink)
+    assert rebuilt.transitions == dbta.transitions
 
 
 def compiled_behavior(dtwa, tree):
@@ -101,6 +115,8 @@ def test_associativity_on_random_automata():
 def test_kop_minimize(grammar):
     dbta = kop_nta(grammar()).determinize()
     assert dbta.minimize().to_text() == moore_minimize(dbta).to_text()
+    assert_passes_checks(dbta)
+    assert_passes_checks(dbta.minimize())
 
 
 @pytest.mark.parametrize("index", CRITERION)
@@ -108,6 +124,8 @@ def test_criterion_walkers(index):
     dbta = criterion_dbta(index)
     amin = dbta.minimize()
     assert amin.to_text() == moore_minimize(dbta).to_text()
+    assert_passes_checks(dbta)
+    assert_passes_checks(amin)
     assert dbta.is_empty() == round_robin_is_empty(dbta)
     flipped = dbta.complement()
     assert flipped.is_empty() == round_robin_is_empty(flipped)

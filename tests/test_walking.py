@@ -20,6 +20,7 @@ from treesep.walking import (
     REJECT,
     Dtwa,
     dfs_from_dfa,
+    minimal_dbta,
     parse_dtwa,
     to_dbta,
 )
@@ -33,6 +34,7 @@ from oracles import (
     leaves_left_to_right,
     random_dfa,
     random_dtwa,
+    read_slot_classes,
     run_inside_host,
     smallest_trees,
 )
@@ -241,10 +243,44 @@ class TestToDbta:
         # |word automaton states| * (maxarity + 2)
         measured = {}
         for name, k in (("even_p", even_p_dfa()), ("p_prefix", p_prefix_dfa())):
-            small = to_dbta(dfs_from_dfa(k, SIGMA)).minimize()
+            small = minimal_dbta(dfs_from_dfa(k, SIGMA))
             measured[name] = len(small.states)
             assert len(small.states) <= len(k.states) * (SIGMA.maxarity + 2)
         assert measured == {"even_p": 2, "p_prefix": 3}
+
+
+class TestMinimalDbta:
+    """`minimal_dbta` against the staged `to_dbta(w).minimize()`, text for
+    text, so state names and fingerprints agree too."""
+
+    @pytest.mark.parametrize("index", range(20))
+    def test_criterion_walkers(self, index):
+        w = dfs_from_dfa(criterion_dfas()[index], SIGMA)
+        assert minimal_dbta(w).to_text() == to_dbta(w).minimize().to_text()
+
+    def test_random_word_automata(self):
+        # up to 3 states keeps every walker under 250 behaviours
+        rng = random.Random(SEED + 11)
+        for _ in range(40):
+            w = dfs_from_dfa(random_dfa(rng, max_states=3), SIGMA)
+            assert minimal_dbta(w).to_text() == to_dbta(w).minimize().to_text()
+
+    def test_random_walkers(self):
+        rng = random.Random(SEED + 12)
+        finer = 0
+        for i in range(60):
+            w = random_dtwa(rng, SIGMA, n_states=rng.randint(2, 4))
+            small = minimal_dbta(w)
+            assert small.to_text() == to_dbta(w).minimize().to_text()
+            if i < 10:
+                finer += read_slot_classes(w)[1] > len(small.states)
+        # read-slot classes are often finer than the minimal automaton, so
+        # these walkers exercise `minimize` on the class automaton
+        assert finer >= 5
+
+    def test_fixture_walkers(self):
+        for w in (always_accept_dtwa(), stay_loop_dtwa(), escape_dtwa()):
+            assert minimal_dbta(w).to_text() == to_dbta(w).minimize().to_text()
 
 
 class TestTextFormat:
@@ -274,6 +310,11 @@ class TestTextFormat:
     def test_bad_line_rejected(self, extra, match):
         with pytest.raises(FormatError, match=match):
             parse_dtwa(stay_loop_dtwa().to_text() + extra + "\n")
+
+    def test_unknown_header_rejected(self):
+        text = stay_loop_dtwa().to_text().replace("initial: spin", "initial: spin\naccepting: spin")
+        with pytest.raises(FormatError, match=r"^line 8: unknown header 'accepting'$"):
+            parse_dtwa(text)
 
     def test_child_zero_rejected(self):
         # "child 0" would otherwise read as a stay move

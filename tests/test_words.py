@@ -10,22 +10,30 @@ from treesep.fixtures import (
     even_p_dfa,
     leaf_parity_dbta,
     nonpalindrome_grammar,
+    obf_sigma,
     p_initial_grammar,
     p_prefix_dfa,
     palindrome_grammar,
+    pq_grammar,
     q_initial_grammar,
 )
 from treesep.grammar import cyk_member, parse_grammar
-from treesep.rotation import comb_dfa
+from treesep.rotation import comb_dfa, find_rotation_term
 from treesep.trees import parse_tree
-from treesep.words import Dfa, cfg_dfa_intersection_empty, parse_dfa, verify_separator
+from treesep.walking import dfs_from_dfa, minimal_dbta
+from treesep.words import Dfa, SeparatorReport, cfg_dfa_intersection_empty, parse_dfa, verify_separator
 
-from oracles import SEED, generate_words, random_cnf_grammar, random_dfa, three_pass_intersection_empty
-
-
-def words_up_to(alphabet, max_len):
-    for length in range(0, max_len + 1):
-        yield from itertools.product(alphabet, repeat=length)
+from oracles import (
+    SEED,
+    criterion_dfas,
+    dfa_walk,
+    generate_words,
+    random_cnf_grammar,
+    random_dfa,
+    three_pass_intersection_empty,
+    told_apart,
+    words_up_to,
+)
 
 
 def contains_factor_qp() -> Dfa:
@@ -109,10 +117,38 @@ class TestDfaBasics:
         with pytest.raises(FormatError, match=match):
             parse_dfa(p_prefix_dfa().to_text() + extra + "\n")
 
+    @pytest.mark.parametrize("header", ["acepting: yes", "sink: no"])
+    def test_unknown_header_rejected(self, header):
+        # a misspelt accepting: header used to leave no accepting state
+        text = p_prefix_dfa().to_text().replace("accepting: yes", header)
+        name = header.split(":")[0]
+        with pytest.raises(FormatError, match=rf"^line 6: unknown header '{name}'$"):
+            parse_dfa(text)
+
     def test_parse_accepts_space_form(self):
         text = "alphabet:\np\nstates: s0 s1\ninitial: s0\naccepting: s1\np s0 -> s1\np s1 -> s1\n"
         k = parse_dfa(text)
         assert k.run(("p",))
+
+
+class TestMinimize:
+    def test_against_brute_force(self):
+        rng = random.Random(SEED + 3)
+        automata = [p_prefix_dfa(), even_p_dfa(), contains_factor_qp(), empty_dfa(),
+                    threshold_dfa(5), length_one_dfa(), *(random_dfa(rng, max_states=6) for _ in range(40))]
+        reduced = 0
+        for k in automata:
+            small = k.minimize()
+            for w in words_up_to(k.alphabet, 8):
+                assert small.run(w) == k.run(w)
+            n = len(small.states)
+            for p, q in itertools.combinations(small.states, 2):
+                assert told_apart(small, p, q, n)
+            assert {dfa_walk(small, small.initial, w) for w in words_up_to(k.alphabet, n)} == set(small.states)
+            assert set(small.states) <= set(k.states)
+            assert small.minimize().to_text() == small.to_text()
+            reduced += n < len(k.states)
+        assert reduced >= 10
 
 
 class TestCfgDfaIntersection:
@@ -226,3 +262,46 @@ class TestVerifySeparator:
             assert not p_prefix_dfa().run(w)
         for w in generate_words(q_initial_grammar(), 8):
             assert cyk_member(q_initial_grammar(), w)
+
+
+def unreduced_report(dfa, grammar_g, grammar_h):
+    """The separator report from the product on `dfa` as given."""
+    ok_g, missed = cfg_dfa_intersection_empty(grammar_g, dfa.complement())
+    ok_h, overlap = cfg_dfa_intersection_empty(grammar_h, dfa)
+    return SeparatorReport(ok_g and ok_h, violation_g=missed, violation_h=overlap)
+
+
+class TestVerifyOnQuotient:
+    """`verify_separator` checks the minimal automaton; its report must be
+    the one the unreduced automaton gives."""
+
+    SMALL_PAIRS = [(p_initial_grammar, q_initial_grammar), (blocks_grammar, q_initial_grammar),
+                   (pq_grammar, q_initial_grammar), (q_initial_grammar, p_initial_grammar)]
+
+    @pytest.mark.parametrize("index", range(20))
+    def test_comb_dfas(self, index):
+        amin = minimal_dbta(dfs_from_dfa(criterion_dfas()[index], obf_sigma()))
+        k = comb_dfa(amin, find_rotation_term(amin, 9).term, ("p", "q"))
+        pairs = list(self.SMALL_PAIRS)
+        if index != 18:
+            # #18's comb automaton has 57 states, and the unreduced
+            # palindrome products take about 17 s
+            pairs.append((palindrome_grammar, nonpalindrome_grammar))
+        for g, h in pairs:
+            assert verify_separator(k, g(), h()) == unreduced_report(k, g(), h())
+
+    def test_comb_dfa_is_reduced(self):
+        amin = minimal_dbta(dfs_from_dfa(criterion_dfas()[18], obf_sigma()))
+        k = comb_dfa(amin, find_rotation_term(amin, 9).term, ("p", "q"))
+        assert (len(k.states), len(k.minimize().states)) == (57, 4)
+
+    def test_random_automata(self):
+        rng = random.Random(SEED + 4)
+        outcomes = set()
+        for _ in range(60):
+            k = random_dfa(rng, max_states=6)
+            g, h = random_cnf_grammar(rng), random_cnf_grammar(rng)
+            report = verify_separator(k, g, h)
+            assert report == unreduced_report(k, g, h)
+            outcomes.add((report.separates, report.violation_g is None, report.violation_h is None))
+        assert len(outcomes) >= 3
