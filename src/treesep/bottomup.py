@@ -313,14 +313,11 @@ class Dbta:
             if size[q]:
                 continue
             size[q] = cand
-            older = done[:]
             done.append(q)
             for letter, ar in self.alphabet.items():
-                # tuples over final states whose first q is at position p
-                for p in range(ar):
-                    for head in itertools.product(older, repeat=p):
-                        for tail in itertools.product(done, repeat=ar - 1 - p):
-                            offer(letter, head + (q,) + tail)
+                # the tuples over final states that hold q
+                for key in _fresh_tuples(done, len(done), len(done) - 1, ar):
+                    offer(letter, key)
         live = [i for i, q in enumerate(reach) if q in self.accepting]
         if not live:
             return True, None
@@ -331,62 +328,8 @@ class Dbta:
         return False, trees[min(live, key=lambda i: best[i][:2])]
 
     def minimize(self) -> "Dbta":
-        """Reachable states merged up to context distinguishability.
-
-        Partition refinement with single-letter contexts: two states split as
-        soon as some letter, position, and tuple of reachable sibling states
-        sends them to different blocks.  Tree contexts factor through these
-        one-node contexts, so the result is the Myhill-Nerode quotient and
-        equality of state transformations on it coincides with
-        interchangeability in every context.  Rounds run Moore-style over the
-        integer tables of `_tables`; quotient states are named m0, m1, ...
-        in order of their sorted member lists.
-        """
-        reach, arrays = self._tables()
-        n = len(reach)
-        block = [q in self.accepting for q in reach]
-        count = len(set(block))
-        while True:
-            targets = [(ar, [block[t] for t in arrays[letter]]) for letter, ar in self.alphabet.items()]
-            rename = {}
-            new_block = []
-            for q in range(n):
-                # q's contexts at position p are the entries whose p-th index
-                # is q: with stride = n ** (ar - 1 - p), one run of `stride`
-                # entries at p = 0, else `stride` slices of step n * stride
-                signature = [block[q]]
-                for ar, row in targets:
-                    for p in range(ar):
-                        stride = n ** (ar - 1 - p)
-                        if p == 0:
-                            signature.append(tuple(row[q * stride:(q + 1) * stride]))
-                        else:
-                            signature += [tuple(row[q * stride + r::n * stride]) for r in range(stride)]
-                new_block.append(rename.setdefault(tuple(signature), len(rename)))
-            block = new_block
-            if len(rename) == count:
-                break
-            count = len(rename)
-        members = {}
-        for i, q in enumerate(reach):
-            members.setdefault(block[i], []).append(i)
-        ordered = sorted(members.values(), key=lambda ids: sorted(reach[i] for i in ids))
-        name_of = [None] * n
-        for k, ids in enumerate(ordered):
-            for i in ids:
-                name_of[i] = f"m{k}"
-        reps = [ids[0] for ids in ordered]
-        table = {}
-        for letter, ar in self.alphabet.items():
-            flat = arrays[letter]
-            rows = table[letter] = {}
-            for key in itertools.product(reps, repeat=ar):
-                rows[tuple(name_of[i] for i in key)] = name_of[flat[_position(key, n)]]
-        accepting = {name_of[i] for i, q in enumerate(reach) if q in self.accepting}
-        sink = name_of[reach.index(self.sink)] if self.sink in reach else None
-        if sink in accepting:
-            sink = None
-        return Dbta._trusted(self.alphabet, set(name_of), accepting, table, sink=sink)
+        """Reachable states merged up to context distinguishability (`_quotient`)."""
+        return _quotient(self.alphabet, *self._tables(), self.accepting, self.sink)
 
     def to_text(self) -> str:
         headers = {"states": self.states, "accepting": sorted(self.accepting), "sink": self.sink}
@@ -396,6 +339,63 @@ class Dbta:
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
+
+
+def _quotient(alphabet, reach, arrays, accepting, sink) -> Dbta:
+    """Myhill-Nerode quotient of the automaton with reachable states `reach`,
+    in discovery order, and the integer tables `arrays` of `Dbta._tables`.
+
+    Partition refinement with single-letter contexts: two states split as
+    soon as some letter, position, and tuple of reachable sibling states
+    sends them to different blocks.  Tree contexts factor through these
+    one-node contexts, so the result is the Myhill-Nerode quotient and
+    equality of state transformations on it coincides with
+    interchangeability in every context.  Rounds run Moore-style; quotient
+    states are named m0, m1, ... in order of their sorted member lists."""
+    n = len(reach)
+    block = [q in accepting for q in reach]
+    count = len(set(block))
+    while True:
+        targets = [(ar, [block[t] for t in arrays[letter]]) for letter, ar in alphabet.items()]
+        rename = {}
+        new_block = []
+        for q in range(n):
+            # q's contexts at position p are the entries whose p-th index
+            # is q: with stride = n ** (ar - 1 - p), one run of `stride`
+            # entries at p = 0, else `stride` slices of step n * stride
+            signature = [block[q]]
+            for ar, row in targets:
+                for p in range(ar):
+                    stride = n ** (ar - 1 - p)
+                    if p == 0:
+                        signature.append(tuple(row[q * stride:(q + 1) * stride]))
+                    else:
+                        signature += [tuple(row[q * stride + r::n * stride]) for r in range(stride)]
+            new_block.append(rename.setdefault(tuple(signature), len(rename)))
+        block = new_block
+        if len(rename) == count:
+            break
+        count = len(rename)
+    members = {}
+    for i, q in enumerate(reach):
+        members.setdefault(block[i], []).append(i)
+    ordered = sorted(members.values(), key=lambda ids: sorted(reach[i] for i in ids))
+    name_of = [None] * n
+    for k, ids in enumerate(ordered):
+        for i in ids:
+            name_of[i] = f"m{k}"
+    reps = [ids[0] for ids in ordered]
+    table = {}
+    for letter, ar in alphabet.items():
+        flat = arrays[letter]
+        rows = table[letter] = {}
+        for key in itertools.product(reps, repeat=ar):
+            rows[tuple(name_of[i] for i in key)] = name_of[flat[_position(key, n)]]
+    final = {name_of[i] for i, q in enumerate(reach) if q in accepting}
+    sink = name_of[reach.index(sink)] if sink in reach else None
+    if sink in final:
+        sink = None
+    return Dbta._trusted(alphabet, set(name_of), final, table, sink=sink)
 
 
 class Nta:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .bottomup import Dbta
 from .errors import AlphabetError, ArityError, RotationSearchExhausted
 from .grammar import CnfGrammar
-from .obfuscation import FRESH_PAIR
+from .obfuscation import FRESH_PAIR, obf_alphabet
 from .trees import RankedAlphabet, Tree, enumerate_terms, format_tree
 from .walking import Dtwa, minimal_dbta
 from .words import Dfa, SeparatorReport, verify_separator
@@ -30,7 +30,7 @@ class RotationWitness:
 
     term: Tree
     found_at_size: int
-    fingerprint: str  # of the minimized automaton the term was verified against
+    fingerprint: str  # of `dbta.minimize()`, the automaton the term was verified against
 
 
 def is_associative(amin: Dbta, term: Tree) -> bool:
@@ -152,6 +152,7 @@ def extract_separator(
     separation of the two grammars exactly.  If the walking automaton truly
     separates the two obfuscations, the produced word automaton verifies.
     """
+    obf_alphabet(grammar_g)  # the terminals must leave the fresh pair free
     if set(grammar_g.terminals) != set(grammar_h.terminals):
         raise AlphabetError("the two grammars use different terminal alphabets")
     amin = minimal_dbta(dtwa)

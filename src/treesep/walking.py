@@ -21,22 +21,23 @@ A parent's walk enters child i only at the slots (i, q) its own child moves
 name.  So two behaviours that agree at every slot some child move enters,
 and on root acceptance, compose to the same behaviour in every context: this
 read-slot equivalence is a congruence between behaviour equality and the
-Myhill-Nerode equivalence.  `minimal_dbta` saturates over its classes and
-minimizes that small automaton.  It names each class by its members' least
-`to_dbta` name `b{i}`, compared as a string, so its text is exactly that of
+Myhill-Nerode equivalence.  One saturation over its classes (`_classes`)
+builds both automata: `to_dbta` spreads it over the classes' members, and
+`minimal_dbta` minimizes the class automaton, each class named by its
+members' least `b{i}` as a string, so its text is exactly that of
 `to_dbta(dtwa).minimize()`.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from operator import itemgetter
 
 from . import fmt
 from .errors import AlphabetError, FormatError
 from .trees import RankedAlphabet, Tree
-from .bottomup import Dbta, saturate
+from .bottomup import Dbta, _quotient, saturate
 from .words import Dfa
 
 ACCEPT = "accept"
@@ -321,72 +322,68 @@ def _compose(dtwa: Dtwa, letter, children) -> tuple:
     return tuple(out)
 
 
-def to_dbta(dtwa: Dtwa) -> Dbta:
-    """Bottom-up automaton whose states are the reachable subtree behaviors.
+def _classes(dtwa: Dtwa):
+    """The one saturation behind `to_dbta` and `minimal_dbta`: (kind,
+    accepts, made), with `kind[i]` the read-slot class of behaviour i,
+    `accepts[c]` the root acceptance of class c, and `made[letter]` the
+    behaviour the letter makes of each tuple of class indices.
 
-    A behavior is accepting when entering the subtree as the whole tree, at
-    the root tag in the initial state, leads to Accept.  The table is total
-    over the reachable behaviors, so no sink is needed.  Behaviors are the
-    outcome-code tuples of `_compose`, which are their own intern keys.
-
-    A node's walk enters child i only at the slots its own child-i moves
-    name, so its behavior is a function of the letter and of the children's
-    codes at those slots, and is composed once per distinct such key.
-    """
-    reads = {}
-    for letter, ar in dtwa.alphabet.items():
-        row = dtwa._compiled()[letter]
-        slots = [sorted({value for move, value in row if move == i}) for i in range(1, ar + 1)]
-        reads[letter] = [itemgetter(*s) if s else (lambda _child: ()) for s in slots]
-    composed = {}
-
-    def step(letter, children):
-        key = (letter, *[read(child) for read, child in zip(reads[letter], children)])
-        behavior = composed.get(key)
-        if behavior is None:
-            behavior = composed[key] = _compose(dtwa, letter, children)
-        return behavior
-
-    order, table = saturate(dtwa.alphabet, step, lambda _behavior, i: f"b{i}")
-    start = ROOT_TAG * len(dtwa.states) + dtwa.states.index(dtwa.initial)
-    accepting = {f"b{i}" for i, behavior in enumerate(order) if behavior[start] == len(dtwa.states)}
-    return Dbta._trusted(dtwa.alphabet, [f"b{i}" for i in range(len(order))], accepting, table)
-
-
-def minimal_dbta(dtwa: Dtwa) -> Dbta:
-    """`to_dbta(dtwa).minimize()`, with the same text, built over read-slot
-    classes instead of behaviours.
-
-    `saturate` runs with read-slot classes as its states and steps each
-    (letter, class tuple) once.  Classes are numbered by their first member,
-    so class tuples come in the order of their least `to_dbta` index tuples.
-    A letter's pass in `to_dbta` finds new behaviours only at class tuples
-    holding a class new since that letter's previous pass, which are the
-    ones `saturate` steps in the same pass here.  So full behaviours are
-    numbered as in `to_dbta`, each class is named by its members' least
-    `b{i}` as a string, and `minimize` orders its blocks, and names them
-    `m{k}`, as it does on `to_dbta`'s automaton.
+    `saturate` steps each (letter, class tuple) once.  Classes are numbered
+    by their first member, so class tuples come in the order of their least
+    behaviour index tuples, and a letter's pass steps exactly the class
+    tuples at which a pass over behaviours could find new ones: behaviours
+    are numbered as `saturate` over behaviours would number them.
     """
     n = len(dtwa.states)
     read = sorted({value for row in dtwa._compiled().values() for move, value in row if move > 0})
     start = ROOT_TAG * n + dtwa.states.index(dtwa.initial)
-    behaviours = set()
-    member = {}  # class -> one of its behaviours
-    least = {}  # class -> least b{i} name of its members
+    found = {}  # behaviour -> its index
+    kind = []
+    keys = {}  # (root accept, codes at the read slots) -> class index
+    first = []  # the first behaviour of each class
+    made = {letter: {} for letter, _ar in dtwa.alphabet.items()}
 
     def step(letter, classes):
-        behaviour = _compose(dtwa, letter, [member[c] for c in classes])
-        key = (behaviour[start] == n, *[behaviour[slot] for slot in read])
-        if behaviour not in behaviours:
-            name = f"b{len(behaviours)}"
-            behaviours.add(behaviour)
-            member.setdefault(key, behaviour)
-            least[key] = min(least.get(key, name), name)
-        return key
+        behaviour = _compose(dtwa, letter, [first[c] for c in classes])
+        i = found.setdefault(behaviour, len(kind))
+        if i == len(kind):
+            c = keys.setdefault((behaviour[start] == n, *[behaviour[slot] for slot in read]), len(first))
+            if c == len(first):
+                first.append(behaviour)
+            kind.append(c)
+        made[letter][classes] = i
+        return kind[i]
 
-    order, table = saturate(dtwa.alphabet, step, lambda _key, i: i)
-    names = [least[key] for key in order]
-    renamed = {letter: {tuple(names[i] for i in key): names[i] for key, i in rows.items()}
-               for letter, rows in table.items()}
-    accepting = [names[i] for i, key in enumerate(order) if key[0]]
-    return Dbta._trusted(dtwa.alphabet, names, accepting, renamed).minimize()
+    saturate(dtwa.alphabet, step, lambda c, _i: c)
+    return kind, [behaviour[start] == n for behaviour in first], made
+
+
+def to_dbta(dtwa: Dtwa) -> Dbta:
+    """Bottom-up automaton whose states `b{i}` are the reachable subtree
+    behaviours in discovery order, each entry of `_classes` spread over the
+    tuples of its classes' members.  A behaviour accepts when entering the
+    subtree as the whole tree, at the root tag in the initial state, leads
+    to Accept.  The table is total, so no sink is needed."""
+    kind, accepts, made = _classes(dtwa)
+    names = [f"b{i}" for i in range(len(kind))]
+    members = [[] for _ in accepts]
+    for name, c in zip(names, kind):
+        members[c].append(name)
+    table = {letter: {key: names[i] for classes, i in rows.items()
+                      for key in itertools.product(*[members[c] for c in classes])}
+             for letter, rows in made.items()}
+    return Dbta._trusted(dtwa.alphabet, names, [b for b, c in zip(names, kind) if accepts[c]], table)
+
+
+def minimal_dbta(dtwa: Dtwa) -> Dbta:
+    """`to_dbta(dtwa).minimize()`, with the same text, from the class
+    automaton of `_classes`: each class is named by its members' least
+    `b{i}` as a string, and `_quotient` orders and names the blocks as
+    `minimize` does on `to_dbta`'s automaton."""
+    kind, accepts, made = _classes(dtwa)
+    least = [None] * len(accepts)
+    for i, c in enumerate(kind):
+        least[c] = min(least[c] or f"b{i}", f"b{i}")
+    arrays = {letter: [kind[made[letter][key]] for key in itertools.product(range(len(accepts)), repeat=ar)]
+              for letter, ar in dtwa.alphabet.items()}
+    return _quotient(dtwa.alphabet, least, arrays, {b for b, a in zip(least, accepts) if a}, None)

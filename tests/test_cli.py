@@ -155,6 +155,15 @@ class TestInputErrors:
         assert code == 2
         assert err.startswith("treesep: ")
 
+    @pytest.mark.parametrize("letter", ["c", "a"])
+    def test_terminal_colliding_with_fresh_pair(self, files, capsys, letter):
+        g = files("g.cfg", f"start: S\nS -> A B\nA -> p\nB -> {letter}\n")
+        walker = files("w.dtwa", dfs_from_dfa(p_prefix_dfa(), obf_sigma()).to_text())
+        code, out, err = run(capsys, ["extract", walker, g, g])
+        assert code == 2
+        assert out == ""
+        assert err == "treesep: fresh letters ('a', 'c') collide with the terminals\n"
+
     def test_missing_file(self, files, tmp_path, capsys):
         g = files("g.cfg", P_INITIAL_TEXT)
         code, _, err = run(capsys, ["extract", str(tmp_path / "absent.dtwa"), g, g])

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from treesep.errors import ArityError, ResourceError, RotationSearchExhausted
+from treesep.errors import AlphabetError, ArityError, ResourceError, RotationSearchExhausted
 from treesep.fixtures import (
     all_trees_dbta,
     all_words_dfa,
@@ -18,6 +18,7 @@ from treesep.fixtures import (
     pq_grammar,
     q_initial_grammar,
 )
+from treesep.grammar import parse_grammar
 from treesep.rotation import comb_dfa, extract_separator, find_rotation_term, is_associative
 from treesep.trees import PORT, Tree, comb, compose, format_tree, leaf_word, parse_tree
 from treesep.walking import dfs_from_dfa, minimal_dbta
@@ -313,6 +314,12 @@ class TestExtractSeparator:
         assert report.search_bound == 3
         assert not report.verified
         assert report.separator is None
+
+    @pytest.mark.parametrize("letter", ["c", "a"])
+    def test_terminal_colliding_with_fresh_pair(self, letter):
+        g = parse_grammar(f"start: S\nS -> A B\nA -> p\nB -> {letter}\n")
+        with pytest.raises(AlphabetError, match="collide with the terminals"):
+            extract_separator(dfs_from_dfa(p_prefix_dfa(), SIGMA), g, g, search_bound=9)
 
     def test_report_serializes(self):
         import json

@@ -70,6 +70,11 @@ class TestAgainstRoundRobin:
         walkers = [always_accept_dtwa(alphabet), stay_loop_dtwa(alphabet)]
         walkers += [dfs_from_dfa(random_dfa(rng, max_states=2), alphabet) for _ in range(4)]
         walkers += [random_dtwa(rng, alphabet, n_states=rng.randint(1, 3)) for _ in range(6)]
+        if alphabet.maxarity == 2:
+            # over the ternary alphabet some 4-state walkers reach hundreds of
+            # behaviours, i.e. tens of millions of table entries
+            more = random.Random(SEED + 13)
+            walkers += [random_dtwa(more, alphabet, n_states=more.randint(2, 4)) for _ in range(40)]
         for dtwa in walkers:
             assert to_dbta(dtwa).to_text() == round_robin_to_dbta(dtwa).to_text()
 

@@ -32,9 +32,11 @@ from oracles import (
     bounded_run,
     criterion_dfas,
     leaves_left_to_right,
+    moore_minimize,
     random_dfa,
     random_dtwa,
     read_slot_classes,
+    round_robin_to_dbta,
     run_inside_host,
     smallest_trees,
 )
@@ -251,7 +253,9 @@ class TestToDbta:
 
 class TestMinimalDbta:
     """`minimal_dbta` against the staged `to_dbta(w).minimize()`, text for
-    text, so state names and fingerprints agree too."""
+    text, so state names and fingerprints agree too.  Both come from
+    `_classes`, so the random walkers are also checked against the
+    round-robin closure and Moore refinement of `tests/oracles.py`."""
 
     @pytest.mark.parametrize("index", range(20))
     def test_criterion_walkers(self, index):
@@ -272,6 +276,7 @@ class TestMinimalDbta:
             w = random_dtwa(rng, SIGMA, n_states=rng.randint(2, 4))
             small = minimal_dbta(w)
             assert small.to_text() == to_dbta(w).minimize().to_text()
+            assert small.to_text() == moore_minimize(round_robin_to_dbta(w)).to_text()
             if i < 10:
                 finer += read_slot_classes(w)[1] > len(small.states)
         # read-slot classes are often finer than the minimal automaton, so
