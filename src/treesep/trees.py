@@ -65,11 +65,15 @@ class RankedAlphabet:
     def zero_arity(self) -> tuple:
         return tuple(n for n, a in self._letters.items() if a == 0)
 
-    def validate(self, tree: "Tree", ports: bool = False) -> None:
-        """Check labels and child counts; `ports=True` additionally admits ``*``."""
+    def validate(self, tree: "Tree", ports: bool = False) -> int:
+        """Check labels and child counts; `ports=True` additionally admits ``*``.
+        Returns the number of node positions, a shared subtree counted at
+        each of them."""
         stack = [tree]
+        count = 0
         while stack:
             node = stack.pop()
+            count += 1
             if node.label == PORT:
                 if not ports:
                     raise AlphabetError("ports not allowed here")
@@ -82,6 +86,7 @@ class RankedAlphabet:
                     f"node has {len(node.children)} children"
                 )
             stack.extend(node.children)
+        return count
 
     def __eq__(self, other):
         return isinstance(other, RankedAlphabet) and self._letters == other._letters
@@ -97,8 +102,10 @@ class RankedAlphabet:
 class Tree:
     """Immutable sibling-ordered tree with string labels.
 
-    Equality and hashing are structural.  Values are safe to share between
-    threads; nothing mutates a tree after construction.
+    Equality and hashing are structural: the hash is ``hash((label,) +
+    children)``, filled on first use, like `size` and `arity`, for the node
+    and its descendants without recursion.  A fill only writes the value
+    every fill computes, so trees stay safe to share between threads.
     """
 
     __slots__ = ("label", "children", "_hash", "_size", "_arity")
@@ -106,21 +113,19 @@ class Tree:
     def __init__(self, label: str, children: Iterable["Tree"] = ()):
         self.label = label
         self.children = tuple(children)
-        self._hash = hash((label,) + self.children)
-        self._size = -1
-        self._arity = -1
+        self._hash = self._size = self._arity = None
 
     @property
     def size(self) -> int:
         """Number of nodes, ports included."""
-        if self._size < 0:
+        if self._size is None:
             _fill_cache(self, "_size", lambda node: 1 + sum(c._size for c in node.children))
         return self._size
 
     @property
     def arity(self) -> int:
         """Number of ports, i.e. ``*`` leaves."""
-        if self._arity < 0:
+        if self._arity is None:
             _fill_cache(self, "_arity", lambda node: 1 if node.label == PORT
                         else sum(c._arity for c in node.children))
         return self._arity
@@ -131,7 +136,7 @@ class Tree:
     def __eq__(self, other):
         if self is other:
             return True
-        if not isinstance(other, Tree):
+        if not isinstance(other, Tree) or hash(self) != hash(other):
             return False
         pairs = [(self, other)]
         while pairs:
@@ -144,6 +149,8 @@ class Tree:
         return True
 
     def __hash__(self):
+        if self._hash is None:
+            _fill_cache(self, "_hash", lambda node: hash((node.label,) + node.children))
         return self._hash
 
     def __repr__(self):
@@ -151,17 +158,17 @@ class Tree:
 
 
 def _fill_cache(tree: Tree, slot: str, value) -> None:
-    """Set the per-node cache `slot` on `tree` and on every descendant that
-    lacks it, children first and without recursion; `value(node)` reads the
-    children's caches.  A node stays on the stack until its children are
-    done, so a subtree shared by several parents is computed once."""
+    """Set the per-node cache `slot`, None until then, on `tree` and on
+    every descendant that lacks it, children first and without recursion;
+    `value(node)` reads the children's caches.  A node stays on the stack
+    until its children are done, so a shared subtree is computed once."""
     stack = [tree]
     while stack:
         node = stack[-1]
-        if getattr(node, slot) >= 0:
+        if getattr(node, slot) is not None:
             stack.pop()
             continue
-        missing = [c for c in node.children if getattr(c, slot) < 0]
+        missing = [c for c in node.children if getattr(c, slot) is None]
         if missing:
             stack.extend(missing)
         else:

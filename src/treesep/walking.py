@@ -138,11 +138,36 @@ class Dtwa:
         Accept/reject commands end the run without counting as a move; a
         parent move at the root is an Escape; a repeated configuration is a
         Loop.  Step count is the number of moves taken.
+
+        A run that ends repeats no configuration, so it ends within N * n
+        moves on a tree of N node positions with n states.  Without a trace,
+        the walk first keeps no configurations; only a run that reaches
+        N * n moves unended, which has repeated one and never ends, is
+        walked again with the configuration set to count its first repeat.
         """
         # A run need not visit every node, so the whole tree is checked here.
-        self.alphabet.validate(tree)
+        positions = self.alphabet.validate(tree)
         rows = self._compiled()
         n = len(self.states)
+        if not collect_trace:
+            above = []  # (node, tag) of every ancestor
+            node, tag = tree, ROOT_TAG
+            state = self.states.index(self.initial)
+            for steps in range(1, positions * n + 1):
+                move, value = rows[node.label][tag * n + state]
+                if move == PARENT:
+                    if value >= n:
+                        return RunOutcome(ACCEPT if value == n else REJECT, steps - 1)
+                    state = value
+                    if not above:
+                        return RunOutcome(ESCAPE, steps)
+                    node, tag = above.pop()
+                elif move == STAY:
+                    state = value
+                else:
+                    state = value - move * n
+                    above.append((node, tag))
+                    node, tag = node.children[move - 1], move
         width = self.alphabet.maxarity + 1
         # A node is keyed by a position id, handed out the first time the run
         # enters (parent id, child index); keying by the path itself would

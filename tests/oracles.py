@@ -19,6 +19,7 @@ here too:
   derivation invariants and the bounded language of a CNF grammar;
 - `nta_eval_set` and `nta_accepts`: runs of a nondeterministic bottom-up
   automaton;
+- `recursive_hash`: a tree's structural hash by its definition;
 - `smallest_trees`.
 """
 
@@ -648,6 +649,23 @@ def recursive_eval(dbta: Dbta, tree: Tree) -> str:
         return dbta.step(node.label, tuple(go(c) for c in node.children))
 
     return go(tree)
+
+
+class _HashAs:
+    """Stand-in whose hash is a given value, so a tuple of stand-ins hashes
+    as the tuple of the trees they stand for, without `Tree.__hash__`."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def recursive_hash(tree: Tree) -> int:
+    """A tree's hash by its definition, ``hash((label,) + children)``, with
+    each child replaced by a stand-in for its recursively computed hash."""
+    return hash((tree.label,) + tuple(_HashAs(recursive_hash(c)) for c in tree.children))
 
 
 def recursive_format_tree(tree: Tree) -> str:

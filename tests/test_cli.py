@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treesep
 from treesep.cli import main
 from treesep.fixtures import (
     P_INITIAL_TEXT,
@@ -111,6 +116,15 @@ class TestRun:
         code, out, err = run(capsys, ["run", files("w.dtwa", walker.to_text()), files("t.tree", tree)])
         assert code == 2
         assert out == "" and err.startswith("treesep: ")
+
+    def test_python_dash_m(self, files):
+        walker = dfs_from_dfa(p_prefix_dfa(), obf_sigma())
+        env = dict(os.environ, PYTHONPATH=str(Path(treesep.__file__).parents[1]))
+        argv = [sys.executable, "-m", "treesep", "run", files("w.dtwa", walker.to_text()),
+                files("t.tree", "a(q,p)")]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert json.loads(done.stdout) == {"kind": "reject", "steps": 4, "trace": None}
 
     def test_missing_tree_file(self, files, tmp_path, capsys):
         walker = dfs_from_dfa(p_prefix_dfa(), obf_sigma())

@@ -3,12 +3,16 @@
 `Dtwa.run`, `Dbta.eval` and `parse_tree` each work in one iterative pass;
 their earlier forms (`dict_run`, `recursive_eval`, `recursive_parse_tree`
 in `oracles`) must give the same verdicts, step counts, traces, states,
-trees and errors on every input the oracles can take.  Deep trees, which
-only the new code takes, are checked end to end at the bottom.
+trees and errors on every input the oracles can take.  `Dtwa.run`'s move
+bound is checked at its edges, and tree hashes filled on first use against
+their recursive definition.  Deep trees, which only the new code takes, are
+checked end to end at the bottom.
 """
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +35,8 @@ from treesep.fixtures import (
 from treesep.grammar import parse_grammar
 from treesep.obfuscation import kop_dbta, kop_member, kop_nta, obf_alphabet
 from treesep.rotation import comb_dfa, is_associative
-from treesep.trees import RankedAlphabet, Tree, compose, format_tree, parse_tree
-from treesep.walking import ACCEPT, ESCAPE, LOOP, REJECT, dfs_from_dfa, minimal_dbta
+from treesep.trees import RankedAlphabet, Tree, compose, enumerate_terms, format_tree, parse_tree
+from treesep.walking import ACCEPT, ESCAPE, LOOP, PARENT, REJECT, STAY, Dtwa, dfs_from_dfa, minimal_dbta
 
 from oracles import (
     SEED,
@@ -45,6 +49,7 @@ from oracles import (
     random_tree,
     recursive_eval,
     recursive_format_tree,
+    recursive_hash,
     recursive_parse_tree,
 )
 
@@ -110,6 +115,101 @@ class TestRunAgainstOracle:
         for tree in (Tree("zz"), Tree("*"), Tree("p", [Tree("p")]),
                      Tree(alphabet.items()[0][0], [Tree("x")] * 5)):
             assert outcome(dtwa.run, tree) == outcome(dict_run, dtwa, tree)
+
+
+def one_node_walker(n, last):
+    """Walker over the one letter p/0 that stays from w0 through w{n-1} and
+    then takes `last` in w{n-1}: a parent move or a stay back to w0."""
+    states = [f"w{i}" for i in range(n)]
+    delta = {("p", 0, q): (nxt, STAY) for q, nxt in zip(states, states[1:])}
+    delta[("p", 0, states[-1])] = (states[0], STAY) if last == STAY else (states[-1], PARENT)
+    return Dtwa(RankedAlphabet({"p": 0}), states, states[0], delta)
+
+
+class TestMoveBound:
+    """Without a trace, `Dtwa.run` walks at most N * n moves on N node
+    positions and n states before it counts configurations; the runs here
+    end or first repeat exactly at that bound, or anywhere around it."""
+
+    @staticmethod
+    def agrees(dtwa, tree):
+        for collect in (False, True):
+            got = dtwa.run(tree, collect_trace=collect)
+            want = dict_run(dtwa, tree, collect_trace=collect)
+            assert (got.kind, got.steps, got.trace) == (want.kind, want.steps, want.trace)
+        return got
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_escape_on_the_last_move(self, n):
+        outcome = self.agrees(one_node_walker(n, PARENT), Tree("p"))
+        assert (outcome.kind, outcome.steps) == (ESCAPE, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_first_repeat_on_the_last_move(self, n):
+        outcome = self.agrees(one_node_walker(n, STAY), Tree("p"))
+        assert (outcome.kind, outcome.steps) == (LOOP, n)
+
+    @pytest.mark.parametrize("alphabet", ALPHABETS.values(), ids=ALPHABETS.keys())
+    def test_random_walkers_on_shared_and_fresh_trees(self, alphabet):
+        rng = random.Random(SEED + 1)
+        kinds = set()
+        for _ in range(30):
+            dtwa = random_dtwa(rng, alphabet, n_states=rng.randint(1, 5))
+            for tree in seeded_trees(rng, alphabet, 10, depth=7):
+                # a parsed tree shares its equal leaves, a built one does not
+                kinds.add(self.agrees(dtwa, tree).kind)
+                self.agrees(dtwa, parse_tree(format_tree(tree)))
+        assert {LOOP, ESCAPE} <= kinds
+
+
+class TestHashUnchanged:
+    """`Tree.__hash__` fills on first use the value `Tree.__init__` used to
+    compute, ``hash((label,) + children)``."""
+
+    def test_parsed_and_built_trees(self):
+        rng = random.Random(SEED)
+        for alphabet in ALPHABETS.values():
+            for tree in seeded_trees(rng, alphabet, 40, depth=6):
+                parsed = parse_tree(format_tree(tree))
+                assert hash(parsed) == recursive_hash(parsed) == recursive_hash(tree) == hash(tree)
+
+    def test_composed_and_enumerated_terms(self):
+        terms = list(enumerate_terms(obf_sigma(), 2, 5))
+        assert terms
+        args = (parse_tree("a(p,c)"), Tree("q"))
+        for term in terms:
+            assert hash(term) == recursive_hash(term)
+            filled = compose(term, args)
+            assert recursive_hash(filled) == hash(filled)
+
+    def test_deep_comb(self):
+        combs = []
+        for last in ("p", "q", "p"):
+            term = Tree("p")
+            for _ in range(100_000):
+                term = Tree("a", (term, Tree("c")))
+            combs.append(Tree("a", (term, Tree(last))))
+        assert hash(combs[0]) == hash(combs[2])
+        assert combs[0] == combs[2] and combs[0] != combs[1]
+
+    def test_threads_fill_one_tree(self):
+        word = [random.Random(SEED).choice("pq") for _ in range(20_000)]
+        want = (hash(left_comb(word)), 4 * len(word) - 3)
+        tree = left_comb(word)
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: got.append((hash(tree), tree.size)))
+                       for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * 8
 
 
 @pytest.mark.parametrize("alphabet", ALPHABETS.values(), ids=ALPHABETS.keys())
