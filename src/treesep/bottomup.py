@@ -13,7 +13,8 @@ holding a state found since the letter's previous pass, in lexicographic
 order of discovery index.  Discovery order, and with it every state name, is
 exactly that of the plain round-robin loop (each round, each letter in
 alphabet order, over a snapshot of all known states), so callers' outputs do
-not depend on the evaluation strategy.
+not depend on the evaluation strategy.  A construction's reachable states
+go with its table, so `minimize` and `is_empty` saturate only parsed automata.
 """
 
 from __future__ import annotations
@@ -126,19 +127,22 @@ class Dbta:
             self.transitions[letter] = cleaned
         for letter, _ in alphabet.items():
             self.transitions.setdefault(letter, {})
+        self._reach = None
 
     @classmethod
-    def _trusted(cls, alphabet, states, accepting, transitions, sink=None) -> "Dbta":
-        """A Dbta over a table built from states the caller just declared,
-        without `__init__`'s per-entry checks: `transitions` has a row for
-        every letter, keys are tuples of the letter's arity over `states`,
-        and entries touching the sink yield the sink."""
+    def _trusted(cls, alphabet, reach, accepting, transitions, sink=None) -> "Dbta":
+        """A Dbta over a table built from `reach` and the sink, without
+        `__init__`'s per-entry checks: `transitions` has a row for every
+        letter, keys are tuples of the letter's arity over those states,
+        and entries touching the sink yield the sink.  `reach` lists once
+        each, in any order, exactly the states some tree evaluates to."""
         dbta = cls.__new__(cls)
         dbta.alphabet = alphabet
-        dbta.states = tuple(sorted(set(states)))
+        dbta.states = tuple(sorted({*reach, sink} - {None}))
         dbta.accepting = frozenset(accepting)
         dbta.sink = sink
         dbta.transitions = transitions
+        dbta._reach = reach
         return dbta
 
     def step(self, letter, child_states) -> str:
@@ -265,12 +269,15 @@ class Dbta:
         return Dbta._trusted(self.alphabet, [name(p) for p in pairs], accepting, table)
 
     def _tables(self):
-        """Reachable states in discovery order and, per letter, the flat list
-        of the target indices of all index tuples in row-major order."""
-        reach, table = saturate(self.alphabet, self.step, _same)
+        """Reachable states and, per letter, the flat list of the target
+        indices of all index tuples in row-major order.  Only a parsed
+        automaton, which may declare unreachable states, is saturated."""
+        reach, table = self._reach, self.transitions
+        if reach is None:
+            reach, table = saturate(self.alphabet, self.step, _same)
         index = {q: i for i, q in enumerate(reach)}
         arrays = {
-            letter: [index[table[letter][key]] for key in itertools.product(reach, repeat=ar)]
+            letter: [index[table[letter].get(key, self.sink)] for key in itertools.product(reach, repeat=ar)]
             for letter, ar in self.alphabet.items()
         }
         return reach, arrays
@@ -343,7 +350,7 @@ class Dbta:
 
 def _quotient(alphabet, reach, arrays, accepting, sink) -> Dbta:
     """Myhill-Nerode quotient of the automaton with reachable states `reach`,
-    in discovery order, and the integer tables `arrays` of `Dbta._tables`.
+    in any order, and the integer tables `arrays` of `Dbta._tables`.
 
     Partition refinement with single-letter contexts: two states split as
     soon as some letter, position, and tuple of reachable sibling states
@@ -395,7 +402,7 @@ def _quotient(alphabet, reach, arrays, accepting, sink) -> Dbta:
     sink = name_of[reach.index(sink)] if sink in reach else None
     if sink in final:
         sink = None
-    return Dbta._trusted(alphabet, set(name_of), final, table, sink=sink)
+    return Dbta._trusted(alphabet, [name_of[i] for i in reps], final, table, sink=sink)
 
 
 class Nta:
@@ -426,20 +433,30 @@ class Nta:
             self.transitions.setdefault(letter, {})
 
     def determinize(self) -> Dbta:
-        """Subset construction over reachable subsets; the empty subset is the sink."""
+        """Subset construction over reachable subsets; the empty subset is the
+        sink.  A step visits only the rows whose first child state (None for
+        nullary letters) lies in the first subset."""
+        rows = {}
+        for letter, table in self.transitions.items():
+            index = rows[letter] = {}
+            for key, values in table.items():
+                index.setdefault(key[0] if key else None, []).append((key, values))
 
         def step(letter, subsets):
             target = set()
-            for rel_key, values in self.transitions[letter].items():
-                if all(q in subset for q, subset in zip(rel_key, subsets)):
-                    target |= values
+            for first in subsets[0] if subsets else (None,):
+                for key, values in rows[letter].get(first, ()):
+                    if all(q in subset for q, subset in zip(key, subsets)):
+                        target |= values
             return frozenset(target) if target else None
 
         order, table = saturate(self.alphabet, step, lambda _subset, i: f"d{i}")
         sink = "dempty"
-        states = [f"d{i}" for i in range(len(order))] + [sink]
+        reach = [f"d{i}" for i in range(len(order))]
         accepting = {f"d{i}" for i, s in enumerate(order) if s & self.accepting}
-        return Dbta._trusted(self.alphabet, states, accepting, table, sink=sink)
+        if any(len(table[letter]) < len(order) ** ar for letter, ar in self.alphabet.items()):
+            reach.append(sink)
+        return Dbta._trusted(self.alphabet, reach, accepting, table, sink=sink)
 
     def to_text(self) -> str:
         headers = {"states": self.states, "accepting": sorted(self.accepting)}

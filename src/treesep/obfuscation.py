@@ -11,6 +11,8 @@ and leaf labels, never on which nonterminals appear.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .bottomup import Dbta, Nta
 from .errors import AlphabetError
 from .grammar import CnfGrammar
@@ -85,14 +87,10 @@ def kop_nta(grammar: CnfGrammar) -> Nta:
     return Nta(alphabet, states, accepting, transitions)
 
 
-_dbta_cache: dict = {}
-
-
+@lru_cache(maxsize=32)
 def kop_dbta(grammar: CnfGrammar) -> Dbta:
     """Determinization of the obfuscation automaton, memoized per grammar."""
-    if grammar not in _dbta_cache:
-        _dbta_cache[grammar] = kop_nta(grammar).determinize()
-    return _dbta_cache[grammar]
+    return kop_nta(grammar).determinize()
 
 
 def kop_member(grammar: CnfGrammar, tree: Tree) -> bool:

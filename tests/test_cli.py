@@ -134,6 +134,27 @@ class TestRun:
         assert "absent.tree" in err
 
 
+def test_output_does_not_depend_on_hash_seed(files):
+    """String and frozenset hashes change with PYTHONHASHSEED; extraction
+    and the obfuscation automata must not."""
+    walker = dfs_from_dfa(p_prefix_dfa(), obf_sigma())
+    extract = ["-m", "treesep", "extract", files("w.dtwa", walker.to_text()),
+               files("g.cfg", P_INITIAL_TEXT), files("h.cfg", Q_INITIAL_TEXT)]
+    dump = ["-c", "from treesep.fixtures import palindrome_grammar\n"
+                  "from treesep.obfuscation import kop_dbta\n"
+                  "kop = kop_dbta(palindrome_grammar())\n"
+                  "print(kop.to_text() + kop.minimize().to_text())"]
+    env = dict(os.environ, PYTHONPATH=str(Path(treesep.__file__).parents[1]))
+    for args in (extract, dump):
+        outputs = []
+        for seed in ("1", "2"):
+            done = subprocess.run([sys.executable, *args], env=dict(env, PYTHONHASHSEED=seed),
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1] and outputs[0]
+
+
 class TestInputErrors:
     def test_malformed_automaton(self, files, capsys):
         g = files("g.cfg", P_INITIAL_TEXT)

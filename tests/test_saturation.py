@@ -20,6 +20,7 @@ from treesep.fixtures import (
     q_initial_grammar,
     stay_loop_dtwa,
 )
+from treesep.bottomup import Nta
 from treesep.obfuscation import kop_nta
 from treesep.trees import RankedAlphabet
 from treesep.walking import dfs_from_dfa, to_dbta
@@ -64,6 +65,12 @@ class TestAgainstRoundRobin:
         for _ in range(20):
             nta = random_nta(rng, alphabet, n_states=rng.randint(1, 4))
             assert nta.determinize().to_text() == round_robin_determinize(nta).to_text()
+        # Nta.determinize indexes each letter's rows by their first child;
+        # 4-6 states give subsets wide enough to skip most rows
+        rng = random.Random(SEED + 23)
+        for _ in range(6):
+            nta = random_nta(rng, alphabet, n_states=rng.randint(4, 6))
+            assert nta.determinize().to_text() == round_robin_determinize(nta).to_text()
 
     def test_to_dbta(self, alphabet):
         rng = random.Random(SEED)
@@ -87,6 +94,21 @@ class TestAgainstRoundRobin:
 def test_kop_determinize(grammar):
     nta = kop_nta(grammar())
     assert nta.determinize().to_text() == round_robin_determinize(nta).to_text()
+
+
+def test_determinize_few_rows_large_subsets():
+    states = [f"n{i}" for i in range(8)]
+    transitions = {
+        "c": {(): frozenset(states)},
+        "p": {(): frozenset(states[::2])},
+        "q": {(): frozenset(states[1:4])},
+        "a": {("n0", "n1"): frozenset({"n5"}), ("n7", "n3"): frozenset({"n0", "n6"}),
+              ("n2", "n2"): frozenset({"n1", "n3", "n4"}), ("n5", "n6"): frozenset({"n7"})},
+    }
+    nta = Nta(obf_sigma(), states, {"n5", "n7"}, transitions)
+    det = nta.determinize()
+    assert det.to_text() == round_robin_determinize(nta).to_text()
+    assert len(det.states) == 16  # 15 subsets and the sink
 
 
 @pytest.mark.parametrize("index", [i for i in range(20) if i != 18])

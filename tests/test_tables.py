@@ -2,9 +2,12 @@
 
 `Dbta.minimize`, `Dbta.is_empty`, `is_associative` and the walker behaviour
 composition run on integer tables; each must give exactly what the plain
-dict-and-tree-walk routes in `oracles` give.
+dict-and-tree-walk routes in `oracles` give.  A built automaton's tables are
+read over the reachable states its construction found, a parsed one's are
+saturated anew: both routes must agree.
 """
 
+import itertools
 import random
 
 import pytest
@@ -22,7 +25,7 @@ from treesep.fixtures import (
     pq_grammar,
     q_initial_grammar,
 )
-from treesep.bottomup import Dbta
+from treesep.bottomup import Dbta, Nta, parse_dbta
 from treesep.obfuscation import kop_nta
 from treesep.rotation import is_associative
 from treesep.trees import RankedAlphabet, enumerate_terms
@@ -37,6 +40,7 @@ from oracles import (
     moore_minimize,
     random_dbtas,
     random_dtwa,
+    random_nta,
     random_tree,
     round_robin_is_empty,
     tree_walk_is_associative,
@@ -86,6 +90,62 @@ class TestRandomAutomata:
             for _ in range(20):
                 tree = random_tree(rng, alphabet, depth=4)
                 assert compiled_behavior(dtwa, tree) == oracle_behavior(dtwa, tree)
+
+
+def assert_routes_agree(built):
+    """`minimize` and `is_empty` read the table of a built automaton over
+    the reachable states its construction passed; on the same text re-read
+    by `parse_dbta` they saturate the table anew.  Both routes must give
+    what the oracles give."""
+    assert sorted(built._reach) == sorted(built.reachable())
+    parsed = parse_dbta(built.to_text())
+    assert parsed._reach is None
+    small = built.minimize().to_text()
+    assert small == parsed.minimize().to_text() == moore_minimize(built).to_text()
+    assert built.is_empty() == parsed.is_empty() == round_robin_is_empty(built)
+
+
+def total_nta(rng, alphabet, n_states):
+    """A random NTA with a target at every key, so no tuple of nonempty
+    subsets lacks an entry and its subset construction never reaches the
+    empty subset."""
+    nta = random_nta(rng, alphabet, n_states)
+    states = nta.states
+    transitions = {
+        letter: {key: nta.transitions[letter].get(key) or {rng.choice(states)}
+                 for key in itertools.product(states, repeat=ar)}
+        for letter, ar in alphabet.items()
+    }
+    return Nta(alphabet, states, nta.accepting, transitions)
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS.values(), ids=ALPHABETS.keys())
+class TestReadRoute:
+    def test_to_dbta_and_quotient_of_quotient(self, alphabet):
+        rng = random.Random(SEED + 21)
+        for _ in range(8):
+            dbta = to_dbta(random_dtwa(rng, alphabet, n_states=rng.randint(1, 3)))
+            assert_routes_agree(dbta)
+            amin = dbta.minimize()
+            assert_routes_agree(amin)
+            assert_routes_agree(amin.minimize())
+
+    def test_product_and_complement(self, alphabet):
+        automata = random_dbtas(alphabet, 4)
+        ops = itertools.cycle(("and", "or", "andnot"))
+        for left, right, op in zip(automata, automata[1:] + automata[:1], ops):
+            assert_routes_agree(left.complement())
+            assert_routes_agree(left.product(right, op))
+
+    def test_determinize_with_and_without_reachable_sink(self, alphabet):
+        rng = random.Random(SEED + 22)
+        partial = [random_nta(rng, alphabet, n_states=rng.randint(1, 3)).determinize() for _ in range(8)]
+        total = [total_nta(rng, alphabet, n_states=rng.randint(1, 3)).determinize() for _ in range(4)]
+        assert any("dempty" in det._reach for det in partial)
+        assert not any("dempty" in det._reach for det in total)
+        for det in partial + total:
+            assert det.sink == "dempty" and "dempty" in det.states
+            assert_routes_agree(det)
 
 
 def assert_passes_checks(dbta):
