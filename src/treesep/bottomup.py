@@ -239,7 +239,9 @@ class Dbta:
 
     def complement(self) -> "Dbta":
         """Reachable part with total tables and the accepting set flipped."""
-        reach, table = saturate(self.alphabet, self.step, _same)
+        reach, arrays = self._tables()
+        table = {letter: dict(zip(itertools.product(reach, repeat=ar), [reach[i] for i in arrays[letter]]))
+                 for letter, ar in self.alphabet.items()}
         return Dbta._trusted(self.alphabet, reach, set(reach) - self.accepting, table)
 
     def product(self, other: "Dbta", op: str) -> "Dbta":
@@ -400,8 +402,6 @@ def _quotient(alphabet, reach, arrays, accepting, sink) -> Dbta:
             rows[tuple(name_of[i] for i in key)] = name_of[flat[_position(key, n)]]
     final = {name_of[i] for i, q in enumerate(reach) if q in accepting}
     sink = name_of[reach.index(sink)] if sink in reach else None
-    if sink in final:
-        sink = None
     return Dbta._trusted(alphabet, [name_of[i] for i in reps], final, table, sink=sink)
 
 

@@ -140,76 +140,67 @@ class Dtwa:
         Loop.  Step count is the number of moves taken.
 
         A run that ends repeats no configuration, so it ends within N * n
-        moves on a tree of N node positions with n states.  Without a trace,
-        the walk first keeps no configurations; only a run that reaches
-        N * n moves unended, which has repeated one and never ends, is
-        walked again with the configuration set to count its first repeat.
+        moves on a tree of N node positions with n states.  An untraced run
+        is first walked keeping no configurations; a traced run, or one not
+        ended after N * n moves, is walked counting them (`_walk`).
         """
         # A run need not visit every node, so the whole tree is checked here.
-        positions = self.alphabet.validate(tree)
+        bound = self.alphabet.validate(tree) * len(self.states)
+        outcome = None if collect_trace else self._walk(tree, bound, exact=False, collect_trace=False)
+        return outcome or self._walk(tree, bound, exact=True, collect_trace=collect_trace)
+
+    def _walk(self, tree, bound, exact, collect_trace):
+        """The move loop of `run`, for at most `bound` moves; None if the run
+        has not ended by then, which an `exact` walk never returns.
+
+        An `exact` walk keys each node by a position id, handed out the first
+        time it enters (parent id, child index), and each configuration by
+        pos * n + state, with states numbered as in `_compiled`, so that no
+        move costs the current depth.  A traced walk records each new
+        position's child path once, and its trace entries share that tuple.
+        """
         rows = self._compiled()
         n = len(self.states)
-        if not collect_trace:
-            above = []  # (node, tag) of every ancestor
-            node, tag = tree, ROOT_TAG
-            state = self.states.index(self.initial)
-            for steps in range(1, positions * n + 1):
-                move, value = rows[node.label][tag * n + state]
-                if move == PARENT:
-                    if value >= n:
-                        return RunOutcome(ACCEPT if value == n else REJECT, steps - 1)
-                    state = value
-                    if not above:
-                        return RunOutcome(ESCAPE, steps)
-                    node, tag = above.pop()
-                elif move == STAY:
-                    state = value
-                else:
-                    state = value - move * n
-                    above.append((node, tag))
-                    node, tag = node.children[move - 1], move
         width = self.alphabet.maxarity + 1
-        # A node is keyed by a position id, handed out the first time the run
-        # enters (parent id, child index); keying by the path itself would
-        # make every move cost the current depth.  A configuration is keyed
-        # by pos * n + state, with states numbered as in `_compiled`.
         position_ids = {}
+        paths = [()]  # the child path of each position id, when tracing
         above = []  # (node, position id, tag) of every ancestor
         node, pos, tag = tree, 0, ROOT_TAG
         state = self.states.index(self.initial)
-        steps = 0
         visited = {state}
         trace = [(self.initial, (), ROOT_TAG)] if collect_trace else None
-        while True:
+        for steps in range(1, bound + 1):
             move, value = rows[node.label][tag * n + state]
             if move == PARENT:
                 if value >= n:
-                    return RunOutcome(ACCEPT if value == n else REJECT, steps, trace)
-                steps += 1
+                    return RunOutcome(ACCEPT if value == n else REJECT, steps - 1, trace)
                 state = value
                 if not above:
                     return RunOutcome(ESCAPE, steps, trace)
                 node, pos, tag = above.pop()
             elif move == STAY:
-                steps += 1
                 state = value
             else:
-                steps += 1
                 # the child's row index, (move, next state), is `value` itself
                 state = value - move * n
                 above.append((node, pos, tag))
-                key = pos * width + move
-                pos = position_ids.get(key)
-                if pos is None:
-                    pos = position_ids[key] = len(position_ids) + 1
                 node, tag = node.children[move - 1], move
-            if collect_trace:
-                path = tuple(entry[2] for entry in above[1:]) + (tag,) if above else ()
-                trace.append((self.states[state], path, tag))
-            config = pos * n + state
-            if config in visited:
-                return RunOutcome(LOOP, steps, trace)
-            visited.add(config)
+            if exact:
+                if move > 0:
+                    key = pos * width + move
+                    child = position_ids.get(key)
+                    if child is None:
+                        child = position_ids[key] = len(position_ids) + 1
+                        if collect_trace:
+                            paths.append(paths[pos] + (move,))
+                    pos = child
+                if collect_trace:
+                    trace.append((self.states[state], paths[pos], tag))
+                config = pos * n + state
+                if config in visited:
+                    return RunOutcome(LOOP, steps, trace)
+                visited.add(config)
+        return None
 
     def accepts(self, tree: Tree) -> bool:
         return self.run(tree).kind == ACCEPT

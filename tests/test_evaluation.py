@@ -424,6 +424,54 @@ class TestDeepTrees:
         assert nta_accepts(nta, tree)  # 10^4 p: even
 
 
+def bottom_loop_dtwa() -> Dtwa:
+    """Walks down first children to a leaf, then shuttles forever between
+    that leaf's parent and its second child; rejects a one-leaf tree."""
+    alphabet = obf_sigma()
+    delta = {}
+    for letter, ar in alphabet.items():
+        for tag in range(alphabet.maxarity + 1):
+            for state in ("down", "up", "side"):
+                delta[(letter, tag, state)] = REJECT
+            if ar:
+                delta[(letter, tag, "down")] = ("down", 1)
+                delta[(letter, tag, "up")] = ("side", 2)
+            elif tag:
+                delta[(letter, tag, "down")] = ("up", PARENT)
+                delta[(letter, tag, "side")] = ("up", PARENT)
+    return Dtwa(alphabet, ("down", "up", "side"), "down", delta)
+
+
+class TestExactPassAtDepth:
+    """Traced runs and looping runs take `Dtwa.run`'s configuration-counting
+    pass; here that pass walks a 10^3-leaf left comb, of depth about
+    2 * 10^3, against `dict_run`."""
+
+    LEAVES = 1_000
+
+    def comb(self):
+        rng = random.Random(SEED)
+        return left_comb([rng.choice("pq") for _ in range(self.LEAVES)])
+
+    def test_traced_dfs_walk(self):
+        tree = self.comb()
+        walker = dfs_from_dfa(even_p_dfa(), obf_sigma())
+        got = walker.run(tree, collect_trace=True)
+        want = dict_run(walker, tree, collect_trace=True)
+        assert (got.kind, got.steps, got.trace) == (want.kind, want.steps, want.trace)
+        assert got.kind in (ACCEPT, REJECT) and len(got.trace) == got.steps + 1
+        assert max(len(path) for _state, path, _tag in got.trace) == 2 * (self.LEAVES - 1)
+
+    @pytest.mark.parametrize("collect", [False, True])
+    def test_loop_at_the_bottom(self, collect):
+        tree = self.comb()
+        got = bottom_loop_dtwa().run(tree, collect_trace=collect)
+        want = dict_run(bottom_loop_dtwa(), tree, collect_trace=collect)
+        assert (got.kind, got.steps, got.trace) == (want.kind, want.steps, want.trace)
+        # down to the leftmost leaf, up to its parent, to the sibling and back
+        assert (got.kind, got.steps) == (LOOP, 2 * (self.LEAVES - 1) + 3)
+
+
 trees_strategy = st.recursive(
     st.sampled_from(["p", "q", "c", "*"]).map(Tree),
     lambda kids: st.builds(Tree, st.sampled_from(["a", "f", "g"]),
