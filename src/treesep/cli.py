@@ -5,7 +5,8 @@ All three read the package's text formats and print JSON.  The exit code is
 walker accepts the tree), 1 when it does not (or no separator was found),
 and 2 when an input cannot be read or parsed, including an automaton file
 that gives one transition key on two lines, a transition outside its
-letters and states, or a header its format does not take, and when a
+letters and states, or a header its format does not take, a grammar file
+that gives `start:` twice or whose start symbol derives no word, and when a
 grammar for `extract` uses a fresh letter (`a` or `c`) as a terminal.
 """
 

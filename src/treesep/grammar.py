@@ -58,8 +58,9 @@ def parse_grammar(text: str) -> CnfGrammar:
     Lines are `X -> Y Z` or `X -> sigma`, separated by newlines or `;`;
     blanks and `#` comments are skipped as in the automaton formats.  The
     start symbol is the first rule's left side unless a `start:` header is
-    given.  Unproductive and unreachable symbols are removed and reported via
-    the `removed` field.
+    given; a second `start:` header, or a start symbol that has no rules or
+    derives no word, raises FormatError.  Unproductive and unreachable
+    symbols are removed and reported via the `removed` field.
     """
     start = None
     raw_rules = []
@@ -70,6 +71,8 @@ def parse_grammar(text: str) -> CnfGrammar:
                 continue
             m = re.match(r"^start\s*:\s*([A-Za-z0-9]+)$", chunk)
             if m:
+                if start is not None:
+                    raise FormatError(f"line {lineno}: duplicate header 'start'")
                 start = m.group(1)
                 continue
             if "->" not in chunk:
@@ -120,7 +123,9 @@ def parse_grammar(text: str) -> CnfGrammar:
             if x not in productive and y in productive and z in productive:
                 productive.add(x)
                 changed = True
-    reachable = {start} if start in productive else set()
+    if start not in productive:
+        raise FormatError(f"start symbol {start!r} derives no word")
+    reachable = {start}
     changed = True
     while changed:
         changed = False

@@ -5,8 +5,9 @@ Ports are numbered 1..n in left-to-right leaf order and each port is a
 substitution slot used exactly once, so composition never duplicates an
 argument.  Terms are composed (`compose`, `comb`), enumerated by size
 (`enumerate_terms`), and written and read in one s-expression format
-(`format_tree`, `parse_tree`).  Every walk over a tree is iterative, so no
-depth raises RecursionError.
+(`format_tree`, `parse_tree`).  Walks over a tree are iterative, so no depth
+raises RecursionError; `size`, `leaf_word` and `compose` read one `postorder`
+list, and a node caches only its hash.
 """
 
 from __future__ import annotations
@@ -103,32 +104,35 @@ class Tree:
     """Immutable sibling-ordered tree with string labels.
 
     Equality and hashing are structural: the hash is ``hash((label,) +
-    children)``, filled on first use, like `size` and `arity`, for the node
-    and its descendants without recursion.  A fill only writes the value
-    every fill computes, so trees stay safe to share between threads.
+    children)``, filled on first use for the node and its descendants
+    without recursion, and the only thing a node caches.  A fill only
+    writes the value every fill computes, so trees stay safe to share
+    between threads.
     """
 
-    __slots__ = ("label", "children", "_hash", "_size", "_arity")
+    __slots__ = ("label", "children", "_hash")
 
     def __init__(self, label: str, children: Iterable["Tree"] = ()):
         self.label = label
         self.children = tuple(children)
-        self._hash = self._size = self._arity = None
+        self._hash = None
 
     @property
     def size(self) -> int:
         """Number of nodes, ports included."""
-        if self._size is None:
-            _fill_cache(self, "_size", lambda node: 1 + sum(c._size for c in node.children))
-        return self._size
+        return len(postorder(self))
 
     @property
     def arity(self) -> int:
-        """Number of ports, i.e. ``*`` leaves."""
-        if self._arity is None:
-            _fill_cache(self, "_arity", lambda node: 1 if node.label == PORT
-                        else sum(c._arity for c in node.children))
-        return self._arity
+        """Number of ports: ``*`` nodes with no ``*`` above them."""
+        ports, stack = 0, [self]
+        while stack:
+            node = stack.pop()
+            if node.label == PORT:
+                ports += 1
+            else:
+                stack.extend(node.children)
+        return ports
 
     def is_leaf(self) -> bool:
         return not self.children
@@ -150,30 +154,22 @@ class Tree:
 
     def __hash__(self):
         if self._hash is None:
-            _fill_cache(self, "_hash", lambda node: hash((node.label,) + node.children))
+            # Children first: a node stays on the stack until its children
+            # are hashed, so a shared subtree is hashed once.
+            stack = [self]
+            while stack:
+                node = stack[-1]
+                if node._hash is None:
+                    missing = [c for c in node.children if c._hash is None]
+                    if missing:
+                        stack.extend(missing)
+                        continue
+                    node._hash = hash((node.label,) + node.children)
+                stack.pop()
         return self._hash
 
     def __repr__(self):
         return f"Tree[{format_tree(self)}]"
-
-
-def _fill_cache(tree: Tree, slot: str, value) -> None:
-    """Set the per-node cache `slot`, None until then, on `tree` and on
-    every descendant that lacks it, children first and without recursion;
-    `value(node)` reads the children's caches.  A node stays on the stack
-    until its children are done, so a shared subtree is computed once."""
-    stack = [tree]
-    while stack:
-        node = stack[-1]
-        if getattr(node, slot) is not None:
-            stack.pop()
-            continue
-        missing = [c for c in node.children if getattr(c, slot) is None]
-        if missing:
-            stack.extend(missing)
-        else:
-            setattr(node, slot, value(node))
-            stack.pop()
 
 
 def postorder(tree: Tree) -> list:
@@ -193,7 +189,8 @@ def postorder(tree: Tree) -> list:
 def compose(term: Tree, args: Iterable[Tree]) -> Tree:
     """Substitute `args[i]` for the i-th port, in left-to-right leaf order.
 
-    The result's arity is the sum of the argument arities.
+    The result's arity is the sum of the argument arities.  A port with
+    children raises AlphabetError, as `RankedAlphabet.validate` does.
     """
     args = tuple(args)
     if term.arity != len(args):
@@ -201,15 +198,15 @@ def compose(term: Tree, args: Iterable[Tree]) -> Tree:
     it = iter(args)
     values = []
     for node in postorder(term):
-        if node.label == PORT and not node.children:
+        if node.label == PORT:
+            if node.children:
+                raise AlphabetError("port must be a leaf")
             values.append(next(it))
         elif not node.children:
             values.append(node)
         else:
             ar = len(node.children)
-            kids = tuple(values[-ar:])
-            del values[-ar:]
-            values.append(Tree(node.label, kids))
+            values[-ar:] = [Tree(node.label, values[-ar:])]
     return values[0]
 
 
@@ -231,16 +228,8 @@ def comb(term: Tree, letters: Iterable[str]) -> Tree:
 
 def leaf_word(tree: Tree, keep=None) -> tuple:
     """Left-to-right leaf labels; with `keep`, only labels in that set."""
-    out = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf():
-            if keep is None or node.label in keep:
-                out.append(node.label)
-        else:
-            stack.extend(reversed(node.children))
-    return tuple(out)
+    return tuple(node.label for node in postorder(tree)
+                 if not node.children and (keep is None or node.label in keep))
 
 
 def enumerate_terms(alphabet: RankedAlphabet, arity: int, max_nodes: int) -> Iterator[Tree]:
@@ -296,10 +285,8 @@ def _sum_splits(total: int, parts: int, minimum: int):
 
 def format_tree(tree: Tree) -> str:
     """S-expression text: ``label`` for leaves, ``label(c1,...,cn)`` otherwise."""
-    if not tree.children:
-        return tree.label
-    # The stack holds, last output first, text ready to emit (punctuation and
-    # leaf labels) and inner nodes still to expand.
+    # The stack holds, last output first, punctuation and nodes still to
+    # write; each child goes on after a comma, and the first comma becomes "(".
     parts = []
     stack = [tree]
     while stack:
@@ -308,81 +295,63 @@ def format_tree(tree: Tree) -> str:
             parts.append(item)
             continue
         parts.append(item.label)
-        parts.append("(")
-        stack.append(")")
-        kids = item.children
-        i = len(kids) - 1
-        while True:
-            child = kids[i]
-            stack.append(child if child.children else child.label)
-            if not i:
-                break
-            stack.append(",")
-            i -= 1
+        if item.children:
+            stack.append(")")
+            for child in reversed(item.children):
+                stack.append(child)
+                stack.append(",")
+            stack[-1] = "("
     return "".join(parts)
 
 
 # One token per match, after optional whitespace: a name, a port or any other
-# single character.  Trailing whitespace is left unmatched.
+# single character.  Trailing whitespace is left unmatched.  A node starts
+# with a name or a port.
 _TOKEN = re.compile(rf"\s*({_NAME.pattern}|\*|\S)")
-# first characters of the tokens that start a node
 _NODE_START = frozenset(string.ascii_letters + string.digits + PORT)
-
-# parser states: a node is wanted, a name was read (a leaf unless "(" follows),
-# a child was finished inside an open node, the whole tree was read
-_NODE, _NAMED, _NEXT, _DONE = range(4)
 
 
 def parse_tree(text: str) -> Tree:
     """Parse the s-expression format; raises ParseError with a position.
 
     One left-to-right pass over the tokens with an explicit stack of open
-    nodes, so any depth parses.  Equal leaves of one parse are one shared
-    object.  A port may carry children (``*(p)``), as the format has always
-    allowed.
+    nodes, so any depth parses, in two states: a node is wanted, or a node
+    was just read.  A wanted name opens a node when ``(`` follows it and is
+    otherwise a leaf; equal leaves of one parse are one shared object.  A
+    port may carry children (``*(p)``), as the format has always allowed.
     """
     tokens = _TOKEN.findall(text)
     values = []  # finished children of the open nodes, left to right
     opened = []  # (label, index of its first child in `values`) per open node
     leaves = {}
-    state = _NODE
-    for i, tok in enumerate(tokens):
-        if state == _NAMED:
-            if tok == "(":
-                opened.append((name, len(values)))
-                state = _NODE
-                continue
-            leaf = leaves.get(name)
-            if leaf is None:
-                leaf = leaves[name] = Tree(name)
-            values.append(leaf)
-            state = _NEXT if opened else _DONE
-        if state == _NODE:
+    wanted = True
+    i, end = 0, len(tokens)
+    while i < end:
+        tok = tokens[i]
+        i += 1
+        if wanted:
             if tok[0] not in _NODE_START:
-                raise ParseError(f"unexpected character {tok!r}", _token_position(text, i))
-            name = tok
-            state = _NAMED
-        elif state == _NEXT:
-            if tok == ",":
-                state = _NODE
-            elif tok == ")":
-                label, first = opened.pop()
-                node = Tree(label, values[first:])
-                del values[first:]
-                values.append(node)
-                if not opened:
-                    state = _DONE
-            else:
-                raise ParseError("expected ')'", _token_position(text, i))
+                raise ParseError(f"unexpected character {tok!r}", _token_position(text, i - 1))
+            if i < end and tokens[i] == "(":
+                opened.append((tok, len(values)))
+                i += 1
+                continue
+            leaf = leaves.get(tok)
+            if leaf is None:
+                leaf = leaves[tok] = Tree(tok)
+            values.append(leaf)
+            wanted = False
+        elif not opened:
+            raise ParseError("trailing input after tree", _token_position(text, i - 1))
+        elif tok == ",":
+            wanted = True
+        elif tok == ")":
+            label, first = opened.pop()
+            values[first:] = [Tree(label, values[first:])]
         else:
-            raise ParseError("trailing input after tree", _token_position(text, i))
-    if state == _NAMED:
-        values.append(Tree(name))
-        state = _NEXT if opened else _DONE
-    if state == _NODE:
-        raise ParseError("unexpected end of input", len(text))
-    if state == _NEXT:
-        raise ParseError("expected ')'", len(text))
+            raise ParseError("expected ')'", _token_position(text, i - 1))
+    if wanted or opened:
+        raise ParseError("unexpected end of input" if wanted else "expected ')'", len(text))
     return values[0]
 
 

@@ -190,6 +190,18 @@ class TestInputErrors:
         assert code == 2
         assert err.startswith("treesep: ")
 
+    @pytest.mark.parametrize("text, message", [
+        ("start: S\nS -> p\nstart: T\nT -> q\n", "line 3: duplicate header 'start'"),
+        ("S -> A B; A -> p; B -> B B\n", "start symbol 'S' derives no word"),
+    ], ids=["second-start", "empty-language"])
+    def test_grammar_rejected(self, files, capsys, text, message):
+        argv = ["verify", files("k.dfa", p_prefix_dfa().to_text()),
+                files("g.cfg", text), files("h.cfg", Q_INITIAL_TEXT)]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"treesep: {message}\n"
+
     @pytest.mark.parametrize("letter", ["c", "a"])
     def test_terminal_colliding_with_fresh_pair(self, files, capsys, letter):
         g = files("g.cfg", f"start: S\nS -> A B\nA -> p\nB -> {letter}\n")

@@ -277,7 +277,8 @@ def test_kop_member_errors_unchanged():
 class TestParseAgainstOracle:
     FIXED = ["", "a(", "a(p,", "a(p q)", "a(p))", "a(p,q) junk", "$", "*(p)",
              " a ( p , q ) ", "*p", "p*", "a()", "a(,p)", "\ta(p,\nq)\r\n", "a(p,q", "a (",
-             "a (p,q)", "a(p,q) ", "é", "aé"]
+             "a (p,q)", "a(p,q) ", "é", "aé",
+             "a(p)(", "a((p)", "p q", "a (\n p )", "p", "*", "a(p,*(q))", "a(p,)"]
 
     def test_fixed_cases(self):
         for text in self.FIXED:

@@ -63,6 +63,15 @@ class TestParsing:
         assert g.start == "T"
         assert generate_words(g, 3) == {("p", "p")}
 
+    def test_second_start_header_rejected(self):
+        with pytest.raises(FormatError, match=r"^line 3: duplicate header 'start'$"):
+            parse_grammar("start: S\nS -> p\nstart: T\nT -> q")
+
+    def test_start_deriving_no_word_rejected(self):
+        # B derives nothing, so S -> A B derives nothing either
+        with pytest.raises(FormatError, match=r"^start symbol 'S' derives no word$"):
+            parse_grammar("S -> A B; A -> p; B -> B B")
+
     def test_normalization_reports_removals(self):
         g = parse_grammar("S -> A B; S -> A U; A -> p; B -> q; V -> A A")
         # U has no rules (unproductive), V is unreachable

@@ -68,6 +68,14 @@ class TestCompose:
         with pytest.raises(ArityError):
             compose(t("a(*,*)"), (t("c"),))
 
+    def test_port_with_children_rejected(self):
+        # `arity` counts *(p) as one port, but it is no leaf to substitute
+        # at: the second argument must not be dropped silently.
+        with pytest.raises(AlphabetError, match="^port must be a leaf$"):
+            compose(t("a(*(p),*)"), (t("q"), t("r")))
+        with pytest.raises(AlphabetError, match="^port must be a leaf$"):
+            comb(t("a(*(p),*)"), ["q", "r"])
+
     def test_staged_composition_agrees_with_flattening(self):
         # substitution associativity on all small terms over {a, c}
         terms = sorted(brute_trees(AC, 5, ports=0) | brute_trees(AC, 5, ports=1)
@@ -154,6 +162,27 @@ def _all_nodes(tree, path=()):
     yield path, tree
     for i, child in enumerate(tree.children, start=1):
         yield from _all_nodes(child, path + (i,))
+
+
+class TestSizeAndArity:
+    def test_ports_with_children(self):
+        # a port counts once, and nothing below it is counted
+        assert (t("*(p)").size, t("*(p)").arity) == (2, 1)
+        assert (t("*(*)").size, t("*(*)").arity) == (2, 1)
+        assert (t("a(*(*,*),q)").size, t("a(*(*,*),q)").arity) == (5, 1)
+
+    def test_deep_comb(self):
+        # a left comb 100,000 deep with a port at every leaf, built without recursion
+        acc = Tree(PORT)
+        for _ in range(100_000):
+            acc = Tree("a", (acc, Tree(PORT)))
+        assert (acc.size, acc.arity) == (200_001, 100_001)
+        assert len(leaf_word(acc)) == 100_001
+
+    def test_shared_subtrees_count_at_each_position(self):
+        shared = t("a(*,p)")
+        tree = Tree("a", (shared, shared))
+        assert (tree.size, tree.arity) == (7, 2)
 
 
 class TestLeafWord:
