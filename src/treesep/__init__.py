@@ -2,6 +2,8 @@
 exactly verified pipeline from tree-walking separators of obfuscated
 grammars back to regular word separators."""
 
+from types import ModuleType as _Module
+
 from .bottomup import Dbta, Nta, parse_dbta, parse_nta
 from .errors import (
     AlphabetError,
@@ -14,7 +16,7 @@ from .errors import (
     TransitionError,
     TreesepError,
 )
-from .grammar import CnfGrammar, cyk_member, derivations, parse_grammar
+from .grammar import CnfGrammar, derivations, parse_grammar
 from .obfuscation import kop_dbta, kop_member, kop_nta, obf_alphabet
 from .rotation import (
     ExtractReport,
@@ -49,4 +51,4 @@ from .walking import (
 )
 from .words import Dfa, SeparatorReport, cfg_dfa_intersection_empty, parse_dfa, verify_separator
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _Module)]

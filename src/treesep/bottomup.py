@@ -5,16 +5,16 @@ sink: every missing entry, and every entry with a sink among its inputs,
 resolves to the sink.  This keeps totality virtual, which matters for
 automata whose full tables would be astronomically sparse.
 
-Reachable states, products, subset constructions and the walker-to-DBTA
-construction are all one closure: start from nothing and apply every letter
-to every tuple of known states until no new state appears.  `saturate` is
-that closure, evaluated semi-naively: a letter's pass only combines tuples
+Reachable states, subset constructions and the walker's read-slot classes
+are all one closure: start from nothing and apply every letter to every
+tuple of known states until no new state appears.  `saturate` is that
+closure, evaluated semi-naively: a letter's pass only combines tuples
 holding a state found since the letter's previous pass, in lexicographic
-order of discovery index.  Discovery order, and with it every state name, is
-exactly that of the plain round-robin loop (each round, each letter in
-alphabet order, over a snapshot of all known states), so callers' outputs do
-not depend on the evaluation strategy.  A construction's reachable states
-go with its table, so `minimize` and `is_empty` saturate only parsed automata.
+order of discovery index.  Discovery order is exactly that of the plain
+round-robin loop (each round, each letter in alphabet order, over a snapshot
+of all known states), so the state names callers derive from it do not
+depend on the evaluation strategy.  A construction's reachable states go
+with its table, so `minimize` and `is_empty` saturate only parsed automata.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ import itertools
 from . import fmt
 from .errors import AlphabetError, ArityError, FormatError, TransitionError
 from .trees import PORT, Tree, postorder
-
-
-def _same(state, _index):
-    return state
 
 
 def _position(key, n):
@@ -59,17 +55,15 @@ def _fresh_tuples(values, n, old, ar):
     return itertools.chain.from_iterable(blocks())
 
 
-def saturate(alphabet, step, name):
+def saturate(alphabet, step):
     """Close the empty state set under `step`; returns (states, table).
 
     `step(letter, child_states)` gives the state a letter makes of a tuple of
-    known states, or None for no transition.  `name(state, index)` names a
-    state by itself and its discovery index.  `states` is in discovery order
-    and `table` maps each letter to {tuple of child names: name}.
+    known states, or None for no transition.  `states` is in discovery order
+    and `table` maps each letter to {tuple of child states: state}.
     """
     order = []
-    index = {}
-    names = []
+    known = set()
     table = {letter: {} for letter, _ in alphabet.items()}
     seen = {letter: None for letter in table}  # states known at each letter's last pass
     while any(n != len(order) for n in seen.values()):
@@ -77,16 +71,14 @@ def saturate(alphabet, step, name):
             n, old = len(order), seen[letter]
             seen[letter] = n
             rows = table[letter]
-            fresh = zip(_fresh_tuples(order, n, old, ar), _fresh_tuples(names, n, old, ar))
-            for children, key in fresh:
+            for children in _fresh_tuples(order, n, old, ar):
                 target = step(letter, children)
                 if target is None:
                     continue
-                i = index.setdefault(target, len(order))
-                if i == len(order):
+                if target not in known:
+                    known.add(target)
                     order.append(target)
-                    names.append(name(target, i))
-                rows[key] = names[i]
+                rows[children] = target
     return order, table
 
 
@@ -190,14 +182,6 @@ class Dbta:
             values.append(state)
         return values[0]
 
-    def eval_term(self, term: Tree, port_states) -> str:
-        """Value of `term` with port i treated as a subtree evaluated to `port_states[i]`."""
-        port_states = tuple(port_states)
-        if term.arity != len(port_states):
-            raise ArityError(f"term has {term.arity} ports, got {len(port_states)} states")
-        self.alphabet.validate(term, ports=True)
-        return self.eval_columns(term, [(q,) for q in port_states])[0]
-
     def eval_columns(self, term: Tree, columns) -> list:
         """States `term` makes of many assignments of port states at once.
 
@@ -233,50 +217,13 @@ class Dbta:
     def accepts(self, tree: Tree) -> bool:
         return self.eval(tree) in self.accepting
 
-    def reachable(self) -> list:
-        """States some tree evaluates to, in deterministic discovery order."""
-        return saturate(self.alphabet, self.step, _same)[0]
-
-    def complement(self) -> "Dbta":
-        """Reachable part with total tables and the accepting set flipped."""
-        reach, arrays = self._tables()
-        table = {letter: dict(zip(itertools.product(reach, repeat=ar), [reach[i] for i in arrays[letter]]))
-                 for letter, ar in self.alphabet.items()}
-        return Dbta._trusted(self.alphabet, reach, set(reach) - self.accepting, table)
-
-    def product(self, other: "Dbta", op: str) -> "Dbta":
-        """Pairing construction; `op` is one of and / or / andnot."""
-        if op not in ("and", "or", "andnot"):
-            raise ValueError(f"unknown op {op!r}")
-        if self.alphabet != other.alphabet:
-            raise AlphabetError("product needs a shared alphabet")
-
-        def name(pair, _i=None):
-            return f"{pair[0]}|{pair[1]}"
-
-        def step(letter, combo):
-            return (
-                self.step(letter, tuple(p[0] for p in combo)),
-                other.step(letter, tuple(p[1] for p in combo)),
-            )
-
-        pairs, table = saturate(self.alphabet, step, name)
-        accepting = set()
-        for pair in pairs:
-            in_a = pair[0] in self.accepting
-            in_b = pair[1] in other.accepting
-            keep = (in_a and in_b) if op == "and" else (in_a or in_b) if op == "or" else (in_a and not in_b)
-            if keep:
-                accepting.add(name(pair))
-        return Dbta._trusted(self.alphabet, [name(p) for p in pairs], accepting, table)
-
     def _tables(self):
         """Reachable states and, per letter, the flat list of the target
         indices of all index tuples in row-major order.  Only a parsed
         automaton, which may declare unreachable states, is saturated."""
         reach, table = self._reach, self.transitions
         if reach is None:
-            reach, table = saturate(self.alphabet, self.step, _same)
+            reach, table = saturate(self.alphabet, self.step)
         index = {q: i for i, q in enumerate(reach)}
         arrays = {
             letter: [index[table[letter].get(key, self.sink)] for key in itertools.product(reach, repeat=ar)]
@@ -433,7 +380,8 @@ class Nta:
             self.transitions.setdefault(letter, {})
 
     def determinize(self) -> Dbta:
-        """Subset construction over reachable subsets; the empty subset is the
+        """Subset construction over reachable subsets, named d0, d1, ... in
+        discovery order once the closure is done; the empty subset is the
         sink.  A step visits only the rows whose first child state (None for
         nullary letters) lies in the first subset."""
         rows = {}
@@ -450,10 +398,13 @@ class Nta:
                         target |= values
             return frozenset(target) if target else None
 
-        order, table = saturate(self.alphabet, step, lambda _subset, i: f"d{i}")
+        order, table = saturate(self.alphabet, step)
+        name = {subset: f"d{i}" for i, subset in enumerate(order)}
+        table = {letter: {tuple(name[s] for s in key): name[target] for key, target in rows.items()}
+                 for letter, rows in table.items()}
         sink = "dempty"
-        reach = [f"d{i}" for i in range(len(order))]
-        accepting = {f"d{i}" for i, s in enumerate(order) if s & self.accepting}
+        reach = list(name.values())
+        accepting = {name[s] for s in order if s & self.accepting}
         if any(len(table[letter]) < len(order) ** ar for letter, ar in self.alphabet.items()):
             reach.append(sink)
         return Dbta._trusted(self.alphabet, reach, accepting, table, sink=sink)

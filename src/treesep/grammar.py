@@ -172,11 +172,6 @@ def cyk_table(grammar: CnfGrammar, word) -> dict:
     return table
 
 
-def cyk_member(grammar: CnfGrammar, word) -> bool:
-    word = tuple(word)
-    return grammar.start in cyk_table(grammar, word).get((0, len(word)), set())
-
-
 def derivations(grammar: CnfGrammar, word):
     """All derivation trees of `word`, duplicate-free.
 

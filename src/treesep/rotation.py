@@ -152,7 +152,9 @@ def extract_separator(
     separation of the two grammars exactly.  If the walking automaton truly
     separates the two obfuscations, the produced word automaton verifies.
     """
-    obf_alphabet(grammar_g)  # the terminals must leave the fresh pair free
+    for letter, ar in obf_alphabet(grammar_g).items():  # raises if a terminal is a fresh letter
+        if letter not in dtwa.alphabet or dtwa.alphabet.arity(letter) != ar:
+            raise AlphabetError(f"alphabet needs letter {letter!r} with arity {ar}")
     if set(grammar_g.terminals) != set(grammar_h.terminals):
         raise AlphabetError("the two grammars use different terminal alphabets")
     amin = minimal_dbta(dtwa)

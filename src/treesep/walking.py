@@ -202,9 +202,6 @@ class Dtwa:
                 visited.add(config)
         return None
 
-    def accepts(self, tree: Tree) -> bool:
-        return self.run(tree).kind == ACCEPT
-
     def tags(self):
         return range(0, self.alphabet.maxarity + 1)
 
@@ -370,7 +367,7 @@ def _classes(dtwa: Dtwa):
         made[letter][classes] = i
         return kind[i]
 
-    saturate(dtwa.alphabet, step, lambda c, _i: c)
+    saturate(dtwa.alphabet, step)
     return kind, [behaviour[start] == n for behaviour in first], made
 
 

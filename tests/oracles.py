@@ -15,8 +15,9 @@ here too:
 - `behavior_of_leaf`, `behavior_compose`, `out_exit`, `OUT_ACCEPT`,
   `OUT_REJECT` and `OUT_LOOP`: walker behaviours as dicts from
   (tag, entry state) to a local outcome, composed by the package's walk;
-- `is_valid_derivation`, and `generate_words` with `leaves_of`: the
-  derivation invariants and the bounded language of a CNF grammar;
+- `is_valid_derivation`, `cyk_member`, and `generate_words` with
+  `leaves_of`: the derivation invariants, CYK membership and the bounded
+  language of a CNF grammar;
 - `nta_eval_set` and `nta_accepts`: runs of a nondeterministic bottom-up
   automaton;
 - `recursive_hash`: a tree's structural hash by its definition;
@@ -31,7 +32,7 @@ from typing import Iterable
 
 from treesep.bottomup import Dbta
 from treesep.errors import AlphabetError, ArityError, FormatError, ParseError, ResourceError, ShapeError
-from treesep.grammar import CnfGrammar, parse_grammar
+from treesep.grammar import CnfGrammar, cyk_table, parse_grammar
 from treesep.obfuscation import FRESH_PAIR
 from treesep.trees import (
     _NAME,
@@ -310,7 +311,7 @@ def definitional_l_equivalent(dbta: Dbta, t: Tree, u: Tree,
     to `filler_nodes` nodes.  Filler tuples are deduplicated by the state
     their trees evaluate to, which preserves the answer exactly because
     membership of s(t(fillers)) factors through those states; the factoring
-    identity is itself tested elsewhere (eval_term versus compose).
+    identity is itself tested elsewhere (eval_columns versus compose).
     """
     if t.arity != u.arity:
         raise ValueError("arity mismatch")
@@ -320,11 +321,11 @@ def definitional_l_equivalent(dbta: Dbta, t: Tree, u: Tree,
     verdict = {}
     for q in dbta.states:
         verdict[q] = tuple(
-            dbta.eval_term(ctx, (q,)) in dbta.accepting for ctx in contexts
+            dbta.eval_columns(ctx, [(q,)])[0] in dbta.accepting for ctx in contexts
         )
     for states in itertools.product(filler_states, repeat=t.arity):
-        qt = dbta.eval_term(t, states)
-        qu = dbta.eval_term(u, states)
+        qt = dbta.eval_columns(t, [(q,) for q in states])[0]
+        qu = dbta.eval_columns(u, [(q,) for q in states])[0]
         if verdict[qt] != verdict[qu]:
             return False
     return True
@@ -520,7 +521,7 @@ def dict_behavior_compose(dtwa: Dtwa, letter, child_behaviors) -> dict:
 def moore_minimize(dbta: Dbta) -> Dbta:
     """Moore refinement that steps every key tuple over the reachable states
     in each round, with sibling states as the context key."""
-    reach = dbta.reachable()
+    reach = round_robin_reachable(dbta)
     block = {q: (q in dbta.accepting) for q in reach}
     while True:
         signature = {}
@@ -1011,6 +1012,11 @@ def is_valid_derivation(grammar: CnfGrammar, tree: Tree) -> bool:
         )
 
     return fits(grammar.start, tree)
+
+
+def cyk_member(grammar: CnfGrammar, word) -> bool:
+    word = tuple(word)
+    return grammar.start in cyk_table(grammar, word).get((0, len(word)), set())
 
 
 def generate_words(grammar: CnfGrammar, max_len: int) -> set:

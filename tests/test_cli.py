@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -10,7 +11,9 @@ import pytest
 import treesep
 from treesep.cli import main
 from treesep.fixtures import (
+    NONPALINDROME_TEXT,
     P_INITIAL_TEXT,
+    PALINDROME_TEXT,
     Q_INITIAL_TEXT,
     all_words_dfa,
     always_accept_dtwa,
@@ -22,7 +25,7 @@ from treesep.fixtures import (
     stay_loop_dtwa,
 )
 from treesep.rotation import extract_separator
-from treesep.trees import parse_tree
+from treesep.trees import RankedAlphabet, parse_tree
 from treesep.walking import dfs_from_dfa
 
 
@@ -134,6 +137,28 @@ class TestRun:
         assert "absent.tree" in err
 
 
+def test_public_names():
+    # no submodule, and no helper that only the tests use
+    assert sorted(treesep.__all__) == [
+        "ACCEPT", "AlphabetError", "ArityError", "CnfGrammar", "Dbta", "Dfa", "Dtwa", "ESCAPE",
+        "ExtractReport", "FormatError", "LOOP", "Nta", "PORT", "ParseError", "REJECT",
+        "RankedAlphabet", "ResourceError", "RotationSearchExhausted", "RotationWitness",
+        "RunOutcome", "SeparatorReport", "ShapeError", "TransitionError", "Tree",
+        "TreesepError", "cfg_dfa_intersection_empty", "comb", "comb_dfa", "compose",
+        "derivations", "dfs_from_dfa", "enumerate_terms", "extract_separator",
+        "find_rotation_term", "format_tree", "is_associative", "kop_dbta", "kop_member",
+        "kop_nta", "leaf_word", "minimal_dbta", "obf_alphabet", "parse_dbta", "parse_dfa",
+        "parse_dtwa", "parse_grammar", "parse_nta", "parse_tree", "to_dbta", "verify_separator",
+    ]
+
+
+def test_console_script_target():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    target = re.search(r'^treesep = "([\w.]+):(\w+)"$', pyproject, re.M)
+    assert target, "pyproject.toml declares no treesep script"
+    assert callable(getattr(importlib.import_module(target[1]), target[2]))
+
+
 def test_output_does_not_depend_on_hash_seed(files):
     """String and frozenset hashes change with PYTHONHASHSEED; extraction
     and the obfuscation automata must not."""
@@ -210,6 +235,15 @@ class TestInputErrors:
         assert code == 2
         assert out == ""
         assert err == "treesep: fresh letters ('a', 'c') collide with the terminals\n"
+
+    def test_walker_missing_a_terminal(self, files, capsys):
+        walker = dfs_from_dfa(all_words_dfa(("p",)), RankedAlphabet({"a": 2, "c": 0, "p": 0}))
+        argv = ["extract", files("w.dtwa", walker.to_text()),
+                files("g.cfg", PALINDROME_TEXT), files("h.cfg", NONPALINDROME_TEXT)]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "treesep: alphabet needs letter 'q' with arity 0\n"
 
     def test_missing_file(self, files, tmp_path, capsys):
         g = files("g.cfg", P_INITIAL_TEXT)

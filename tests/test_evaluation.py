@@ -395,7 +395,7 @@ class TestDeepTrees:
             filled = compose(term, (arg,))
             assert format_tree(filled) == format_tree(term).replace("*", format_tree(arg))
             for dbta in automata:
-                assert dbta.eval_term(term, (dbta.eval(arg),)) == dbta.eval(filled)
+                assert dbta.eval_columns(term, [(dbta.eval(arg),)])[0] == dbta.eval(filled)
 
     def test_deep_binary_term(self):
         # is_associative and comb_dfa against Dbta.eval on composed trees

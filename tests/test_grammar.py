@@ -9,10 +9,10 @@ from treesep.fixtures import (
     palindrome_grammar,
     pq_grammar,
 )
-from treesep.grammar import cyk_member, derivations, parse_grammar
+from treesep.grammar import derivations, parse_grammar
 from treesep.trees import leaf_word, parse_tree
 
-from oracles import generate_words, is_valid_derivation
+from oracles import cyk_member, generate_words, is_valid_derivation
 
 
 def words_up_to(alphabet, max_len):

@@ -2,11 +2,11 @@ import pytest
 
 from treesep.errors import AlphabetError
 from treesep.fixtures import blocks_grammar, palindrome_grammar, pq_grammar
-from treesep.grammar import cyk_member, parse_grammar
+from treesep.grammar import parse_grammar
 from treesep.obfuscation import kop_member, kop_nta, obf_alphabet
 from treesep.trees import leaf_word, parse_tree
 
-from oracles import kop_language, kop_oracle, nta_accepts, nta_eval_set, smallest_trees
+from oracles import cyk_member, kop_language, kop_oracle, nta_accepts, nta_eval_set, smallest_trees
 
 
 def t(text):

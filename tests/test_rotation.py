@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from treesep import rotation
 from treesep.errors import AlphabetError, ArityError, ResourceError, RotationSearchExhausted
 from treesep.fixtures import (
     all_trees_dbta,
@@ -12,15 +13,17 @@ from treesep.fixtures import (
     leaf_parity_dbta,
     left_leaf_dbta,
     left_leaf_dtwa,
+    nonpalindrome_grammar,
     obf_sigma,
     p_initial_grammar,
     p_prefix_dfa,
+    palindrome_grammar,
     pq_grammar,
     q_initial_grammar,
 )
 from treesep.grammar import parse_grammar
 from treesep.rotation import comb_dfa, extract_separator, find_rotation_term, is_associative
-from treesep.trees import PORT, Tree, comb, compose, format_tree, leaf_word, parse_tree
+from treesep.trees import PORT, RankedAlphabet, Tree, comb, compose, format_tree, leaf_word, parse_tree
 from treesep.walking import dfs_from_dfa, minimal_dbta
 
 from oracles import (
@@ -320,6 +323,13 @@ class TestExtractSeparator:
         g = parse_grammar(f"start: S\nS -> A B\nA -> p\nB -> {letter}\n")
         with pytest.raises(AlphabetError, match="collide with the terminals"):
             extract_separator(dfs_from_dfa(p_prefix_dfa(), SIGMA), g, g, search_bound=9)
+
+    def test_walker_missing_a_terminal(self, monkeypatch):
+        # refused before the walker's automaton is built
+        monkeypatch.setattr(rotation, "minimal_dbta", None)
+        walker = dfs_from_dfa(all_words_dfa(("p",)), RankedAlphabet({"a": 2, "c": 0, "p": 0}))
+        with pytest.raises(AlphabetError, match=r"^alphabet needs letter 'q' with arity 0$"):
+            extract_separator(walker, palindrome_grammar(), nonpalindrome_grammar(), search_bound=9)
 
     def test_report_serializes(self):
         import json

@@ -28,14 +28,10 @@ from treesep.walking import dfs_from_dfa, to_dbta
 from oracles import (
     SEED,
     criterion_dfas,
-    random_dbtas,
     random_dfa,
     random_dtwa,
     random_nta,
-    round_robin_complement,
     round_robin_determinize,
-    round_robin_product,
-    round_robin_reachable,
     round_robin_to_dbta,
 )
 
@@ -45,21 +41,6 @@ ALPHABETS = {"obf": obf_sigma(), "ternary": TERNARY}
 
 @pytest.mark.parametrize("alphabet", ALPHABETS.values(), ids=ALPHABETS.keys())
 class TestAgainstRoundRobin:
-    def test_reachable_order(self, alphabet):
-        for dbta in random_dbtas(alphabet, 15):
-            assert dbta.reachable() == round_robin_reachable(dbta)
-
-    def test_complement(self, alphabet):
-        for dbta in random_dbtas(alphabet, 15):
-            assert dbta.complement().to_text() == round_robin_complement(dbta).to_text()
-
-    def test_product(self, alphabet):
-        automata = random_dbtas(alphabet, 6)
-        for left, right in zip(automata, automata[1:] + automata[:1]):
-            for op in ("and", "or", "andnot"):
-                got = left.product(right, op).to_text()
-                assert got == round_robin_product(left, right, op).to_text()
-
     def test_determinize(self, alphabet):
         rng = random.Random(SEED)
         for _ in range(20):

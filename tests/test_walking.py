@@ -81,7 +81,7 @@ class TestRun:
     def test_escape_at_root(self):
         outcome = escape_dtwa().run(t("a(p,q)"))
         assert outcome.kind == ESCAPE and outcome.steps == 1
-        assert not escape_dtwa().accepts(t("a(p,q)"))
+        assert escape_dtwa().run(t("a(p,q)")).kind != ACCEPT
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetError):
@@ -143,7 +143,7 @@ class TestDfsFromDfa:
 
         w = dfs_from_dfa(all_words_dfa(), SIGMA)
         for tree in smallest_trees(SIGMA, 9):
-            assert w.accepts(tree)
+            assert w.run(tree).kind == ACCEPT
 
     def test_even_p_examples_match_leaf_word_oracle(self):
         k = even_p_dfa()
@@ -151,10 +151,10 @@ class TestDfsFromDfa:
         for text in ("a(p,a(q,p))", "a(p,a(q,a(p,c)))"):
             tree = t(text)
             word = tuple(x for x in leaves_left_to_right(tree) if x in {"p", "q"})
-            assert w.accepts(tree) == k.run(word)
+            assert (w.run(tree).kind == ACCEPT) == k.run(word)
         # concrete values, from the oracle: both leaf words are p q p
-        assert w.accepts(t("a(p,a(q,p))"))
-        assert w.accepts(t("a(p,a(q,a(p,c)))"))
+        assert w.run(t("a(p,a(q,p))")).kind == ACCEPT
+        assert w.run(t("a(p,a(q,a(p,c)))")).kind == ACCEPT
 
     def test_exhaustive_leaf_word_agreement(self):
         rng = random.Random(SEED + 8)
@@ -238,7 +238,7 @@ class TestToDbta:
         for w in automata:
             dbta = to_dbta(w)
             for tree in smallest_trees(SIGMA, 9):
-                assert dbta.accepts(tree) == w.accepts(tree)
+                assert dbta.accepts(tree) == (w.run(tree).kind == ACCEPT)
 
     def test_minimized_behavior_counts_regression(self):
         # measured on the fixtures; the count is bounded by

@@ -17,7 +17,7 @@ from treesep.fixtures import (
     pq_grammar,
     q_initial_grammar,
 )
-from treesep.grammar import cyk_member, parse_grammar
+from treesep.grammar import parse_grammar
 from treesep.rotation import comb_dfa, find_rotation_term
 from treesep.trees import parse_tree
 from treesep.walking import dfs_from_dfa, minimal_dbta
@@ -26,6 +26,7 @@ from treesep.words import Dfa, SeparatorReport, cfg_dfa_intersection_empty, pars
 from oracles import (
     SEED,
     criterion_dfas,
+    cyk_member,
     dfa_walk,
     generate_words,
     random_cnf_grammar,
