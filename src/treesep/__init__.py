@@ -12,7 +12,6 @@ from .errors import (
     ParseError,
     ResourceError,
     RotationSearchExhausted,
-    ShapeError,
     TransitionError,
     TreesepError,
 )

@@ -186,18 +186,24 @@ class Dbta:
         """States `term` makes of many assignments of port states at once.
 
         `columns[i]` lists port i's state in each assignment, all of one
-        length; the result lists the root state of each assignment.  One
-        post-order pass over a checked term, each letter stepping each
-        distinct tuple of child states once.
+        length; the result is a new list of the root state of each
+        assignment.  One post-order pass over a checked term, each letter
+        stepping each distinct tuple of child states once.  A column count
+        other than the term's port count, or columns of unequal length,
+        raise ArityError.
         """
-        ports = iter(columns)
+        if len(columns) != term.arity:
+            raise ArityError(f"term has {term.arity} ports, got {len(columns)} columns")
         width = len(columns[0]) if columns else 1
+        if any(len(column) != width for column in columns):
+            raise ArityError("port columns differ in length")
+        ports = iter(columns)
         known = {}  # letter -> {tuple of child states: state}
         values = []
         for node in postorder(term):
             label, ar = node.label, len(node.children)
             if label == PORT:
-                values.append(next(ports))
+                values.append(list(next(ports)))
             elif not ar:
                 values.append([self.step(label, ())] * width)
             else:

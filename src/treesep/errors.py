@@ -13,10 +13,6 @@ class ArityError(TreesepError):
     """Wrong number of ports, arguments, or child states."""
 
 
-class ShapeError(TreesepError):
-    """A path is invalid or a node does not have the required local shape."""
-
-
 class ParseError(TreesepError):
     """Malformed textual input."""
 

@@ -134,9 +134,6 @@ class Tree:
                 stack.extend(node.children)
         return ports
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def __eq__(self, other):
         if self is other:
             return True

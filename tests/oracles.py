@@ -11,7 +11,8 @@ here too:
   of two terms as equality of their tables;
 - `tstar_members`: the closure of ``*`` under composition with a binary term;
 - `comb_normalize`, `rotate_at`, `replace_at` and `subtree_at`: single
-  re-associations, and left normalisation by them;
+  re-associations, and left normalisation by them, raising `ShapeError` on
+  a bad path or node;
 - `behavior_of_leaf`, `behavior_compose`, `out_exit`, `OUT_ACCEPT`,
   `OUT_REJECT` and `OUT_LOOP`: walker behaviours as dicts from
   (tag, entry state) to a local outcome, composed by the package's walk;
@@ -31,7 +32,7 @@ import random
 from typing import Iterable
 
 from treesep.bottomup import Dbta
-from treesep.errors import AlphabetError, ArityError, FormatError, ParseError, ResourceError, ShapeError
+from treesep.errors import AlphabetError, ArityError, FormatError, ParseError, ResourceError, TreesepError
 from treesep.grammar import CnfGrammar, cyk_table, parse_grammar
 from treesep.obfuscation import FRESH_PAIR
 from treesep.trees import (
@@ -266,7 +267,7 @@ def kop_oracle(derivation: Tree, max_nodes: int, pair=FRESH_PAIR) -> set:
     pair_alphabet = RankedAlphabet({binary: 2, pad: 0})
 
     def go(node: Tree, budget: int) -> set:
-        if node.is_leaf():
+        if not node.children:
             return {node} if budget >= 1 else set()
         if budget < 3:
             return set()
@@ -916,6 +917,10 @@ def comb_normalize(tree: Tree, letter: str):
         steps.append((path, "left"))
 
 
+class ShapeError(TreesepError):
+    """A path is invalid or a node does not have the required local shape."""
+
+
 def subtree_at(tree: Tree, path: Iterable[int]) -> Tree:
     """Node reached by following 1-based child indices from the root."""
     node = tree
@@ -1001,7 +1006,7 @@ def is_valid_derivation(grammar: CnfGrammar, tree: Tree) -> bool:
     """Does the tree satisfy the derivation invariants for this grammar?"""
 
     def fits(nonterminal, node) -> bool:
-        if node.is_leaf():
+        if not node.children:
             return nonterminal in grammar.leaf_index.get(node.label, ())
         if node.label != nonterminal or len(node.children) != 2:
             return False

@@ -6,16 +6,10 @@ import pytest
 from treesep import fmt
 from treesep.bottomup import Dbta, Nta, parse_dbta, parse_nta
 from treesep.errors import AlphabetError, ArityError, FormatError, TransitionError
-from treesep.fixtures import (
-    height_bounded_dbta,
-    leaf_parity_dbta,
-    left_leaf_dbta,
-    obf_sigma,
-    p_initial_grammar,
-)
 from treesep.obfuscation import kop_nta
-from treesep.trees import RankedAlphabet, Tree, compose, enumerate_terms, parse_tree
+from treesep.trees import RankedAlphabet, compose, enumerate_terms
 
+from fixtures import SIGMA, height_bounded_dbta, leaf_parity_dbta, left_leaf_dbta, p_initial_grammar, t
 from oracles import (
     SEED,
     brute_trees,
@@ -27,12 +21,6 @@ from oracles import (
     round_robin_reachable,
     smallest_trees,
 )
-
-SIGMA = obf_sigma()
-
-
-def t(text):
-    return parse_tree(text)
 
 
 def reference_eval(dbta, tree):
@@ -93,6 +81,21 @@ class TestEvalTerm:
     def test_ground_term_is_plain_eval(self):
         parity = leaf_parity_dbta()
         assert parity.eval_columns(t("a(p,q)"), [])[0] == parity.eval(t("a(p,q)"))
+
+    @pytest.mark.parametrize("columns", [[], [["odd"]], [["odd"], ["even"], ["odd"]]],
+                             ids=["none", "too-few", "too-many"])
+    def test_column_count_must_match_ports(self, columns):
+        with pytest.raises(ArityError):
+            leaf_parity_dbta().eval_columns(t("a(*,*)"), columns)
+
+    def test_columns_of_unequal_length(self):
+        with pytest.raises(ArityError):
+            leaf_parity_dbta().eval_columns(t("a(*,*)"), [["odd"], ["even", "odd"]])
+
+    def test_bare_port_returns_a_new_list(self):
+        column = ["odd", "even"]
+        got = leaf_parity_dbta().eval_columns(t("*"), [column])
+        assert got == column and got is not column
 
     def test_substitution_oracle(self):
         rng = random.Random(SEED + 1)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -10,7 +11,11 @@ import pytest
 
 import treesep
 from treesep.cli import main
-from treesep.fixtures import (
+from treesep.rotation import extract_separator
+from treesep.trees import RankedAlphabet, parse_tree
+from treesep.walking import dfs_from_dfa
+
+from fixtures import (
     NONPALINDROME_TEXT,
     P_INITIAL_TEXT,
     PALINDROME_TEXT,
@@ -24,9 +29,6 @@ from treesep.fixtures import (
     q_initial_grammar,
     stay_loop_dtwa,
 )
-from treesep.rotation import extract_separator
-from treesep.trees import RankedAlphabet, parse_tree
-from treesep.walking import dfs_from_dfa
 
 
 @pytest.fixture
@@ -143,8 +145,8 @@ def test_public_names():
         "ACCEPT", "AlphabetError", "ArityError", "CnfGrammar", "Dbta", "Dfa", "Dtwa", "ESCAPE",
         "ExtractReport", "FormatError", "LOOP", "Nta", "PORT", "ParseError", "REJECT",
         "RankedAlphabet", "ResourceError", "RotationSearchExhausted", "RotationWitness",
-        "RunOutcome", "SeparatorReport", "ShapeError", "TransitionError", "Tree",
-        "TreesepError", "cfg_dfa_intersection_empty", "comb", "comb_dfa", "compose",
+        "RunOutcome", "SeparatorReport", "TransitionError", "Tree", "TreesepError",
+        "cfg_dfa_intersection_empty", "comb", "comb_dfa", "compose",
         "derivations", "dfs_from_dfa", "enumerate_terms", "extract_separator",
         "find_rotation_term", "format_tree", "is_associative", "kop_dbta", "kop_member",
         "kop_nta", "leaf_word", "minimal_dbta", "obf_alphabet", "parse_dbta", "parse_dfa",
@@ -159,15 +161,38 @@ def test_console_script_target():
     assert callable(getattr(importlib.import_module(target[1]), target[2]))
 
 
+def test_bench_imports_resolve():
+    """perfbench/ is only parsed here: every name it imports from the package,
+    and every `fixtures.<name>` it reads, must exist in this checkout's src/,
+    and `treesep.fixtures` must define just the names the bench reads."""
+    root = Path(__file__).resolve().parents[1]
+    imported, read = [], set()
+    for path in sorted((root / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "treesep":
+                imported += [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "fixtures":
+                read.add(node.attr)
+    assert ("treesep", "fixtures") in imported
+    for module, name in imported:
+        owner = importlib.import_module(module)
+        assert Path(owner.__file__).resolve().is_relative_to(root / "src"), module
+        if not hasattr(owner, name):
+            importlib.import_module(f"{module}.{name}")  # a submodule, or ModuleNotFoundError
+    body = ast.parse((root / "src/treesep/fixtures.py").read_text()).body
+    defined = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+    defined |= {target.id for node in body if isinstance(node, ast.Assign) for target in node.targets}
+    assert read == defined == {"PALINDROME_TEXT", "NONPALINDROME_TEXT", "obf_sigma"}
+
+
 def test_output_does_not_depend_on_hash_seed(files):
     """String and frozenset hashes change with PYTHONHASHSEED; extraction
     and the obfuscation automata must not."""
     walker = dfs_from_dfa(p_prefix_dfa(), obf_sigma())
     extract = ["-m", "treesep", "extract", files("w.dtwa", walker.to_text()),
                files("g.cfg", P_INITIAL_TEXT), files("h.cfg", Q_INITIAL_TEXT)]
-    dump = ["-c", "from treesep.fixtures import palindrome_grammar\n"
-                  "from treesep.obfuscation import kop_dbta\n"
-                  "kop = kop_dbta(palindrome_grammar())\n"
+    dump = ["-c", "from treesep import fixtures, kop_dbta, parse_grammar\n"
+                  "kop = kop_dbta(parse_grammar(fixtures.PALINDROME_TEXT))\n"
                   "print(kop.to_text() + kop.minimize().to_text())"]
     env = dict(os.environ, PYTHONPATH=str(Path(treesep.__file__).parents[1]))
     for args in (extract, dump):

@@ -20,24 +20,21 @@ from hypothesis import strategies as st
 
 from treesep.bottomup import Dbta
 from treesep.errors import AlphabetError, TreesepError
-from treesep.fixtures import (
-    blocks_grammar,
-    even_p_dfa,
-    leaf_parity_dbta,
-    nonpalindrome_grammar,
-    obf_sigma,
-    p_initial_grammar,
-    palindrome_grammar,
-    pq_grammar,
-    q_initial_grammar,
-    stay_loop_dtwa,
-)
 from treesep.grammar import parse_grammar
 from treesep.obfuscation import kop_dbta, kop_member, kop_nta, obf_alphabet
 from treesep.rotation import comb_dfa, is_associative
 from treesep.trees import RankedAlphabet, Tree, compose, enumerate_terms, format_tree, parse_tree
 from treesep.walking import ACCEPT, ESCAPE, LOOP, PARENT, REJECT, STAY, Dtwa, dfs_from_dfa, minimal_dbta
 
+from fixtures import (
+    ALPHABETS,
+    GRAMMARS,
+    even_p_dfa,
+    leaf_parity_dbta,
+    obf_sigma,
+    palindrome_grammar,
+    stay_loop_dtwa,
+)
 from oracles import (
     SEED,
     brute_trees,
@@ -52,11 +49,6 @@ from oracles import (
     recursive_hash,
     recursive_parse_tree,
 )
-
-TERNARY = RankedAlphabet({"f": 3, "g": 1, "p": 0, "q": 0})
-ALPHABETS = {"obf": obf_sigma(), "ternary": TERNARY}
-GRAMMARS = [pq_grammar, blocks_grammar, palindrome_grammar, nonpalindrome_grammar,
-            p_initial_grammar, q_initial_grammar]
 
 
 def outcome(call, *args):

@@ -5,27 +5,29 @@ import pytest
 
 from treesep import rotation
 from treesep.errors import AlphabetError, ArityError, ResourceError, RotationSearchExhausted
-from treesep.fixtures import (
+from treesep.grammar import parse_grammar
+from treesep.rotation import comb_dfa, extract_separator, find_rotation_term, is_associative
+from treesep.trees import RankedAlphabet, Tree, comb, compose, format_tree, leaf_word, parse_tree
+from treesep.walking import dfs_from_dfa, minimal_dbta
+
+from fixtures import (
+    SIGMA,
     all_trees_dbta,
     all_words_dfa,
+    always_accept_dtwa,
     blocks_grammar,
     height_bounded_dbta,
     leaf_parity_dbta,
     left_leaf_dbta,
     left_leaf_dtwa,
     nonpalindrome_grammar,
-    obf_sigma,
     p_initial_grammar,
     p_prefix_dfa,
     palindrome_grammar,
     pq_grammar,
     q_initial_grammar,
+    t,
 )
-from treesep.grammar import parse_grammar
-from treesep.rotation import comb_dfa, extract_separator, find_rotation_term, is_associative
-from treesep.trees import PORT, RankedAlphabet, Tree, comb, compose, format_tree, leaf_word, parse_tree
-from treesep.walking import dfs_from_dfa, minimal_dbta
-
 from oracles import (
     SEED,
     brute_trees,
@@ -41,12 +43,7 @@ from oracles import (
     tstar_members,
 )
 
-SIGMA = obf_sigma()
 STAR = parse_tree("a(*,*)")
-
-
-def t(text):
-    return parse_tree(text)
 
 
 def minimized_fixtures():
@@ -291,8 +288,6 @@ class TestExtractSeparator:
             assert not report.separator.run(word)
 
     def test_non_separator_reports_violation(self):
-        from treesep.fixtures import always_accept_dtwa
-
         g = p_initial_grammar()
         report = extract_separator(always_accept_dtwa(), g, g, search_bound=9)
         assert report.status == "ok"

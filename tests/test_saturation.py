@@ -9,7 +9,12 @@ import random
 
 import pytest
 
-from treesep.fixtures import (
+from treesep.bottomup import Nta
+from treesep.obfuscation import kop_nta
+from treesep.walking import dfs_from_dfa, to_dbta
+
+from fixtures import (
+    ALPHABETS,
     always_accept_dtwa,
     blocks_grammar,
     nonpalindrome_grammar,
@@ -20,11 +25,6 @@ from treesep.fixtures import (
     q_initial_grammar,
     stay_loop_dtwa,
 )
-from treesep.bottomup import Nta
-from treesep.obfuscation import kop_nta
-from treesep.trees import RankedAlphabet
-from treesep.walking import dfs_from_dfa, to_dbta
-
 from oracles import (
     SEED,
     criterion_dfas,
@@ -34,9 +34,6 @@ from oracles import (
     round_robin_determinize,
     round_robin_to_dbta,
 )
-
-TERNARY = RankedAlphabet({"f": 3, "g": 1, "p": 0, "q": 0})
-ALPHABETS = {"obf": obf_sigma(), "ternary": TERNARY}
 
 
 @pytest.mark.parametrize("alphabet", ALPHABETS.values(), ids=ALPHABETS.keys())

@@ -12,25 +12,21 @@ import random
 
 import pytest
 
-from treesep.fixtures import (
-    all_trees_dbta,
-    blocks_grammar,
-    height_bounded_dbta,
-    leaf_parity_dbta,
-    left_leaf_dbta,
-    nonpalindrome_grammar,
-    obf_sigma,
-    p_initial_grammar,
-    palindrome_grammar,
-    pq_grammar,
-    q_initial_grammar,
-)
 from treesep.bottomup import Dbta, Nta, parse_dbta
 from treesep.obfuscation import kop_nta
 from treesep.rotation import is_associative
 from treesep.trees import RankedAlphabet, enumerate_terms
 from treesep.walking import dfs_from_dfa, to_dbta
 
+from fixtures import (
+    ALPHABETS,
+    GRAMMARS,
+    all_trees_dbta,
+    height_bounded_dbta,
+    leaf_parity_dbta,
+    left_leaf_dbta,
+    obf_sigma,
+)
 from oracles import (
     SEED,
     behavior_compose,
@@ -49,11 +45,7 @@ from oracles import (
     tree_walk_is_associative,
 )
 
-TERNARY = RankedAlphabet({"f": 3, "g": 1, "p": 0, "q": 0})
-ALPHABETS = {"obf": obf_sigma(), "ternary": TERNARY}
 PAIR = RankedAlphabet({"a": 2, "c": 0})
-GRAMMARS = [pq_grammar, blocks_grammar, palindrome_grammar, nonpalindrome_grammar,
-            p_initial_grammar, q_initial_grammar]
 # #18 (869 behaviors) alone takes about a minute in the oracles.
 CRITERION = [i for i in range(20) if i != 18]
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from treesep.errors import AlphabetError, ArityError, ParseError, ShapeError
+from treesep.errors import AlphabetError, ArityError, ParseError
 from treesep.trees import (
     PORT,
     RankedAlphabet,
@@ -16,14 +16,10 @@ from treesep.trees import (
     parse_tree,
 )
 
-from oracles import SEED, brute_trees, leaves_left_to_right, rotate_at
+from fixtures import SIGMA, t
+from oracles import SEED, ShapeError, brute_trees, leaves_left_to_right, rotate_at
 
 AC = RankedAlphabet({"a": 2, "c": 0})
-SIGMA = RankedAlphabet({"a": 2, "c": 0, "p": 0, "q": 0})
-
-
-def t(text):
-    return parse_tree(text)
 
 
 class TestRankedAlphabet:

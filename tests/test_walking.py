@@ -4,14 +4,7 @@ import random
 import pytest
 
 from treesep.errors import AlphabetError, ArityError, FormatError
-from treesep.fixtures import (
-    always_accept_dtwa,
-    even_p_dfa,
-    obf_sigma,
-    p_prefix_dfa,
-    stay_loop_dtwa,
-)
-from treesep.trees import Tree, parse_tree
+from treesep.trees import Tree
 from treesep.walking import (
     ACCEPT,
     ESCAPE,
@@ -25,6 +18,7 @@ from treesep.walking import (
     to_dbta,
 )
 
+from fixtures import SIGMA, all_words_dfa, always_accept_dtwa, even_p_dfa, p_prefix_dfa, stay_loop_dtwa, t
 from oracles import (
     SEED,
     behavior_compose,
@@ -41,12 +35,6 @@ from oracles import (
     smallest_trees,
 )
 
-SIGMA = obf_sigma()
-
-
-def t(text):
-    return parse_tree(text)
-
 
 def escape_dtwa():
     """Moves to the parent immediately; escapes at the root on any tree."""
@@ -59,7 +47,7 @@ def escape_dtwa():
 
 
 def behavior_of_tree(dtwa, tree):
-    if tree.is_leaf():
+    if not tree.children:
         return behavior_of_leaf(dtwa, tree.label)
     children = [behavior_of_tree(dtwa, c) for c in tree.children]
     return behavior_compose(dtwa, tree.label, children)
@@ -139,8 +127,6 @@ class TestRun:
 
 class TestDfsFromDfa:
     def test_all_words_dfa_accepts_everything(self):
-        from treesep.fixtures import all_words_dfa
-
         w = dfs_from_dfa(all_words_dfa(), SIGMA)
         for tree in smallest_trees(SIGMA, 9):
             assert w.run(tree).kind == ACCEPT

@@ -4,7 +4,13 @@ import random
 import pytest
 
 from treesep.errors import AlphabetError, FormatError
-from treesep.fixtures import (
+from treesep.grammar import parse_grammar
+from treesep.rotation import comb_dfa, find_rotation_term
+from treesep.trees import parse_tree
+from treesep.walking import dfs_from_dfa, minimal_dbta
+from treesep.words import Dfa, SeparatorReport, cfg_dfa_intersection_empty, parse_dfa, verify_separator
+
+from fixtures import (
     all_words_dfa,
     blocks_grammar,
     even_p_dfa,
@@ -17,12 +23,6 @@ from treesep.fixtures import (
     pq_grammar,
     q_initial_grammar,
 )
-from treesep.grammar import parse_grammar
-from treesep.rotation import comb_dfa, find_rotation_term
-from treesep.trees import parse_tree
-from treesep.walking import dfs_from_dfa, minimal_dbta
-from treesep.words import Dfa, SeparatorReport, cfg_dfa_intersection_empty, parse_dfa, verify_separator
-
 from oracles import (
     SEED,
     criterion_dfas,
