@@ -120,6 +120,7 @@ class Dbta:
         for letter, _ in alphabet.items():
             self.transitions.setdefault(letter, {})
         self._reach = None
+        self._codes = None
 
     @classmethod
     def _trusted(cls, alphabet, reach, accepting, transitions, sink=None) -> "Dbta":
@@ -135,6 +136,7 @@ class Dbta:
         dbta.sink = sink
         dbta.transitions = transitions
         dbta._reach = reach
+        dbta._codes = None
         return dbta
 
     def step(self, letter, child_states) -> str:
@@ -152,35 +154,55 @@ class Dbta:
             return self.sink
         return got
 
+    def _compiled(self):
+        """Integer form of the table, built on first use, and the sink's
+        number or None: states numbered in `states` order, and per letter
+        (arity, {row-major code of the child numbers: target number}) over
+        the given entries only, so a partial table stays sparse."""
+        if self._codes is None:
+            n = len(self.states)
+            number = {q: i for i, q in enumerate(self.states)}
+            rows = {letter: (ar, {_position([number[q] for q in key], n): number[target]
+                                  for key, target in self.transitions[letter].items()})
+                    for letter, ar in self.alphabet.items()}
+            self._codes = rows, number.get(self.sink)
+        return self._codes
+
     def eval(self, tree: Tree) -> str:
         """State reached bottom-up; total and deterministic on conforming trees.
 
-        One post-order pass checks each node's child count as it evaluates.
-        On a bad node, and before a missing transition is reported,
-        `validate` on the whole tree raises the error an up-front check
-        would have raised first.  Entries touching the sink yield the sink
-        (checked in `__init__`, and true by construction of the tables
-        `_trusted` receives), so `step`'s sink rule reduces to "missing
-        means sink".
+        One post-order pass over the integer form of the table (`_compiled`,
+        as sparse as `transitions`) checks each node's child count as it
+        evaluates: a binary node pops its children's state numbers and looks
+        up ``left * n + right``, n states in all.  On a bad node, and before
+        a missing transition is reported, `validate` on the whole tree
+        raises the error an up-front check would have raised first.  Entries
+        touching the sink yield the sink (checked in `__init__`, and true by
+        construction of the tables `_trusted` receives), so `step`'s sink
+        rule reduces to "missing means sink".
         """
-        rows = {letter: (self.transitions[letter], ar) for letter, ar in self.alphabet.items()}
+        rows, sink = self._compiled()
+        n = len(self.states)
         values = []
         for node in postorder(tree):
-            row = rows.get(node.label)
-            if row is None or row[1] != len(node.children):
+            ar, table = rows.get(node.label, (-1, None))
+            if ar != len(node.children):
                 self.alphabet.validate(tree)
-            table, ar = row
-            if ar:
-                key = tuple(values[-ar:])
+            if ar == 2:
+                right = values.pop()
+                code = values.pop() * n + right
+            elif ar:
+                code = _position(values[-ar:], n)
                 del values[-ar:]
             else:
-                key = ()
-            state = table.get(key, self.sink)
+                code = 0
+            state = table.get(code, sink)
             if state is None:
                 self.alphabet.validate(tree)
+                key = tuple(self.states[code // n ** i % n] for i in reversed(range(ar)))
                 raise TransitionError(f"no transition for {node.label}{key} and no sink")
             values.append(state)
-        return values[0]
+        return self.states[values[0]]
 
     def eval_columns(self, term: Tree, columns) -> list:
         """States `term` makes of many assignments of port states at once.

@@ -104,7 +104,7 @@ def comb_dfa(dbta: Dbta, term: Tree, gamma) -> Dfa:
     flat = _pair_table(dbta, term)
     delta = {}
     for sigma in gamma:
-        leaf = dbta.eval(Tree(sigma))
+        leaf = dbta.step(sigma, ())
         delta[(initial, sigma)] = leaf
         for i, q in enumerate(dbta.states):
             delta[(q, sigma)] = dbta.states[flat[i * n + index[leaf]]]

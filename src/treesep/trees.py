@@ -5,7 +5,8 @@ Ports are numbered 1..n in left-to-right leaf order and each port is a
 substitution slot used exactly once, so composition never duplicates an
 argument.  Terms are composed (`compose`, `comb`), enumerated by size
 (`enumerate_terms`), and written and read in one s-expression format
-(`format_tree`, `parse_tree`).  Walks over a tree are iterative, so no depth
+(`format_tree`, `parse_tree`); the reader takes a name or port and the ``(``
+after it as one ``name(`` token.  Walks over a tree are iterative, so no depth
 raises RecursionError; `size`, `leaf_word` and `compose` read one `postorder`
 list, and a node caches only its hash.
 """
@@ -69,23 +70,27 @@ class RankedAlphabet:
     def validate(self, tree: "Tree", ports: bool = False) -> int:
         """Check labels and child counts; `ports=True` additionally admits ``*``.
         Returns the number of node positions, a shared subtree counted at
-        each of them."""
+        each of them.  One letter lookup per node; only where it differs
+        from the child count (always, for ``*``, never a letter) are the
+        port and arity errors looked for, so the checks and their order
+        are those of a port test and `arity` on every node."""
+        letters = self._letters
         stack = [tree]
         count = 0
         while stack:
             node = stack.pop()
             count += 1
-            if node.label == PORT:
+            if letters.get(node.label) != len(node.children):
+                if node.label != PORT:
+                    raise AlphabetError(
+                        f"letter {node.label!r} has arity {self.arity(node.label)}, "
+                        f"node has {len(node.children)} children"
+                    )
                 if not ports:
                     raise AlphabetError("ports not allowed here")
                 if node.children:
                     raise AlphabetError("port must be a leaf")
                 continue
-            if len(node.children) != self.arity(node.label):
-                raise AlphabetError(
-                    f"letter {node.label!r} has arity {self.arity(node.label)}, "
-                    f"node has {len(node.children)} children"
-                )
             stack.extend(node.children)
         return count
 
@@ -301,10 +306,11 @@ def format_tree(tree: Tree) -> str:
     return "".join(parts)
 
 
-# One token per match, after optional whitespace: a name, a port or any other
-# single character.  Trailing whitespace is left unmatched.  A node starts
-# with a name or a port.
-_TOKEN = re.compile(rf"\s*({_NAME.pattern}|\*|\S)")
+# One token per match, after optional whitespace: a name or a port joined
+# with the ``(`` after it (whitespace between allowed), a name, a port or any
+# other single character; ``,`` and ``)`` are tried first, as the commonest.
+# Trailing whitespace is left unmatched.  A node starts with a name or a port.
+_TOKEN = re.compile(rf"\s*([,)]|{_NAME.pattern}\s*\(|{_NAME.pattern}|\*\s*\(|\*|\S)")
 _NODE_START = frozenset(string.ascii_letters + string.digits + PORT)
 
 
@@ -313,40 +319,36 @@ def parse_tree(text: str) -> Tree:
 
     One left-to-right pass over the tokens with an explicit stack of open
     nodes, so any depth parses, in two states: a node is wanted, or a node
-    was just read.  A wanted name opens a node when ``(`` follows it and is
-    otherwise a leaf; equal leaves of one parse are one shared object.  A
-    port may carry children (``*(p)``), as the format has always allowed.
+    was just read.  A name or port joined with the ``(`` after it is one
+    ``name(`` token, which opens a node; a name alone is a leaf, and equal
+    leaves of one parse are one shared object.  A port may carry children
+    (``*(p)``), as the format has always allowed.
     """
-    tokens = _TOKEN.findall(text)
     values = []  # finished children of the open nodes, left to right
     opened = []  # (label, index of its first child in `values`) per open node
-    leaves = {}
+    known = {}  # node token -> its shared leaf, or the label a name( token opens
     wanted = True
-    i, end = 0, len(tokens)
-    while i < end:
-        tok = tokens[i]
-        i += 1
+    for i, tok in enumerate(_TOKEN.findall(text)):
         if wanted:
-            if tok[0] not in _NODE_START:
-                raise ParseError(f"unexpected character {tok!r}", _token_position(text, i - 1))
-            if i < end and tokens[i] == "(":
-                opened.append((tok, len(values)))
-                i += 1
+            node = known.get(tok)
+            if node is None:
+                if tok[0] not in _NODE_START:
+                    raise ParseError(f"unexpected character {tok!r}", _token_position(text, i))
+                node = known[tok] = tok[:-1].rstrip() if tok[-1] == "(" else Tree(tok)
+            if type(node) is str:
+                opened.append((node, len(values)))
                 continue
-            leaf = leaves.get(tok)
-            if leaf is None:
-                leaf = leaves[tok] = Tree(tok)
-            values.append(leaf)
+            values.append(node)
             wanted = False
         elif not opened:
-            raise ParseError("trailing input after tree", _token_position(text, i - 1))
+            raise ParseError("trailing input after tree", _token_position(text, i))
         elif tok == ",":
             wanted = True
         elif tok == ")":
             label, first = opened.pop()
             values[first:] = [Tree(label, values[first:])]
         else:
-            raise ParseError("expected ')'", _token_position(text, i - 1))
+            raise ParseError("expected ')'", _token_position(text, i))
     if wanted or opened:
         raise ParseError("unexpected end of input" if wanted else "expected ')'", len(text))
     return values[0]

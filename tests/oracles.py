@@ -22,6 +22,8 @@ here too:
 - `nta_eval_set` and `nta_accepts`: runs of a nondeterministic bottom-up
   automaton;
 - `recursive_hash`: a tree's structural hash by its definition;
+- `stack_validate`: `RankedAlphabet.validate` as it was before its one
+  lookup per node, which every oracle here validates with;
 - `smallest_trees`.
 """
 
@@ -604,10 +606,33 @@ def tree_walk_is_associative(amin: Dbta, term: Tree) -> bool:
     return l_equivalent(amin, compose(term, (term, port)), compose(term, (port, term)))
 
 
+def stack_validate(alphabet: RankedAlphabet, tree: Tree, ports: bool = False) -> int:
+    """`RankedAlphabet.validate` as it was before its one lookup per node:
+    the port test first, then `arity`, on every node."""
+    stack = [tree]
+    count = 0
+    while stack:
+        node = stack.pop()
+        count += 1
+        if node.label == PORT:
+            if not ports:
+                raise AlphabetError("ports not allowed here")
+            if node.children:
+                raise AlphabetError("port must be a leaf")
+            continue
+        if len(node.children) != alphabet.arity(node.label):
+            raise AlphabetError(
+                f"letter {node.label!r} has arity {alphabet.arity(node.label)}, "
+                f"node has {len(node.children)} children"
+            )
+        stack.extend(node.children)
+    return count
+
+
 def dict_run(dtwa: Dtwa, tree: Tree, collect_trace: bool = False) -> RunOutcome:
     """`Dtwa.run` as it was before the compiled rows: one `delta` lookup per
     move, configurations keyed by (state name, position id)."""
-    dtwa.alphabet.validate(tree)
+    stack_validate(dtwa.alphabet, tree)
     stack = [(tree, 0)]
     position_ids = {}
     path = []
@@ -645,7 +670,7 @@ def dict_run(dtwa: Dtwa, tree: Tree, collect_trace: bool = False) -> RunOutcome:
 def recursive_eval(dbta: Dbta, tree: Tree) -> str:
     """`Dbta.eval` as it was before the one-walk form: validate the whole
     tree, then recurse through `Dbta.step`."""
-    dbta.alphabet.validate(tree)
+    stack_validate(dbta.alphabet, tree)
 
     def go(node):
         return dbta.step(node.label, tuple(go(c) for c in node.children))
@@ -850,7 +875,7 @@ def transformation(amin: Dbta, term: Tree, max_arity: int = TUPLE_ARITY_CAP) -> 
     n = term.arity
     if n > max_arity:
         raise ResourceError(f"transformation tables capped at arity {max_arity}, term has {n} ports")
-    amin.alphabet.validate(term, ports=True)
+    stack_validate(amin.alphabet, term, ports=True)
     keys = list(itertools.product(amin.states, repeat=n))
     return dict(zip(keys, amin.eval_columns(term, list(zip(*keys)))))
 
@@ -1057,7 +1082,7 @@ def leaves_of(grammar):
 
 def nta_eval_set(nta, tree: Tree) -> frozenset:
     """States some run of `nta` reaches at the root."""
-    nta.alphabet.validate(tree)
+    stack_validate(nta.alphabet, tree)
     sets = []
     for node in postorder(tree):
         cut = len(sets) - len(node.children)

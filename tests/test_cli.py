@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,8 +13,8 @@ import pytest
 import treesep
 from treesep.cli import main
 from treesep.rotation import extract_separator
-from treesep.trees import RankedAlphabet, parse_tree
-from treesep.walking import dfs_from_dfa
+from treesep.trees import RankedAlphabet, Tree, format_tree, parse_tree
+from treesep.walking import ACCEPT, dfs_from_dfa
 
 from fixtures import (
     NONPALINDROME_TEXT,
@@ -22,6 +23,7 @@ from fixtures import (
     Q_INITIAL_TEXT,
     all_words_dfa,
     always_accept_dtwa,
+    even_p_dfa,
     left_leaf_dtwa,
     obf_sigma,
     p_initial_grammar,
@@ -29,6 +31,7 @@ from fixtures import (
     q_initial_grammar,
     stay_loop_dtwa,
 )
+from oracles import SEED, dict_run
 
 
 @pytest.fixture
@@ -130,6 +133,22 @@ class TestRun:
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 1
         assert json.loads(done.stdout) == {"kind": "reject", "steps": 4, "trace": None}
+
+    @pytest.mark.parametrize("shape", ["left", "right"])
+    def test_deep_comb(self, files, capsys, shape):
+        """4,096-leaf combs, far deeper than the recursion limit, give the
+        verdict and step count of the iterative oracle."""
+        rng = random.Random(SEED)
+        word = [rng.choice("pq") for _ in range(4_096)]
+        tree = Tree(word[0] if shape == "left" else word[-1])
+        for x in word[1:] if shape == "left" else reversed(word[:-1]):
+            tree = Tree("a", (tree, Tree(x)) if shape == "left" else (Tree(x), tree))
+        walker = dfs_from_dfa(even_p_dfa(), obf_sigma())
+        code, out, _ = run(capsys, ["run", files("w.dtwa", walker.to_text()),
+                                    files("t.tree", format_tree(tree))])
+        want = dict_run(walker, tree)
+        assert json.loads(out) == {"kind": want.kind, "steps": want.steps, "trace": None}
+        assert code == (0 if want.kind == ACCEPT else 1)
 
     def test_missing_tree_file(self, files, tmp_path, capsys):
         walker = dfs_from_dfa(p_prefix_dfa(), obf_sigma())

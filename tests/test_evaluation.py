@@ -23,7 +23,7 @@ from treesep.errors import AlphabetError, TreesepError
 from treesep.grammar import parse_grammar
 from treesep.obfuscation import kop_dbta, kop_member, kop_nta, obf_alphabet
 from treesep.rotation import comb_dfa, is_associative
-from treesep.trees import RankedAlphabet, Tree, compose, enumerate_terms, format_tree, parse_tree
+from treesep.trees import PORT, RankedAlphabet, Tree, compose, enumerate_terms, format_tree, parse_tree
 from treesep.walking import ACCEPT, ESCAPE, LOOP, PARENT, REJECT, STAY, Dtwa, dfs_from_dfa, minimal_dbta
 
 from fixtures import (
@@ -48,6 +48,8 @@ from oracles import (
     recursive_format_tree,
     recursive_hash,
     recursive_parse_tree,
+    replace_at,
+    stack_validate,
 )
 
 
@@ -243,6 +245,31 @@ class TestEvalAgainstOracle:
                 assert outcome(dbta.eval, tree) == outcome(recursive_eval, dbta, tree)
 
 
+@pytest.mark.parametrize("alphabet", ALPHABETS.values(), ids=ALPHABETS.keys())
+def test_validate_against_oracle(alphabet):
+    """`validate`'s one lookup per node gives the count, or the error type
+    and message, of the port-first check it replaced, with and without
+    ports admitted, on seeded trees and on each of them with one subtree
+    replaced by a bad node."""
+    rng = random.Random(SEED)
+    leaf = alphabet.zero_arity()[0]
+    inner = next(name for name, ar in alphabet.items() if ar >= 1)
+    bad = [Tree("zz"), Tree(PORT), Tree(PORT, [Tree(leaf)]), Tree(inner, [Tree(leaf)] * 4),
+           Tree(leaf, [Tree(leaf)])]
+    trees = seeded_trees(rng, alphabet, 40)
+    for tree in list(trees):
+        for wrong in bad:
+            path, node = [], tree
+            while node.children and rng.random() < 0.8:
+                path.append(rng.randrange(len(node.children)) + 1)
+                node = node.children[path[-1] - 1]
+            trees.append(replace_at(tree, path, wrong))
+    for tree in trees:
+        for ports in (False, True):
+            assert (outcome(alphabet.validate, tree, ports)
+                    == outcome(stack_validate, alphabet, tree, ports)), (format_tree(tree), ports)
+
+
 @pytest.mark.parametrize("grammar", GRAMMARS)
 def test_kop_dbta_eval(grammar):
     g = grammar()
@@ -270,7 +297,8 @@ class TestParseAgainstOracle:
     FIXED = ["", "a(", "a(p,", "a(p q)", "a(p))", "a(p,q) junk", "$", "*(p)",
              " a ( p , q ) ", "*p", "p*", "a()", "a(,p)", "\ta(p,\nq)\r\n", "a(p,q", "a (",
              "a (p,q)", "a(p,q) ", "é", "aé",
-             "a(p)(", "a((p)", "p q", "a (\n p )", "p", "*", "a(p,*(q))", "a(p,)"]
+             "a(p)(", "a((p)", "p q", "a (\n p )", "p", "*", "a(p,*(q))", "a(p,)",
+             "a\t(p,q)", "* (p)", "a (\n", "a ( )", "a(p, a (q,c))"]
 
     def test_fixed_cases(self):
         for text in self.FIXED:
@@ -331,6 +359,15 @@ def left_comb(letters):
     for x in letters[1:]:
         acc = Tree("a", (Tree("a", (acc, Tree("c"))), Tree(x)))
     return acc
+
+
+def comb_state(dbta, letters):
+    """`recursive_eval`'s state on `left_comb(letters)`, its recursion
+    unrolled along the comb's spine, so any length evaluates."""
+    state, pad = dbta.step(letters[0], ()), dbta.step("c", ())
+    for x in letters[1:]:
+        state = dbta.step("a", (dbta.step("a", (state, pad)), dbta.step(x, ())))
+    return state
 
 
 def test_equality_is_structural_under_equal_hashes():
@@ -415,6 +452,35 @@ class TestDeepTrees:
         tree = left_comb(["p"] * self.LEAVES)
         nta = kop_nta(parse_grammar(EVEN_P_TEXT))
         assert nta_accepts(nta, tree)  # 10^4 p: even
+
+    def test_threads_fill_one_eval_table(self):
+        """Eight threads share one Dbta whose integer table is not built yet."""
+        rng = random.Random(SEED)
+        word = [rng.choice("pq") for _ in range(20_000)]
+        tree = left_comb(word)
+        dbta = random_dbta(rng, obf_sigma(), n_states=4)
+        assert comb_state(dbta, word[:50]) == recursive_eval(dbta, left_comb(word[:50]))
+        want = comb_state(dbta, word)
+        assert dbta._codes is None
+        got = []
+        start = threading.Barrier(8)
+
+        def evaluate():
+            start.wait(timeout=60)
+            got.append(dbta.eval(tree))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=evaluate) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * 8
 
 
 def bottom_loop_dtwa() -> Dtwa:
