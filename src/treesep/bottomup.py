@@ -2,8 +2,8 @@
 
 Transition tables may be partial as long as the automaton names a rejecting
 sink: every missing entry, and every entry with a sink among its inputs,
-resolves to the sink.  This keeps totality virtual, which matters for
-automata whose full tables would be astronomically sparse.
+resolves to the sink.  Every algorithm on a `Dbta` reads one integer
+table, `Dbta._tables`, built once and dense over the reachable states.
 
 Reachable states, subset constructions and the walker's read-slot classes
 are all one closure: start from nothing and apply every letter to every
@@ -14,7 +14,7 @@ order of discovery index.  Discovery order is exactly that of the plain
 round-robin loop (each round, each letter in alphabet order, over a snapshot
 of all known states), so the state names callers derive from it do not
 depend on the evaluation strategy.  A construction's reachable states go
-with its table, so `minimize` and `is_empty` saturate only parsed automata.
+with its table, so only a parsed automaton is saturated.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import heapq
 import itertools
 
 from . import fmt
-from .errors import AlphabetError, ArityError, FormatError, TransitionError
+from .errors import ArityError, FormatError, TransitionError
 from .trees import PORT, Tree, postorder
 
 
@@ -34,6 +34,10 @@ def _position(key, n):
     for i in key:
         pos = pos * n + i
     return pos
+
+
+def _no_transition(letter, key) -> TransitionError:
+    return TransitionError(f"no transition for {letter}{key} and no sink")
 
 
 def _fresh_tuples(values, n, old, ar):
@@ -120,15 +124,16 @@ class Dbta:
         for letter, _ in alphabet.items():
             self.transitions.setdefault(letter, {})
         self._reach = None
-        self._codes = None
+        self._table_cache = None
 
     @classmethod
     def _trusted(cls, alphabet, reach, accepting, transitions, sink=None) -> "Dbta":
         """A Dbta over a table built from `reach` and the sink, without
         `__init__`'s per-entry checks: `transitions` has a row for every
-        letter, keys are tuples of the letter's arity over those states,
-        and entries touching the sink yield the sink.  `reach` lists once
-        each, in any order, exactly the states some tree evaluates to."""
+        letter, keyed by tuples over those states, a sink if an entry is
+        missing, and the sink at entries touching it.  `reach` lists once
+        each, in any order, exactly the states some tree evaluates to, so
+        `_tables` reads it instead of saturating."""
         dbta = cls.__new__(cls)
         dbta.alphabet = alphabet
         dbta.states = tuple(sorted({*reach, sink} - {None}))
@@ -136,53 +141,20 @@ class Dbta:
         dbta.sink = sink
         dbta.transitions = transitions
         dbta._reach = reach
-        dbta._codes = None
+        dbta._table_cache = None
         return dbta
-
-    def step(self, letter, child_states) -> str:
-        key = tuple(child_states)
-        if self.sink is not None and self.sink in key:
-            return self.sink
-        try:
-            table = self.transitions[letter]
-        except KeyError:
-            raise AlphabetError(f"letter {letter!r} not in alphabet") from None
-        got = table.get(key)
-        if got is None:
-            if self.sink is None:
-                raise TransitionError(f"no transition for {letter}{key} and no sink")
-            return self.sink
-        return got
-
-    def _compiled(self):
-        """Integer form of the table, built on first use, and the sink's
-        number or None: states numbered in `states` order, and per letter
-        (arity, {row-major code of the child numbers: target number}) over
-        the given entries only, so a partial table stays sparse."""
-        if self._codes is None:
-            n = len(self.states)
-            number = {q: i for i, q in enumerate(self.states)}
-            rows = {letter: (ar, {_position([number[q] for q in key], n): number[target]
-                                  for key, target in self.transitions[letter].items()})
-                    for letter, ar in self.alphabet.items()}
-            self._codes = rows, number.get(self.sink)
-        return self._codes
 
     def eval(self, tree: Tree) -> str:
         """State reached bottom-up; total and deterministic on conforming trees.
 
-        One post-order pass over the integer form of the table (`_compiled`,
-        as sparse as `transitions`) checks each node's child count as it
-        evaluates: a binary node pops its children's state numbers and looks
-        up ``left * n + right``, n states in all.  On a bad node, and before
-        a missing transition is reported, `validate` on the whole tree
-        raises the error an up-front check would have raised first.  Entries
-        touching the sink yield the sink (checked in `__init__`, and true by
-        construction of the tables `_trusted` receives), so `step`'s sink
-        rule reduces to "missing means sink".
+        One post-order pass over `_tables`: a binary node pops its
+        children's state indices and reads entry ``left * n + right``.  On a
+        bad node, and before a missing entry is reported, `validate` on the
+        whole tree raises the error an up-front check would have raised
+        first; a tree that avoids every missing entry evaluates.
         """
-        rows, sink = self._compiled()
-        n = len(self.states)
+        reach, rows, _ = self._tables()
+        n = len(reach)
         values = []
         for node in postorder(tree):
             ar, table = rows.get(node.label, (-1, None))
@@ -196,68 +168,77 @@ class Dbta:
                 del values[-ar:]
             else:
                 code = 0
-            state = table.get(code, sink)
+            state = table[code]
             if state is None:
                 self.alphabet.validate(tree)
-                key = tuple(self.states[code // n ** i % n] for i in reversed(range(ar)))
-                raise TransitionError(f"no transition for {node.label}{key} and no sink")
+                raise _no_transition(node.label, tuple(reach[code // n ** i % n] for i in reversed(range(ar))))
             values.append(state)
-        return self.states[values[0]]
-
-    def eval_columns(self, term: Tree, columns) -> list:
-        """States `term` makes of many assignments of port states at once.
-
-        `columns[i]` lists port i's state in each assignment, all of one
-        length; the result is a new list of the root state of each
-        assignment.  One post-order pass over a checked term, each letter
-        stepping each distinct tuple of child states once.  A column count
-        other than the term's port count, or columns of unequal length,
-        raise ArityError.
-        """
-        if len(columns) != term.arity:
-            raise ArityError(f"term has {term.arity} ports, got {len(columns)} columns")
-        width = len(columns[0]) if columns else 1
-        if any(len(column) != width for column in columns):
-            raise ArityError("port columns differ in length")
-        ports = iter(columns)
-        known = {}  # letter -> {tuple of child states: state}
-        values = []
-        for node in postorder(term):
-            label, ar = node.label, len(node.children)
-            if label == PORT:
-                values.append(list(next(ports)))
-            elif not ar:
-                values.append([self.step(label, ())] * width)
-            else:
-                seen = known.get(label)
-                if seen is None:
-                    seen = known[label] = {}
-                column = []
-                for key in zip(*values[-ar:]):
-                    state = seen.get(key)
-                    if state is None:
-                        state = seen[key] = self.step(label, key)
-                    column.append(state)
-                del values[-ar:]
-                values.append(column)
-        return values[0]
+        return reach[values[0]]
 
     def accepts(self, tree: Tree) -> bool:
         return self.eval(tree) in self.accepting
 
     def _tables(self):
-        """Reachable states and, per letter, the flat list of the target
-        indices of all index tuples in row-major order.  Only a parsed
-        automaton, which may declare unreachable states, is saturated."""
-        reach, table = self._reach, self.transitions
-        if reach is None:
-            reach, table = saturate(self.alphabet, self.step)
-        index = {q: i for i, q in enumerate(reach)}
-        arrays = {
-            letter: [index[table[letter].get(key, self.sink)] for key in itertools.product(reach, repeat=ar)]
-            for letter, ar in self.alphabet.items()
-        }
-        return reach, arrays
+        """The one integer table, built on first use: (reach, rows, gap).
+        `rows[letter]` is (arity, flat), `flat` listing the index in `reach`
+        of the target of each tuple over `reach`, row-major, None at a
+        missing entry when there is no sink; `gap` is the first one
+        saturation met, as (letter, key), or None.  A parsed automaton's
+        `reach` is saturated, in `states` order; a built one brings it."""
+        if self._table_cache is None:
+            named, sink, gaps = self.transitions, self.sink, []
+
+            def lookup(letter, key):
+                target = named[letter].get(key, sink)
+                if target is None:
+                    gaps.append((letter, key))
+                return target
+
+            reach = self._reach
+            if reach is None:
+                reach = sorted(saturate(self.alphabet, lookup)[0])
+            index = {q: i for i, q in enumerate(reach)}
+            index[None] = None
+            rows = {letter: (ar, [index[named[letter].get(key, sink)] for key in itertools.product(reach, repeat=ar)])
+                    for letter, ar in self.alphabet.items()}
+            self._table_cache = reach, rows, gaps[0] if gaps else None
+        return self._table_cache
+
+    def _total_tables(self):
+        """`_tables`, raising TransitionError if saturation met a missing entry."""
+        tables = self._tables()
+        if tables[2]:
+            raise _no_transition(*tables[2])
+        return tables
+
+    def _pair_table(self, term: Tree):
+        """(reach, flat) of a checked binary `term`: `flat` gives the index
+        in the reachable states `reach` of the state the term makes of each
+        pair of them, row-major over the pairs.  One post-order pass, each
+        node reading one entry per pair; the first node and pair to reach a
+        missing entry raise TransitionError, and so does a missing entry
+        when no state is reachable."""
+        reach, rows, gap = self._tables()
+        n = len(reach)
+        if not n and gap:
+            raise _no_transition(*gap)
+        ports = iter([[x for x in range(n) for _ in range(n)], list(range(n)) * n])
+        values = []
+        for node in postorder(term):
+            if node.label == PORT:
+                values.append(next(ports))
+                continue
+            kids = values[len(values) - len(node.children):]
+            del values[len(values) - len(kids):]
+            codes = kids[0] if kids else [0] * (n * n)
+            for kid in kids[1:]:
+                codes = [code * n + x for code, x in zip(codes, kid)]
+            flat = rows[node.label][1]
+            values.append([flat[code] for code in codes])
+            if None in values[-1]:
+                j = values[-1].index(None)
+                raise _no_transition(node.label, tuple(reach[kid[j]] for kid in kids))
+        return reach, values[0]
 
     def is_empty(self):
         """(True, None) if the language is empty, else (False, witness tree).
@@ -269,14 +250,14 @@ class Dbta:
         is offered once, when its last state becomes final.  By then every
         tuple a state can be built from at its minimum size has been offered.
         """
-        reach, arrays = self._tables()
+        reach, rows, _ = self._total_tables()
         n = len(reach)
         size = [0] * n  # final minimum node counts; 0 until known
         best = [None] * n  # (size, text, letter, child indices) of the best offer
         heap = []
 
         def offer(letter, key):
-            target = arrays[letter][_position(key, n)]
+            target = rows[letter][1][_position(key, n)]
             if size[target]:
                 return
             cand = 1 + sum(size[i] for i in key)
@@ -313,7 +294,8 @@ class Dbta:
 
     def minimize(self) -> "Dbta":
         """Reachable states merged up to context distinguishability (`_quotient`)."""
-        return _quotient(self.alphabet, *self._tables(), self.accepting, self.sink)
+        reach, rows, _ = self._total_tables()
+        return _quotient(self.alphabet, reach, rows, self.accepting, self.sink)
 
     def to_text(self) -> str:
         headers = {"states": self.states, "accepting": sorted(self.accepting), "sink": self.sink}
@@ -325,9 +307,9 @@ class Dbta:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
 
 
-def _quotient(alphabet, reach, arrays, accepting, sink) -> Dbta:
+def _quotient(alphabet, reach, rows, accepting, sink) -> Dbta:
     """Myhill-Nerode quotient of the automaton with reachable states `reach`,
-    in any order, and the integer tables `arrays` of `Dbta._tables`.
+    in any order, and the integer rows `rows` of `Dbta._tables`.
 
     Partition refinement with single-letter contexts: two states split as
     soon as some letter, position, and tuple of reachable sibling states
@@ -340,7 +322,7 @@ def _quotient(alphabet, reach, arrays, accepting, sink) -> Dbta:
     block = [q in accepting for q in reach]
     count = len(set(block))
     while True:
-        targets = [(ar, [block[t] for t in arrays[letter]]) for letter, ar in alphabet.items()]
+        targets = [(ar, [block[t] for t in flat]) for ar, flat in rows.values()]
         rename = {}
         new_block = []
         for q in range(n):
@@ -369,12 +351,9 @@ def _quotient(alphabet, reach, arrays, accepting, sink) -> Dbta:
         for i in ids:
             name_of[i] = f"m{k}"
     reps = [ids[0] for ids in ordered]
-    table = {}
-    for letter, ar in alphabet.items():
-        flat = arrays[letter]
-        rows = table[letter] = {}
-        for key in itertools.product(reps, repeat=ar):
-            rows[tuple(name_of[i] for i in key)] = name_of[flat[_position(key, n)]]
+    table = {letter: {tuple(name_of[i] for i in key): name_of[flat[_position(key, n)]]
+                      for key in itertools.product(reps, repeat=ar)}
+             for letter, (ar, flat) in rows.items()}
     final = {name_of[i] for i, q in enumerate(reach) if q in accepting}
     sink = name_of[reach.index(sink)] if sink in reach else None
     return Dbta._trusted(alphabet, [name_of[i] for i in reps], final, table, sink=sink)

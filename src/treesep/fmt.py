@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .errors import FormatError
-from .trees import RankedAlphabet
+from .trees import _NAME, RankedAlphabet
 
 _HEADER = re.compile(r"([A-Za-z_][A-Za-z0-9_-]*)\s*:\s*(.*)")
 _LISTS = ("states", "accepting")
@@ -117,7 +117,7 @@ def write(letters, headers: dict, lines) -> str:
 def parse_application(lineno: int, text: str):
     """Parse ``letter(x1,...,xn)`` or bare ``letter``; returns (letter, tuple)."""
     text = text.strip()
-    m = re.fullmatch(r"([A-Za-z0-9]+)\s*(?:\(([^)]*)\))?", text)
+    m = re.fullmatch(rf"({_NAME.pattern})\s*(?:\(([^)]*)\))?", text)
     if not m:
         raise FormatError(f"line {lineno}: bad application {text!r}")
     letter, inner = m.groups()

@@ -13,9 +13,7 @@ from functools import cached_property
 
 from . import fmt
 from .errors import FormatError
-from .trees import Tree
-
-_SYMBOL = re.compile(r"[A-Za-z0-9]+")
+from .trees import _NAME, Tree
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ def parse_grammar(text: str) -> CnfGrammar:
             chunk = chunk.strip()
             if not chunk:
                 continue
-            m = re.match(r"^start\s*:\s*([A-Za-z0-9]+)$", chunk)
+            m = re.match(rf"^start\s*:\s*({_NAME.pattern})$", chunk)
             if m:
                 if start is not None:
                     raise FormatError(f"line {lineno}: duplicate header 'start'")
@@ -80,7 +78,7 @@ def parse_grammar(text: str) -> CnfGrammar:
             lhs, _, rhs = chunk.partition("->")
             lhs = lhs.strip()
             rhs_tokens = rhs.split()
-            if not _SYMBOL.fullmatch(lhs) or not all(_SYMBOL.fullmatch(t) for t in rhs_tokens):
+            if not _NAME.fullmatch(lhs) or not all(_NAME.fullmatch(t) for t in rhs_tokens):
                 raise FormatError(f"line {lineno}: bad symbol in rule {chunk!r}")
             if len(rhs_tokens) not in (1, 2):
                 raise FormatError(f"line {lineno}: rule {chunk!r} is not in Chomsky normal form")

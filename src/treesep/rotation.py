@@ -36,27 +36,17 @@ class RotationWitness:
 def is_associative(amin: Dbta, term: Tree) -> bool:
     """Do t(t(x,y),z) and t(x,t(y,z)) transform states identically?
 
-    Decided on the table B of `term` over pairs of states: the two
-    re-associations agree exactly when B[B[x][y]][z] == B[x][B[y][z]] for
-    all states x, y, z.
+    Decided on the table B of `term` over pairs of reachable states
+    (`Dbta._pair_table`): the two re-associations agree exactly when
+    B[B[x][y]][z] == B[x][B[y][z]] for all reachable states x, y, z.
     """
     if term.arity != 2:
         raise ArityError(f"need a binary term, got arity {term.arity}")
     amin.alphabet.validate(term, ports=True)
-    n = len(amin.states)
-    flat = _pair_table(amin, term)
+    reach, flat = amin._pair_table(term)
+    n = len(reach)
     rows = [flat[x * n:(x + 1) * n] for x in range(n)]
     return all(rows[bx[y]] == [bx[v] for v in rows[y]] for bx in rows for y in range(n))
-
-
-def _pair_table(amin: Dbta, term: Tree) -> list:
-    """Indices into `amin.states` of the state `term` makes of each pair of
-    port states, row-major over the pairs."""
-    states = amin.states
-    n = len(states)
-    index = {q: i for i, q in enumerate(states)}
-    columns = [[x for x in states for _ in range(n)], list(states) * n]
-    return [index[q] for q in amin.eval_columns(term, columns)]
 
 
 def find_rotation_term(dbta: Dbta, max_size: int) -> RotationWitness:
@@ -83,11 +73,11 @@ def find_rotation_term(dbta: Dbta, max_size: int) -> RotationWitness:
 def comb_dfa(dbta: Dbta, term: Tree, gamma) -> Dfa:
     """Word automaton tracking the tree automaton along left combs of `term`.
 
-    States are the tree automaton's states plus a fresh initial state; the
-    first letter maps to the state of its one-node tree, and each further
-    letter extends the comb by one composition step.  For an associative
-    term, a word is accepted iff every closure member with that many ports,
-    instantiated with the word's letters, is in the tree language.
+    States are the tree automaton's reachable states plus a fresh initial
+    state; the first letter maps to the state of its one-node tree, and each
+    further letter extends the comb by one composition step.  For an
+    associative term, a word is accepted iff every closure member with that
+    many ports, instantiated with the word's letters, is in the tree language.
     """
     gamma = tuple(sorted(set(gamma)))
     zero = set(dbta.alphabet.zero_arity())
@@ -96,20 +86,16 @@ def comb_dfa(dbta: Dbta, term: Tree, gamma) -> Dfa:
     if term.arity != 2:
         raise ArityError(f"need a binary term, got arity {term.arity}")
     dbta.alphabet.validate(term, ports=True)
+    reach, flat = dbta._pair_table(term)
     initial = "init"
-    while initial in dbta.states:
+    while initial in reach:
         initial = "_" + initial
-    n = len(dbta.states)
-    index = {q: i for i, q in enumerate(dbta.states)}
-    flat = _pair_table(dbta, term)
     delta = {}
     for sigma in gamma:
-        leaf = dbta.step(sigma, ())
-        delta[(initial, sigma)] = leaf
-        for i, q in enumerate(dbta.states):
-            delta[(q, sigma)] = dbta.states[flat[i * n + index[leaf]]]
-    states = list(dbta.states) + [initial]
-    return Dfa(gamma, states, initial, dbta.accepting, delta)
+        leaf = delta[(initial, sigma)] = dbta.eval(Tree(sigma))
+        column = flat[reach.index(leaf)::len(reach)]  # the term on each (q, leaf)
+        delta.update({(q, sigma): reach[target] for q, target in zip(reach, column)})
+    return Dfa(gamma, [*reach, initial], initial, dbta.accepting & set(reach), delta)
 
 
 @dataclass

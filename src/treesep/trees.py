@@ -22,7 +22,7 @@ from .errors import AlphabetError, ArityError, ParseError
 
 PORT = "*"
 
-_NAME = re.compile(r"[A-Za-z0-9]+")
+_NAME = re.compile(r"[A-Za-z0-9]+")  # letter, state and symbol names
 
 
 class RankedAlphabet:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from . import fmt
 from .errors import AlphabetError, FormatError
-from .trees import RankedAlphabet, Tree
+from .trees import _NAME, RankedAlphabet, Tree
 from .bottomup import Dbta, _quotient, saturate
 from .words import Dfa
 
@@ -104,7 +104,7 @@ class Dtwa:
             raise FormatError(f"action for {stray!r} outside the letters, tags and states")
         self._rows = None
 
-    def _compiled(self) -> dict:
+    def _slot_rows(self) -> dict:
         """Integer form of `delta`, built on first use: per letter, one
         (move, value) pair per slot (tag, state), tag-major, with the n
         states numbered in sorted order.
@@ -155,11 +155,11 @@ class Dtwa:
 
         An `exact` walk keys each node by a position id, handed out the first
         time it enters (parent id, child index), and each configuration by
-        pos * n + state, with states numbered as in `_compiled`, so that no
+        pos * n + state, with states numbered as in `_slot_rows`, so that no
         move costs the current depth.  A traced walk records each new
         position's child path once, and its trace entries share that tuple.
         """
-        rows = self._compiled()
+        rows = self._slot_rows()
         n = len(self.states)
         width = self.alphabet.maxarity + 1
         position_ids = {}
@@ -221,7 +221,7 @@ class Dtwa:
 
 
 _MOVES = {PARENT: "parent", STAY: "stay"}
-_LINE = re.compile(r"([A-Za-z0-9]+)\[(root|\d+)\]\s+(\S+)")
+_LINE = re.compile(rf"({_NAME.pattern})\[(root|\d+)\]\s+(\S+)")
 
 
 def parse_dtwa(text: str) -> Dtwa:
@@ -311,7 +311,7 @@ def _compose(dtwa: Dtwa, letter, children) -> tuple:
     states repeats one, and so does the global configuration, which is exact
     for deterministic automata.
     """
-    row = dtwa._compiled()[letter]
+    row = dtwa._slot_rows()[letter]
     n = len(dtwa.states)
     walk = range(n)
     out = []
@@ -348,7 +348,7 @@ def _classes(dtwa: Dtwa):
     are numbered as `saturate` over behaviours would number them.
     """
     n = len(dtwa.states)
-    read = sorted({value for row in dtwa._compiled().values() for move, value in row if move > 0})
+    read = sorted({value for row in dtwa._slot_rows().values() for move, value in row if move > 0})
     start = ROOT_TAG * n + dtwa.states.index(dtwa.initial)
     found = {}  # behaviour -> its index
     kind = []
@@ -397,6 +397,6 @@ def minimal_dbta(dtwa: Dtwa) -> Dbta:
     least = [None] * len(accepts)
     for i, c in enumerate(kind):
         least[c] = min(least[c] or f"b{i}", f"b{i}")
-    arrays = {letter: [kind[made[letter][key]] for key in itertools.product(range(len(accepts)), repeat=ar)]
-              for letter, ar in dtwa.alphabet.items()}
-    return _quotient(dtwa.alphabet, least, arrays, {b for b, a in zip(least, accepts) if a}, None)
+    rows = {letter: (ar, [kind[made[letter][key]] for key in itertools.product(range(len(accepts)), repeat=ar)])
+            for letter, ar in dtwa.alphabet.items()}
+    return _quotient(dtwa.alphabet, least, rows, {b for b, a in zip(least, accepts) if a}, None)

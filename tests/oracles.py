@@ -6,6 +6,9 @@ the tests never trust the code path they are checking.  The definitions the
 tests check the pipeline against, and the helpers only the tests use, live
 here too:
 
+- `step` and `eval_columns`: a tree automaton's steps on state names, read
+  off its named table, one tuple or many assignments of port states at a
+  time; every oracle here steps a `Dbta` through them;
 - `transformation` and `l_equivalent`: a term's full table of state
   transformations (arity at most `TUPLE_ARITY_CAP`), and interchangeability
   of two terms as equality of their tables;
@@ -34,7 +37,15 @@ import random
 from typing import Iterable
 
 from treesep.bottomup import Dbta
-from treesep.errors import AlphabetError, ArityError, FormatError, ParseError, ResourceError, TreesepError
+from treesep.errors import (
+    AlphabetError,
+    ArityError,
+    FormatError,
+    ParseError,
+    ResourceError,
+    TransitionError,
+    TreesepError,
+)
 from treesep.grammar import CnfGrammar, cyk_table, parse_grammar
 from treesep.obfuscation import FRESH_PAIR
 from treesep.trees import (
@@ -306,6 +317,62 @@ def kop_language(grammar, max_nodes: int) -> set:
     return out
 
 
+def step(dbta: Dbta, letter, child_states) -> str:
+    """The state `letter` makes of `child_states`, read off `dbta`'s named
+    table by its definition: a sink among the children, or a missing entry
+    with a sink declared, gives the sink."""
+    key = tuple(child_states)
+    if dbta.sink is not None and dbta.sink in key:
+        return dbta.sink
+    try:
+        table = dbta.transitions[letter]
+    except KeyError:
+        raise AlphabetError(f"letter {letter!r} not in alphabet") from None
+    got = table.get(key)
+    if got is None:
+        if dbta.sink is None:
+            raise TransitionError(f"no transition for {letter}{key} and no sink")
+        return dbta.sink
+    return got
+
+
+def eval_columns(dbta: Dbta, term: Tree, columns) -> list:
+    """States `term` makes of many assignments of port states at once.
+
+    `columns[i]` lists port i's state in each assignment, all of one
+    length; the result is a new list of the root state of each
+    assignment.  One post-order pass over a checked term, each letter
+    stepping each distinct tuple of child states once through `step`.  A
+    column count other than the term's port count, or columns of unequal
+    length, raise ArityError.
+    """
+    if len(columns) != term.arity:
+        raise ArityError(f"term has {term.arity} ports, got {len(columns)} columns")
+    width = len(columns[0]) if columns else 1
+    if any(len(column) != width for column in columns):
+        raise ArityError("port columns differ in length")
+    ports = iter(columns)
+    known = {}  # letter -> {tuple of child states: state}
+    values = []
+    for node in postorder(term):
+        label, ar = node.label, len(node.children)
+        if label == PORT:
+            values.append(list(next(ports)))
+        elif not ar:
+            values.append([step(dbta, label, ())] * width)
+        else:
+            seen = known.setdefault(label, {})
+            column = []
+            for key in zip(*values[-ar:]):
+                state = seen.get(key)
+                if state is None:
+                    state = seen[key] = step(dbta, label, key)
+                column.append(state)
+            del values[-ar:]
+            values.append(column)
+    return values[0]
+
+
 def definitional_l_equivalent(dbta: Dbta, t: Tree, u: Tree,
                               context_nodes: int = 7, filler_nodes: int = 5) -> bool:
     """The quantifier-based reading of interchangeability, bounded.
@@ -318,17 +385,17 @@ def definitional_l_equivalent(dbta: Dbta, t: Tree, u: Tree,
     """
     if t.arity != u.arity:
         raise ValueError("arity mismatch")
-    filler_states = sorted({dbta.eval(tree)
+    filler_states = sorted({recursive_eval(dbta, tree)
                             for tree in brute_trees(dbta.alphabet, filler_nodes)})
     contexts = list(enumerate_terms(dbta.alphabet, 1, context_nodes))
     verdict = {}
     for q in dbta.states:
         verdict[q] = tuple(
-            dbta.eval_columns(ctx, [(q,)])[0] in dbta.accepting for ctx in contexts
+            eval_columns(dbta, ctx, [(q,)])[0] in dbta.accepting for ctx in contexts
         )
     for states in itertools.product(filler_states, repeat=t.arity):
-        qt = dbta.eval_columns(t, [(q,) for q in states])[0]
-        qu = dbta.eval_columns(u, [(q,) for q in states])[0]
+        qt = eval_columns(dbta, t, [(q,) for q in states])[0]
+        qu = eval_columns(dbta, u, [(q,) for q in states])[0]
         if verdict[qt] != verdict[qu]:
             return False
     return True
@@ -345,8 +412,8 @@ def definitional_l_equivalent_literal(dbta: Dbta, t: Tree, u: Tree,
     contexts = list(enumerate_terms(dbta.alphabet, 1, context_nodes))
     for args in itertools.product(fillers, repeat=t.arity):
         for ctx in contexts:
-            left = dbta.accepts(compose(ctx, (compose(t, args),)))
-            right = dbta.accepts(compose(ctx, (compose(u, args),)))
+            left = recursive_eval(dbta, compose(ctx, (compose(t, args),))) in dbta.accepting
+            right = recursive_eval(dbta, compose(ctx, (compose(u, args),))) in dbta.accepting
             if left != right:
                 return False
     return True
@@ -387,24 +454,24 @@ def _named_table(table, names):
 
 
 def round_robin_reachable(dbta: Dbta) -> list:
-    return round_robin_closure(dbta.alphabet, dbta.step)[0]
+    return round_robin_closure(dbta.alphabet, lambda letter, key: step(dbta, letter, key))[0]
 
 
 def round_robin_complement(dbta: Dbta) -> Dbta:
     reach = round_robin_reachable(dbta)
     table = {
-        letter: {key: dbta.step(letter, key) for key in itertools.product(reach, repeat=ar)}
+        letter: {key: step(dbta, letter, key) for key in itertools.product(reach, repeat=ar)}
         for letter, ar in dbta.alphabet.items()
     }
     return Dbta(dbta.alphabet, reach, set(reach) - dbta.accepting, table)
 
 
 def round_robin_product(left: Dbta, right: Dbta, op: str) -> Dbta:
-    def step(letter, combo):
-        return (left.step(letter, tuple(p[0] for p in combo)),
-                right.step(letter, tuple(p[1] for p in combo)))
+    def pair_step(letter, combo):
+        return (step(left, letter, tuple(p[0] for p in combo)),
+                step(right, letter, tuple(p[1] for p in combo)))
 
-    pairs, table = round_robin_closure(left.alphabet, step)
+    pairs, table = round_robin_closure(left.alphabet, pair_step)
     names = [f"{p}|{q}" for p, q in pairs]
     keep = {
         "and": lambda a, b: a and b,
@@ -530,7 +597,7 @@ def moore_minimize(dbta: Dbta) -> Dbta:
         signature = {}
         for letter, ar in dbta.alphabet.items():
             for key in itertools.product(reach, repeat=ar):
-                target_block = block[dbta.step(letter, key)]
+                target_block = block[step(dbta, letter, key)]
                 for i, q in enumerate(key):
                     ctx = (letter, i, tuple(key[:i] + key[i + 1 :]))
                     signature.setdefault(q, {})[ctx] = target_block
@@ -556,7 +623,7 @@ def moore_minimize(dbta: Dbta) -> Dbta:
     for letter, ar in dbta.alphabet.items():
         table[letter] = {}
         for key in itertools.product(reps, repeat=ar):
-            table[letter][tuple(name_of[q] for q in key)] = name_of[dbta.step(letter, key)]
+            table[letter][tuple(name_of[q] for q in key)] = name_of[step(dbta, letter, key)]
     accepting = {name_of[q] for q in reach if q in dbta.accepting}
     sink = name_of[dbta.sink] if dbta.sink in name_of else None
     if sink in accepting:
@@ -574,7 +641,7 @@ def round_robin_is_empty(dbta: Dbta):
         for letter, ar in dbta.alphabet.items():
             for key in itertools.product(list(minsize), repeat=ar) if ar else [()]:
                 cand = 1 + sum(minsize[q] for q in key)
-                target = dbta.step(letter, key)
+                target = step(dbta, letter, key)
                 if cand < minsize.get(target, float("inf")):
                     minsize[target] = cand
                     changed = True
@@ -587,7 +654,7 @@ def round_robin_is_empty(dbta: Dbta):
         changed = False
         for letter, ar in dbta.alphabet.items():
             for key in itertools.product(list(best), repeat=ar) if ar else [()]:
-                target = dbta.step(letter, key)
+                target = step(dbta, letter, key)
                 if 1 + sum(minsize[q] for q in key) != minsize[target]:
                     continue
                 cand = Tree(letter, tuple(best[q] for q in key))
@@ -669,11 +736,11 @@ def dict_run(dtwa: Dtwa, tree: Tree, collect_trace: bool = False) -> RunOutcome:
 
 def recursive_eval(dbta: Dbta, tree: Tree) -> str:
     """`Dbta.eval` as it was before the one-walk form: validate the whole
-    tree, then recurse through `Dbta.step`."""
+    tree, then recurse through `step`."""
     stack_validate(dbta.alphabet, tree)
 
     def go(node):
-        return dbta.step(node.label, tuple(go(c) for c in node.children))
+        return step(dbta, node.label, tuple(go(c) for c in node.children))
 
     return go(tree)
 
@@ -877,7 +944,7 @@ def transformation(amin: Dbta, term: Tree, max_arity: int = TUPLE_ARITY_CAP) -> 
         raise ResourceError(f"transformation tables capped at arity {max_arity}, term has {n} ports")
     stack_validate(amin.alphabet, term, ports=True)
     keys = list(itertools.product(amin.states, repeat=n))
-    return dict(zip(keys, amin.eval_columns(term, list(zip(*keys)))))
+    return dict(zip(keys, eval_columns(amin, term, list(zip(*keys)))))
 
 
 def l_equivalent(amin: Dbta, t: Tree, u: Tree) -> bool:

@@ -13,6 +13,7 @@ from fixtures import SIGMA, height_bounded_dbta, leaf_parity_dbta, left_leaf_dbt
 from oracles import (
     SEED,
     brute_trees,
+    eval_columns,
     nta_accepts,
     random_dbta,
     random_dbtas,
@@ -74,27 +75,30 @@ class TestEval:
 
 
 class TestEvalTerm:
+    """`oracles.eval_columns`, the name-level reference the oracles step
+    terms with, against `Dbta.eval`."""
+
     def test_identity_port(self):
         parity = leaf_parity_dbta()
-        assert parity.eval_columns(t("*"), [("odd",)])[0] == "odd"
+        assert eval_columns(parity, t("*"), [("odd",)])[0] == "odd"
 
     def test_ground_term_is_plain_eval(self):
         parity = leaf_parity_dbta()
-        assert parity.eval_columns(t("a(p,q)"), [])[0] == parity.eval(t("a(p,q)"))
+        assert eval_columns(parity, t("a(p,q)"), [])[0] == parity.eval(t("a(p,q)"))
 
     @pytest.mark.parametrize("columns", [[], [["odd"]], [["odd"], ["even"], ["odd"]]],
                              ids=["none", "too-few", "too-many"])
     def test_column_count_must_match_ports(self, columns):
         with pytest.raises(ArityError):
-            leaf_parity_dbta().eval_columns(t("a(*,*)"), columns)
+            eval_columns(leaf_parity_dbta(), t("a(*,*)"), columns)
 
     def test_columns_of_unequal_length(self):
         with pytest.raises(ArityError):
-            leaf_parity_dbta().eval_columns(t("a(*,*)"), [["odd"], ["even", "odd"]])
+            eval_columns(leaf_parity_dbta(), t("a(*,*)"), [["odd"], ["even", "odd"]])
 
     def test_bare_port_returns_a_new_list(self):
         column = ["odd", "even"]
-        got = leaf_parity_dbta().eval_columns(t("*"), [column])
+        got = eval_columns(leaf_parity_dbta(), t("*"), [column])
         assert got == column and got is not column
 
     def test_substitution_oracle(self):
@@ -113,7 +117,7 @@ class TestEvalTerm:
                 for term in rng.sample(terms, min(25, len(terms))):
                     for _ in range(6):
                         args = (rng.choice(fillers), rng.choice(fillers))
-                        via_states = dbta.eval_columns(term, [(dbta.eval(s),) for s in args])[0]
+                        via_states = eval_columns(dbta, term, [(dbta.eval(s),) for s in args])[0]
                         assert via_states == dbta.eval(compose(term, args))
 
 
@@ -189,8 +193,8 @@ class TestMinimize:
             contexts = list(enumerate_terms(SIGMA, 1, 7))
             for q1, q2 in itertools.combinations(small.states, 2):
                 assert any(
-                    (small.eval_columns(ctx, [(q1,)])[0] in small.accepting)
-                    != (small.eval_columns(ctx, [(q2,)])[0] in small.accepting)
+                    (eval_columns(small, ctx, [(q1,)])[0] in small.accepting)
+                    != (eval_columns(small, ctx, [(q2,)])[0] in small.accepting)
                     for ctx in contexts
                 ), f"{q1} and {q2} look equivalent"
 

@@ -204,6 +204,15 @@ def test_bench_imports_resolve():
     assert read == defined == {"PALINDROME_TEXT", "NONPALINDROME_TEXT", "obf_sigma"}
 
 
+@pytest.mark.parametrize("folder", ["src", "tests", "perfbench"])
+def test_sources_parse_as_python_3_10(folder):
+    """pyproject.toml admits Python 3.10: no source may need later grammar."""
+    paths = sorted((Path(__file__).resolve().parents[1] / folder).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_output_does_not_depend_on_hash_seed(files):
     """String and frozenset hashes change with PYTHONHASHSEED; extraction
     and the obfuscation automata must not."""

@@ -39,6 +39,7 @@ from oracles import (
     SEED,
     brute_trees,
     dict_run,
+    eval_columns,
     nta_accepts,
     random_dbta,
     random_dtwa,
@@ -50,6 +51,7 @@ from oracles import (
     recursive_parse_tree,
     replace_at,
     stack_validate,
+    step,
 )
 
 
@@ -364,9 +366,9 @@ def left_comb(letters):
 def comb_state(dbta, letters):
     """`recursive_eval`'s state on `left_comb(letters)`, its recursion
     unrolled along the comb's spine, so any length evaluates."""
-    state, pad = dbta.step(letters[0], ()), dbta.step("c", ())
+    state, pad = step(dbta, letters[0], ()), step(dbta, "c", ())
     for x in letters[1:]:
-        state = dbta.step("a", (dbta.step("a", (state, pad)), dbta.step(x, ())))
+        state = step(dbta, "a", (step(dbta, "a", (state, pad)), step(dbta, x, ())))
     return state
 
 
@@ -424,7 +426,7 @@ class TestDeepTrees:
             filled = compose(term, (arg,))
             assert format_tree(filled) == format_tree(term).replace("*", format_tree(arg))
             for dbta in automata:
-                assert dbta.eval_columns(term, [(dbta.eval(arg),)])[0] == dbta.eval(filled)
+                assert eval_columns(dbta, term, [(dbta.eval(arg),)])[0] == dbta.eval(filled)
 
     def test_deep_binary_term(self):
         # is_associative and comb_dfa against Dbta.eval on composed trees
@@ -461,7 +463,7 @@ class TestDeepTrees:
         dbta = random_dbta(rng, obf_sigma(), n_states=4)
         assert comb_state(dbta, word[:50]) == recursive_eval(dbta, left_comb(word[:50]))
         want = comb_state(dbta, word)
-        assert dbta._codes is None
+        assert dbta._table_cache is None
         got = []
         start = threading.Barrier(8)
 

@@ -1,10 +1,11 @@
 """The integer-table tree side against the dict-level oracles.
 
-`Dbta.minimize`, `Dbta.is_empty`, `is_associative` and the walker behaviour
-composition run on integer tables; each must give exactly what the plain
-dict-and-tree-walk routes in `oracles` give.  A built automaton's tables are
-read over the reachable states its construction found, a parsed one's are
-saturated anew: both routes must agree.
+`Dbta.eval`, `Dbta.minimize`, `Dbta.is_empty`, `is_associative`, `comb_dfa`
+and the walker behaviour composition run on integer tables; each must give
+exactly what the plain dict-and-tree-walk routes in `oracles` give.  A built
+automaton's tables are read over the reachable states its construction
+found, a parsed one's are saturated anew: both routes must agree, and both
+must raise the same error at a missing entry.
 """
 
 import itertools
@@ -13,10 +14,12 @@ import random
 import pytest
 
 from treesep.bottomup import Dbta, Nta, parse_dbta
+from treesep.errors import TransitionError
 from treesep.obfuscation import kop_nta
-from treesep.rotation import is_associative
+from treesep.rotation import comb_dfa, is_associative
 from treesep.trees import RankedAlphabet, enumerate_terms
 from treesep.walking import dfs_from_dfa, to_dbta
+from treesep.words import Dfa
 
 from fixtures import (
     ALPHABETS,
@@ -26,6 +29,7 @@ from fixtures import (
     leaf_parity_dbta,
     left_leaf_dbta,
     obf_sigma,
+    t,
 )
 from oracles import (
     SEED,
@@ -33,6 +37,7 @@ from oracles import (
     behavior_of_leaf,
     criterion_dfas,
     dict_behavior_compose,
+    eval_columns,
     moore_minimize,
     random_dbtas,
     random_dtwa,
@@ -42,6 +47,7 @@ from oracles import (
     round_robin_is_empty,
     round_robin_product,
     round_robin_reachable,
+    step,
     tree_walk_is_associative,
 )
 
@@ -200,3 +206,68 @@ def test_associativity_on_rotation_fixtures(fixture):
     amin = fixture().minimize()
     for term in enumerate_terms(amin.alphabet, 2, 7):
         assert is_associative(amin, term) == tree_walk_is_associative(amin, term)
+
+
+def pair_states(amin, term):
+    """{(x, y): state} of a binary term over all pairs of `amin.states`,
+    by the name-level `eval_columns`."""
+    pairs = list(itertools.product(amin.states, repeat=2))
+    return dict(zip(pairs, eval_columns(amin, term, [[x for x, _ in pairs], [y for _, y in pairs]])))
+
+
+def test_term_tables_against_name_level_references():
+    """`comb_dfa` and `is_associative` read the integer table over the
+    reachable states; on minimized automata, where those are all the states,
+    they must equal references stepped on state names."""
+    gamma = ("p", "q")
+    for dbta in random_dbtas(obf_sigma(), 40):
+        amin = dbta.minimize()
+        for term in enumerate_terms(PAIR, 2, 7):
+            made = pair_states(amin, term)
+            associative = all(made[(made[(x, y)], z)] == made[(x, made[(y, z)])]
+                              for x, y, z in itertools.product(amin.states, repeat=3))
+            assert is_associative(amin, term) == associative
+            initial = "init"
+            while initial in amin.states:
+                initial = "_" + initial
+            delta = {}
+            for sigma in gamma:
+                leaf = delta[(initial, sigma)] = step(amin, sigma, ())
+                delta.update({(q, sigma): made[(q, leaf)] for q in amin.states})
+            want = Dfa(gamma, [*amin.states, initial], initial, amin.accepting, delta)
+            assert comb_dfa(amin, term, gamma).to_text() == want.to_text()
+
+
+PARTIAL_TEXT = """
+alphabet:
+a/2
+c
+p
+q
+states: x y
+c -> x
+q -> x
+p -> y
+a(x,x) -> x
+a(x,y) -> y
+a(y,x) -> x
+"""
+
+
+@pytest.mark.parametrize("text, evaluates, bad_tree, term, message", [
+    (PARTIAL_TEXT, {"a(c,p)": "y"}, "a(p,p)", "a(*,*)", "no transition for a('y', 'y') and no sink"),
+    # no entry at all: no state is reachable, so the pair table has no pairs
+    ("alphabet:\na/2\nc\np\nq\nstates: x\n", {}, "c", "a(a(*,c),*)", "no transition for c() and no sink"),
+], ids=["partial", "no-entry"])
+def test_missing_entry_without_a_sink(text, evaluates, bad_tree, term, message):
+    """A tree that avoids the missing entry evaluates; every entry point
+    that reaches it raises the same error."""
+    dbta = parse_dbta(text)
+    term = t(term)
+    for tree, state in evaluates.items():
+        assert dbta.eval(t(tree)) == state
+    for call in (lambda: dbta.eval(t(bad_tree)), dbta.minimize, dbta.is_empty,
+                 lambda: is_associative(dbta, term), lambda: comb_dfa(dbta, term, ("p", "q"))):
+        with pytest.raises(TransitionError) as caught:
+            call()
+        assert str(caught.value) == message
