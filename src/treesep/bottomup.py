@@ -1,9 +1,10 @@
 """Deterministic and nondeterministic bottom-up tree automata.
 
-Transition tables may be partial as long as the automaton names a rejecting
-sink: every missing entry, and every entry with a sink among its inputs,
-resolves to the sink.  Every algorithm on a `Dbta` reads one integer
-table, `Dbta._tables`, built once and dense over the reachable states.
+Transition tables may be partial.  With a rejecting sink, every missing
+entry, and every entry with the sink among its inputs, resolves to the sink;
+without one, the first use that reaches a missing entry raises
+TransitionError.  Every algorithm on a `Dbta` reads one integer table,
+`Dbta._tables`, built once and dense over the reachable states.
 
 Reachable states, subset constructions and the walker's read-slot classes
 are all one closure: start from nothing and apply every letter to every
@@ -86,12 +87,35 @@ def saturate(alphabet, step):
     return order, table
 
 
+def _checked(alphabet, states, transitions, targets, sink=None) -> dict:
+    """`transitions` with tuple keys and a row for every letter, after
+    checking each entry in turn: its key has the letter's arity, and its key
+    states and the states `targets(value)` are declared; with a sink, an
+    entry whose key holds the sink yields the sink."""
+    out = {letter: {} for letter, _ in alphabet.items()}
+    for letter, table in transitions.items():
+        ar = alphabet.arity(letter)
+        rows = out[letter]
+        for key, value in table.items():
+            key = tuple(key)
+            if len(key) != ar:
+                raise ArityError(f"{letter!r} transition keyed by {len(key)} states, arity is {ar}")
+            if not set(key) <= states or not targets(value) <= states:
+                raise FormatError(f"undeclared state in transition {letter}{key} -> {value}")
+            if sink is not None and sink in key and value != sink:
+                raise FormatError("transitions touching the sink must yield the sink")
+            rows[key] = value
+    return out
+
+
 class Dbta:
     """Deterministic bottom-up tree automaton.
 
     `transitions` maps each letter to a dict from child-state tuples to the
     resulting state.  `sink`, when set, must be a declared non-accepting
-    state; it absorbs every missing entry.
+    state; it absorbs every missing entry.  Without a sink the table may
+    still be partial: a use that reaches a missing entry raises
+    TransitionError, and a tree that avoids them evaluates.
     """
 
     def __init__(self, alphabet, states, accepting, transitions, sink=None):
@@ -107,22 +131,7 @@ class Dbta:
                 raise FormatError(f"sink {sink!r} not declared")
             if sink in self.accepting:
                 raise FormatError("sink must be non-accepting")
-        self.transitions = {}
-        for letter, table in transitions.items():
-            ar = alphabet.arity(letter)
-            cleaned = {}
-            for key, value in table.items():
-                key = tuple(key)
-                if len(key) != ar:
-                    raise ArityError(f"{letter!r} transition keyed by {len(key)} states, arity is {ar}")
-                if not set(key) <= state_set or value not in state_set:
-                    raise FormatError(f"undeclared state in transition {letter}{key} -> {value}")
-                if sink is not None and sink in key and value != sink:
-                    raise FormatError("transitions touching the sink must yield the sink")
-                cleaned[key] = value
-            self.transitions[letter] = cleaned
-        for letter, _ in alphabet.items():
-            self.transitions.setdefault(letter, {})
+        self.transitions = _checked(alphabet, state_set, transitions, lambda value: {value}, sink)
         self._reach = None
         self._table_cache = None
 
@@ -212,12 +221,16 @@ class Dbta:
         return tables
 
     def _pair_table(self, term: Tree):
-        """(reach, flat) of a checked binary `term`: `flat` gives the index
-        in the reachable states `reach` of the state the term makes of each
-        pair of them, row-major over the pairs.  One post-order pass, each
-        node reading one entry per pair; the first node and pair to reach a
-        missing entry raise TransitionError, and so does a missing entry
-        when no state is reachable."""
+        """(reach, flat) of a binary `term`: `flat` gives the index in the
+        reachable states `reach` of the state the term makes of each pair of
+        them, row-major over the pairs.  The term must have two ports and
+        fit the alphabet.  One post-order pass, each node reading one entry
+        per pair; the first node and pair to reach a missing entry raise
+        TransitionError, and so does a missing entry when no state is
+        reachable."""
+        if term.arity != 2:
+            raise ArityError(f"need a binary term, got arity {term.arity}")
+        self.alphabet.validate(term, ports=True)
         reach, rows, gap = self._tables()
         n = len(reach)
         if not n and gap:
@@ -307,17 +320,18 @@ class Dbta:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
 
 
-def _quotient(alphabet, reach, rows, accepting, sink) -> Dbta:
-    """Myhill-Nerode quotient of the automaton with reachable states `reach`,
-    in any order, and the integer rows `rows` of `Dbta._tables`.
+def _refine(reach, rows, accepting) -> list:
+    """Myhill-Nerode blocks of the reachable states `reach`, in any order,
+    under the integer rows `rows` of `Dbta._tables`: lists of indices into
+    `reach`, ordered by their sorted member names.
 
     Partition refinement with single-letter contexts: two states split as
     soon as some letter, position, and tuple of reachable sibling states
     sends them to different blocks.  Tree contexts factor through these
-    one-node contexts, so the result is the Myhill-Nerode quotient and
-    equality of state transformations on it coincides with
-    interchangeability in every context.  Rounds run Moore-style; quotient
-    states are named m0, m1, ... in order of their sorted member lists."""
+    one-node contexts, so the blocks are the Myhill-Nerode classes and
+    equality of state transformations on them coincides with
+    interchangeability in every context.  Rounds run Moore-style; a word
+    automaton is the case of unary letters."""
     n = len(reach)
     block = [q in accepting for q in reach]
     count = len(set(block))
@@ -342,10 +356,18 @@ def _quotient(alphabet, reach, rows, accepting, sink) -> Dbta:
         if len(rename) == count:
             break
         count = len(rename)
-    members = {}
-    for i, q in enumerate(reach):
-        members.setdefault(block[i], []).append(i)
-    ordered = sorted(members.values(), key=lambda ids: sorted(reach[i] for i in ids))
+    members = [[] for _ in range(count)]
+    for i in range(n):
+        members[block[i]].append(i)
+    return sorted(members, key=lambda ids: sorted(reach[i] for i in ids))
+
+
+def _quotient(alphabet, reach, rows, accepting, sink) -> Dbta:
+    """Myhill-Nerode quotient of the automaton with reachable states `reach`
+    and the integer rows `rows` of `Dbta._tables`: the blocks of `_refine`
+    named m0, m1, ... in their order."""
+    n = len(reach)
+    ordered = _refine(reach, rows, accepting)
     name_of = [None] * n
     for k, ids in enumerate(ordered):
         for i in ids:
@@ -369,22 +391,9 @@ class Nta:
         self.accepting = frozenset(accepting)
         if not self.accepting <= state_set:
             raise FormatError("accepting states not declared")
-        self.transitions = {}
-        for letter, table in transitions.items():
-            ar = alphabet.arity(letter)
-            cleaned = {}
-            for key, values in table.items():
-                key = tuple(key)
-                values = frozenset(values)
-                if len(key) != ar:
-                    raise ArityError(f"{letter!r} transition keyed by {len(key)} states, arity is {ar}")
-                if not set(key) <= state_set or not values <= state_set:
-                    raise FormatError(f"undeclared state in transition {letter}{key}")
-                if values:
-                    cleaned[key] = values
-            self.transitions[letter] = cleaned
-        for letter, _ in alphabet.items():
-            self.transitions.setdefault(letter, {})
+        # an empty target set is dropped only after its entry is checked
+        self.transitions = {letter: {key: frozenset(values) for key, values in rows.items() if values}
+                            for letter, rows in _checked(alphabet, state_set, transitions, frozenset).items()}
 
     def determinize(self) -> Dbta:
         """Subset construction over reachable subsets, named d0, d1, ... in

@@ -59,6 +59,8 @@ def read(text: str, where: str, takes):
                 raise FormatError(f"line {lineno}: unknown header {name!r}")
             if name in headers:
                 raise FormatError(f"line {lineno}: duplicate header {name!r}")
+            if name == "states" and not value:
+                raise FormatError(f"line {lineno}: 'states' lists no state")
             if name == "alphabet":
                 if value:
                     raise FormatError(f"line {lineno}: alphabet entries go on their own lines")
@@ -80,7 +82,7 @@ def read(text: str, where: str, takes):
     if letters is None:
         raise FormatError(f"{where}: missing alphabet section")
     states = headers.pop("states", None)
-    if not states:
+    if states is None:
         raise FormatError(f"{where}: missing 'states' header")
     del headers["alphabet"]
     return RankedAlphabet(letters), states, headers, lines

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 
 from .bottomup import Dbta
-from .errors import AlphabetError, ArityError, RotationSearchExhausted
+from .errors import AlphabetError, RotationSearchExhausted
 from .grammar import CnfGrammar
 from .obfuscation import FRESH_PAIR, obf_alphabet
 from .trees import RankedAlphabet, Tree, enumerate_terms, format_tree
@@ -40,9 +40,6 @@ def is_associative(amin: Dbta, term: Tree) -> bool:
     (`Dbta._pair_table`): the two re-associations agree exactly when
     B[B[x][y]][z] == B[x][B[y][z]] for all reachable states x, y, z.
     """
-    if term.arity != 2:
-        raise ArityError(f"need a binary term, got arity {term.arity}")
-    amin.alphabet.validate(term, ports=True)
     reach, flat = amin._pair_table(term)
     n = len(reach)
     rows = [flat[x * n:(x + 1) * n] for x in range(n)]
@@ -83,9 +80,6 @@ def comb_dfa(dbta: Dbta, term: Tree, gamma) -> Dfa:
     zero = set(dbta.alphabet.zero_arity())
     if not set(gamma) <= zero:
         raise AlphabetError("word letters must be arity-0 tree letters")
-    if term.arity != 2:
-        raise ArityError(f"need a binary term, got arity {term.arity}")
-    dbta.alphabet.validate(term, ports=True)
     reach, flat = dbta._pair_table(term)
     initial = "init"
     while initial in reach:

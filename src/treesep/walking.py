@@ -68,69 +68,50 @@ class Dtwa:
 
     `delta` maps (letter, tag, state) to "accept", "reject", or a pair
     (next_state, move) with move in {PARENT, STAY, 1..arity(letter)}.
+
+    `_rows` is its integer form, built in the pass that checks it: per
+    letter, one (move, value) pair per slot (tag, state), tag-major, with
+    the n states numbered in sorted order.  PARENT ends the local walk with
+    `value` as its outcome code (see `_compose`): the exit state's number, n
+    for accept or n + 1 for reject.  STAY goes on in state number `value`,
+    and a child move i enters child i at slot `value`, i.e. (i, next state)
+    of the child's behaviour.
     """
 
     def __init__(self, alphabet: RankedAlphabet, states, initial, delta):
         self.alphabet = alphabet
         self.states = tuple(sorted(set(states)))
-        state_set = set(self.states)
-        if initial not in state_set:
+        n = len(self.states)
+        number = {q: i for i, q in enumerate(self.states)}
+        if initial not in number:
             raise FormatError(f"initial state {initial!r} not declared")
         self.initial = initial
         self.delta = dict(delta)
+        ends = {ACCEPT: (PARENT, n), REJECT: (PARENT, n + 1)}
+        self._rows = {}
         for letter, ar in alphabet.items():
-            for tag in range(0, alphabet.maxarity + 1):
+            row = self._rows[letter] = []
+            for tag in self.tags():
                 for q in self.states:
                     key = (letter, tag, q)
                     if key not in self.delta:
-                        raise FormatError(
-                            f"missing action for letter {letter!r}, tag {tag}, state {q!r}; "
-                            "the transition map must be total"
-                        )
+                        raise FormatError(f"missing action for letter {letter!r}, tag {tag}, state {q!r}; "
+                                          "the transition map must be total")
                     act = self.delta[key]
                     if act in (ACCEPT, REJECT):
+                        row.append(ends[act])
                         continue
                     q2, move = act
-                    if q2 not in state_set:
+                    if q2 not in number:
                         raise FormatError(f"undeclared state {q2!r} in action for {key}")
                     if not (move == PARENT or move == STAY or 1 <= move <= ar):
-                        raise FormatError(
-                            f"move {move} out of range for letter {letter!r} of arity {ar}"
-                        )
-        if len(self.delta) != len(alphabet.items()) * len(self.tags()) * len(self.states):
+                        raise FormatError(f"move {move} out of range for letter {letter!r} of arity {ar}")
+                    row.append((move, max(move, 0) * n + number[q2]))
+        if len(self.delta) != len(alphabet.items()) * len(self.tags()) * n:
             slots = {(letter, tag, q) for letter, _ar in alphabet.items()
                      for tag in self.tags() for q in self.states}
             stray = next(key for key in self.delta if key not in slots)
             raise FormatError(f"action for {stray!r} outside the letters, tags and states")
-        self._rows = None
-
-    def _slot_rows(self) -> dict:
-        """Integer form of `delta`, built on first use: per letter, one
-        (move, value) pair per slot (tag, state), tag-major, with the n
-        states numbered in sorted order.
-
-        PARENT ends the local walk with `value` as its outcome code (see
-        `_compose`): the exit state's number, n for accept or n + 1 for
-        reject.  STAY goes on in state number `value`, and a child move i
-        enters child i at slot `value`, i.e. (i, next state) of the child's
-        behaviour.
-        """
-        if self._rows is None:
-            n = len(self.states)
-            number = {q: i for i, q in enumerate(self.states)}
-            ends = {ACCEPT: (PARENT, n), REJECT: (PARENT, n + 1)}
-            self._rows = {}
-            for letter, _ar in self.alphabet.items():
-                row = self._rows[letter] = []
-                for tag in self.tags():
-                    for q in self.states:
-                        act = self.delta[(letter, tag, q)]
-                        if act in (ACCEPT, REJECT):
-                            row.append(ends[act])
-                        else:
-                            q2, move = act
-                            row.append((move, max(move, 0) * n + number[q2]))
-        return self._rows
 
     def run(self, tree: Tree, collect_trace: bool = False) -> RunOutcome:
         """Simulate from (initial, root) until a verdict.
@@ -155,11 +136,11 @@ class Dtwa:
 
         An `exact` walk keys each node by a position id, handed out the first
         time it enters (parent id, child index), and each configuration by
-        pos * n + state, with states numbered as in `_slot_rows`, so that no
+        pos * n + state, with states numbered as in `_rows`, so that no
         move costs the current depth.  A traced walk records each new
         position's child path once, and its trace entries share that tuple.
         """
-        rows = self._slot_rows()
+        rows = self._rows
         n = len(self.states)
         width = self.alphabet.maxarity + 1
         position_ids = {}
@@ -311,7 +292,7 @@ def _compose(dtwa: Dtwa, letter, children) -> tuple:
     states repeats one, and so does the global configuration, which is exact
     for deterministic automata.
     """
-    row = dtwa._slot_rows()[letter]
+    row = dtwa._rows[letter]
     n = len(dtwa.states)
     walk = range(n)
     out = []
@@ -348,7 +329,7 @@ def _classes(dtwa: Dtwa):
     are numbered as `saturate` over behaviours would number them.
     """
     n = len(dtwa.states)
-    read = sorted({value for row in dtwa._slot_rows().values() for move, value in row if move > 0})
+    read = sorted({value for row in dtwa._rows.values() for move, value in row if move > 0})
     start = ROOT_TAG * n + dtwa.states.index(dtwa.initial)
     found = {}  # behaviour -> its index
     kind = []

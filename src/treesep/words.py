@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fmt
+from .bottomup import _refine
 from .errors import AlphabetError, FormatError
 
 
@@ -65,33 +66,22 @@ class Dfa:
                    set(self.states) - set(self.accepting), self.delta)
 
     def minimize(self) -> "Dfa":
-        """Reachable states merged up to language equivalence.
-
-        Moore's refinement: start from the accepting split and split a block
-        while its states step some letter into different blocks.  Each
-        block keeps the name of its least member.
+        """Reachable states merged up to language equivalence: the blocks of
+        the tree automata's refinement (`bottomup._refine`), one unary row
+        per letter.  Each block keeps the name of its least member.
         """
-        reach, seen = [self.initial], {self.initial}
+        reach, index = [self.initial], {self.initial: 0}
         for q in reach:
             for letter in self.alphabet:
                 target = self.delta[(q, letter)]
-                if target not in seen:
-                    seen.add(target)
+                if target not in index:
+                    index[target] = len(reach)
                     reach.append(target)
-        block = {q: q in self.accepting for q in reach}
-        count = len(set(block.values()))
-        while True:
-            signature = {q: (block[q], *[block[self.delta[(q, letter)]] for letter in self.alphabet])
-                         for q in reach}
-            ids = {}
-            block = {q: ids.setdefault(sig, len(ids)) for q, sig in signature.items()}
-            if len(ids) == count:
-                break
-            count = len(ids)
-        least = {}
-        for q in sorted(reach):
-            least.setdefault(block[q], q)
-        name = {q: least[block[q]] for q in reach}
+        rows = {letter: (1, [index[self.delta[(q, letter)]] for q in reach]) for letter in self.alphabet}
+        name = {}
+        for ids in _refine(reach, rows, self.accepting):
+            least = min(reach[i] for i in ids)
+            name.update((reach[i], least) for i in ids)
         delta = {(name[q], letter): name[self.delta[(q, letter)]] for q in reach for letter in self.alphabet}
         return Dfa(self.alphabet, set(name.values()), name[self.initial],
                    {name[q] for q in reach if q in self.accepting}, delta)

@@ -282,32 +282,49 @@ class TestTextFormat:
          r"^line 7: unknown header 'acepting'$"),
         (parse_nta, kop_nta(p_initial_grammar()).to_text().replace("accepting:", "sink: C\naccepting:"),
          r"^line 7: unknown header 'sink'$"),
+        (parse_dbta, leaf_parity_dbta().to_text().replace("states: even odd", "states:"),
+         r"^line 6: 'states' lists no state$"),
     ], ids=["repeated-dbta-key", "repeated-nta-key", "repeated-letter", "two-token-sink",
-            "superscript-arity", "dbta-initial", "dbta-misspelt", "nta-sink"])
+            "superscript-arity", "dbta-initial", "dbta-misspelt", "nta-sink", "empty-states"])
     def test_bad_file_rejected(self, parse, text, match):
         with pytest.raises(FormatError, match=match):
             parse(text)
 
-    @pytest.mark.parametrize("transitions, sink, error, match", [
-        ({"a": {("even",): "even"}}, None, ArityError, "keyed by 1 states, arity is 2"),
-        ({"a": {("even", "nowhere"): "even"}}, None, FormatError, "undeclared state"),
-        ({"c": {(): "nowhere"}}, None, FormatError, "undeclared state"),
-        ({"a": {("even", "odd"): "even"}}, "odd", FormatError, "touching the sink must yield the sink"),
-    ], ids=["arity", "undeclared-key", "undeclared-target", "sink-escapes"])
-    def test_bad_table_rejected(self, transitions, sink, error, match):
-        # the public constructor, and the parser that builds through it,
-        # check every entry; only tables built from just-declared states
-        # skip the checks
-        table = {letter: dict(rows) for letter, rows in leaf_parity_dbta().transitions.items()}
+    @pytest.mark.parametrize("transitions, sink, forms, error, match", [
+        ({"a": {("even",): {"even"}}}, None, "dbta nta", ArityError, r"^'a' transition keyed by 1 states, arity is 2$"),
+        ({"a": {("even", "nowhere"): {"even"}}}, None, "dbta nta", FormatError,
+         r"^undeclared state in transition a\('even', 'nowhere'\) -> "),
+        ({"c": {(): {"nowhere"}}}, None, "dbta nta", FormatError, r"^undeclared state in transition c\(\) -> "),
+        ({"a": {("even", "odd"): {"even"}}}, "odd", "dbta", FormatError,
+         "^transitions touching the sink must yield the sink$"),
+        # an NTA drops an empty target set only after checking its entry
+        ({"a": {("even",): set()}}, None, "nta", ArityError, r"^'a' transition keyed by 1 states, arity is 2$"),
+    ], ids=["arity", "undeclared-key", "undeclared-target", "sink-escapes", "empty-set-arity"])
+    def test_bad_table_rejected(self, transitions, sink, forms, error, match):
+        """The public constructors, and the parsers that build through them,
+        check every entry; only tables built from just-declared states skip
+        the checks.  Each case patches the NTA form of the leaf-parity
+        table; its DBTA form takes the one state of each target set."""
+        sets = {letter: {key: {value} for key, value in rows.items()}
+                for letter, rows in leaf_parity_dbta().transitions.items()}
         for letter, rows in transitions.items():
-            table[letter].update(rows)
-        with pytest.raises(error, match=match):
-            Dbta(SIGMA, ("even", "odd"), {"even"}, table, sink=sink)
-        lines = [f"{letter}({','.join(key)}) -> {value}"
-                 for letter, rows in table.items() for key, value in rows.items()]
-        headers = {"states": ("even", "odd"), "accepting": ["even"], "sink": sink}
-        with pytest.raises(error, match=match):
-            parse_dbta(fmt.write(SIGMA.items(), headers, lines))
+            sets[letter].update(rows)
+        states, headers = ("even", "odd"), {"states": ("even", "odd"), "accepting": ["even"]}
+        builds = []
+        if "dbta" in forms:
+            table = {letter: {key: min(values) for key, values in rows.items()} for letter, rows in sets.items()}
+            dbta_text = fmt.write(SIGMA.items(), {**headers, "sink": sink},
+                                  [f"{letter}({','.join(key)}) -> {value}"
+                                   for letter, rows in table.items() for key, value in rows.items()])
+            builds += [lambda: Dbta(SIGMA, states, {"even"}, table, sink=sink), lambda: parse_dbta(dbta_text)]
+        if "nta" in forms:
+            nta_text = fmt.write(SIGMA.items(), headers,
+                                 [f"{letter}({','.join(key)}) -> {{{','.join(sorted(values))}}}"
+                                  for letter, rows in sets.items() for key, values in rows.items()])
+            builds += [lambda: Nta(SIGMA, states, {"even"}, sets), lambda: parse_nta(nta_text)]
+        for build in builds:
+            with pytest.raises(error, match=match):
+                build()
 
     def test_fingerprint_stability(self):
         assert leaf_parity_dbta().fingerprint() == leaf_parity_dbta().fingerprint()

@@ -11,6 +11,7 @@ from treesep.walking import (
     LOOP,
     PARENT,
     REJECT,
+    STAY,
     Dtwa,
     dfs_from_dfa,
     minimal_dbta,
@@ -94,6 +95,35 @@ class TestRun:
         delta[("c", 0, "q")] = ("q", 1)  # child move on an arity-0 letter
         with pytest.raises(FormatError):
             Dtwa(SIGMA, ("q",), "q", delta)
+
+    @pytest.mark.parametrize("changes, message", [
+        # the first missing slot in (letter, tag, state) order
+        ({("c", 0, "q"): None, ("a", 2, "q"): None, ("a", 1, "r"): None},
+         "missing action for letter 'a', tag 1, state 'r'; the transition map must be total"),
+        ({("p", 1, "q"): ("nowhere", PARENT)}, "undeclared state 'nowhere' in action for ('p', 1, 'q')"),
+        ({("a", 0, "r"): ("q", 3)}, "move 3 out of range for letter 'a' of arity 2"),
+        ({("c", 2, "q"): ("q", -2)}, "move -2 out of range for letter 'c' of arity 0"),
+        ({("a", 3, "q"): ACCEPT}, "action for ('a', 3, 'q') outside the letters, tags and states"),
+        # a fault at an earlier slot is reported first, whatever its kind
+        ({("a", 0, "q"): ("nowhere", STAY), ("a", 0, "r"): None},
+         "undeclared state 'nowhere' in action for ('a', 0, 'q')"),
+        ({("a", 0, "q"): None, ("a", 0, "r"): ("q", 3)},
+         "missing action for letter 'a', tag 0, state 'q'; the transition map must be total"),
+        # stray keys are looked for once every slot has passed
+        ({("z", 0, "q"): ACCEPT, ("q", 2, "r"): ("q", 1)}, "move 1 out of range for letter 'q' of arity 0"),
+    ], ids=["missing", "undeclared-target", "move-past-arity", "move-below-parent", "stray-key",
+            "target-before-missing", "missing-before-move", "move-before-stray"])
+    def test_constructor_reports_first_fault(self, changes, message):
+        delta = {(letter, tag, q): (q, STAY) for letter, _ in SIGMA.items()
+                 for tag in range(SIGMA.maxarity + 1) for q in ("q", "r")}
+        for key, act in changes.items():
+            if act is None:
+                del delta[key]
+            else:
+                delta[key] = act
+        with pytest.raises(FormatError) as caught:
+            Dtwa(SIGMA, ("q", "r"), "q", delta)
+        assert str(caught.value) == message
 
     def test_agrees_with_step_bounded_simulator(self):
         fixtures = [always_accept_dtwa(), stay_loop_dtwa(), escape_dtwa()]

@@ -126,6 +126,11 @@ class TestDfaBasics:
         with pytest.raises(FormatError, match=rf"^line 6: unknown header '{name}'$"):
             parse_dfa(text)
 
+    def test_empty_states_header_rejected(self):
+        text = p_prefix_dfa().to_text().replace("states: no start yes", "states:")
+        with pytest.raises(FormatError, match=r"^line 4: 'states' lists no state$"):
+            parse_dfa(text)
+
     def test_parse_accepts_space_form(self):
         text = "alphabet:\np\nstates: s0 s1\ninitial: s0\naccepting: s1\np s0 -> s1\np s1 -> s1\n"
         k = parse_dfa(text)
@@ -150,6 +155,38 @@ class TestMinimize:
             assert small.minimize().to_text() == small.to_text()
             reduced += n < len(k.states)
         assert reduced >= 10
+
+    def test_states_named_by_least_member(self):
+        """Each state of the minimal automaton is the least name, as a
+        string, among the reachable states of its Nerode class; the classes
+        come from acceptance on every word of at most as many letters as
+        there are states.  In the first automaton the first state reached of
+        each merged class is not its least name: s9 comes before s10, and s2
+        before s11."""
+        delta = {("s0", "p"): "s9", ("s0", "q"): "s10", ("s9", "p"): "s2", ("s9", "q"): "s9",
+                 ("s10", "p"): "s11", ("s10", "q"): "s10"}
+        delta.update({(q, a): q for q in ("s2", "s11") for a in "pq"})
+        automata = [Dfa(("p", "q"), ("s0", "s2", "s9", "s10", "s11"), "s0", {"s2", "s11"}, delta)]
+        rng = random.Random(SEED + 11)
+        for _ in range(60):
+            names = [f"s{i}" for i in rng.sample(range(20), rng.randint(1, 8))]
+            delta = {(q, a): rng.choice(names[:rng.randint(1, len(names))]) for q in names for a in "pq"}
+            accepting = {q for q in names if rng.random() < 0.4}
+            automata.append(Dfa(("p", "q"), names, rng.choice(names), accepting, delta))
+        merged = 0
+        for k in automata:
+            words = list(words_up_to(k.alphabet, len(k.states)))
+            reach = {dfa_walk(k, k.initial, w) for w in words}
+            classes = {}
+            for q in reach:
+                classes.setdefault(tuple(dfa_walk(k, q, w) in k.accepting for w in words), []).append(q)
+            least = {q: min(members) for members in classes.values() for q in members}
+            small = k.minimize()
+            assert set(small.states) == set(least.values())
+            assert small.initial == least[k.initial]
+            assert small.delta == {(least[q], a): least[k.delta[(q, a)]] for q in reach for a in k.alphabet}
+            merged += len(small.states) < len(reach)
+        assert merged >= 10
 
 
 class TestCfgDfaIntersection:
