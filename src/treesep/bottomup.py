@@ -61,46 +61,52 @@ def _fresh_tuples(values, n, old, ar):
 
 
 def saturate(alphabet, step):
-    """Close the empty state set under `step`; returns (states, table).
+    """Close the empty state set under `step`; returns the states in
+    discovery order.
 
     `step(letter, child_states)` gives the state a letter makes of a tuple of
-    known states, or None for no transition.  `states` is in discovery order
-    and `table` maps each letter to {tuple of child states: state}.
+    known states, or None for no transition; it is called once per tuple, so
+    a caller that needs the table records it there.
     """
     order = []
     known = set()
-    table = {letter: {} for letter, _ in alphabet.items()}
-    seen = {letter: None for letter in table}  # states known at each letter's last pass
+    seen = {letter: None for letter, _ in alphabet.items()}  # states known at each letter's last pass
     while any(n != len(order) for n in seen.values()):
         for letter, ar in alphabet.items():
             n, old = len(order), seen[letter]
             seen[letter] = n
-            rows = table[letter]
             for children in _fresh_tuples(order, n, old, ar):
                 target = step(letter, children)
-                if target is None:
-                    continue
-                if target not in known:
+                if target is not None and target not in known:
                     known.add(target)
                     order.append(target)
-                rows[children] = target
-    return order, table
+    return order
 
 
 def _checked(alphabet, states, transitions, targets, sink=None) -> dict:
-    """`transitions` with tuple keys and a row for every letter, after
-    checking each entry in turn: its key has the letter's arity, and its key
-    states and the states `targets(value)` are declared; with a sink, an
-    entry whose key holds the sink yields the sink."""
+    """`transitions` with a row for every letter, after checking each entry
+    in turn: its key is a tuple of hashable states, of the letter's arity and
+    declared, and `targets(value)` a set of declared states, a TypeError
+    marking a bad target; with a sink, an entry whose key holds the sink
+    yields the sink."""
     out = {letter: {} for letter, _ in alphabet.items()}
     for letter, table in transitions.items():
         ar = alphabet.arity(letter)
         rows = out[letter]
         for key, value in table.items():
-            key = tuple(key)
+            try:
+                members = set(key) if isinstance(key, tuple) else None
+            except TypeError:  # an unhashable member is no state
+                members = None
+            if members is None:
+                raise FormatError(f"{letter!r} transition keyed by {key!r}, not a tuple of states")
             if len(key) != ar:
                 raise ArityError(f"{letter!r} transition keyed by {len(key)} states, arity is {ar}")
-            if not set(key) <= states or not targets(value) <= states:
+            try:
+                declared = members <= states and targets(value) <= states
+            except TypeError:
+                raise FormatError(f"bad target {value!r} in transition {letter}{key}") from None
+            if not declared:
                 raise FormatError(f"undeclared state in transition {letter}{key} -> {value}")
             if sink is not None and sink in key and value != sink:
                 raise FormatError("transitions touching the sink must yield the sink")
@@ -127,7 +133,7 @@ class Dbta:
             raise FormatError("accepting states not declared")
         self.sink = sink
         if sink is not None:
-            if sink not in state_set:
+            if sink not in self.states:
                 raise FormatError(f"sink {sink!r} not declared")
             if sink in self.accepting:
                 raise FormatError("sink must be non-accepting")
@@ -205,7 +211,7 @@ class Dbta:
 
             reach = self._reach
             if reach is None:
-                reach = sorted(saturate(self.alphabet, lookup)[0])
+                reach = sorted(saturate(self.alphabet, lookup))
             index = {q: i for i, q in enumerate(reach)}
             index[None] = None
             rows = {letter: (ar, [index[named[letter].get(key, sink)] for key in itertools.product(reach, repeat=ar)])
@@ -391,9 +397,9 @@ class Nta:
         self.accepting = frozenset(accepting)
         if not self.accepting <= state_set:
             raise FormatError("accepting states not declared")
-        # an empty target set is dropped only after its entry is checked
+        # targets must be sets; an empty one is dropped only after its entry is checked
         self.transitions = {letter: {key: frozenset(values) for key, values in rows.items() if values}
-                            for letter, rows in _checked(alphabet, state_set, transitions, frozenset).items()}
+                            for letter, rows in _checked(alphabet, state_set, transitions, lambda v: v).items()}
 
     def determinize(self) -> Dbta:
         """Subset construction over reachable subsets, named d0, d1, ... in
@@ -406,18 +412,22 @@ class Nta:
             for key, values in table.items():
                 index.setdefault(key[0] if key else None, []).append((key, values))
 
+        made = {letter: {} for letter in rows}
+
         def step(letter, subsets):
             target = set()
             for first in subsets[0] if subsets else (None,):
                 for key, values in rows[letter].get(first, ()):
                     if all(q in subset for q, subset in zip(key, subsets)):
                         target |= values
-            return frozenset(target) if target else None
+            if target:
+                target = made[letter][subsets] = frozenset(target)
+            return target or None
 
-        order, table = saturate(self.alphabet, step)
+        order = saturate(self.alphabet, step)
         name = {subset: f"d{i}" for i, subset in enumerate(order)}
         table = {letter: {tuple(name[s] for s in key): name[target] for key, target in rows.items()}
-                 for letter, rows in table.items()}
+                 for letter, rows in made.items()}
         sink = "dempty"
         reach = list(name.values())
         accepting = {name[s] for s in order if s & self.accepting}
@@ -434,28 +444,28 @@ class Nta:
 
 
 def parse_dbta(text: str) -> Dbta:
-    alphabet, states, headers, lines = fmt.read(text, "dbta", ("accepting", "sink"))
-    entries = []
-    for lineno, lhs, rhs in lines:
+    def entry(lineno, lhs, rhs):
         if "{" in rhs:
             raise FormatError(f"line {lineno}: set-valued target in a deterministic automaton")
-        entries.append((lineno, lhs, fmt.parse_application(lineno, lhs), rhs))
+        return fmt.parse_application(lineno, lhs), rhs
+
+    alphabet, states, headers, table = fmt.read(text, "dbta", ("accepting", "sink"), entry)
     transitions = {}
-    for (letter, key), value in fmt.table(entries).items():
+    for (letter, key), value in table.items():
         transitions.setdefault(letter, {})[key] = value
     return Dbta(alphabet, states, headers.get("accepting", []), transitions, sink=headers.get("sink"))
 
 
 def parse_nta(text: str) -> Nta:
-    alphabet, states, headers, lines = fmt.read(text, "nta", ("accepting",))
-    entries = []
-    for lineno, lhs, rhs in lines:
+    def entry(lineno, lhs, rhs):
         if not (rhs.startswith("{") and rhs.endswith("}")):
             raise FormatError(f"line {lineno}: expected a {{...}} target set")
         inner = rhs[1:-1].strip()
         values = {part.strip() for part in inner.split(",")} if inner else set()
-        entries.append((lineno, lhs, fmt.parse_application(lineno, lhs), values))
+        return fmt.parse_application(lineno, lhs), values
+
+    alphabet, states, headers, table = fmt.read(text, "nta", ("accepting",), entry)
     transitions = {}
-    for (letter, key), values in fmt.table(entries).items():
+    for (letter, key), values in table.items():
         transitions.setdefault(letter, {})[key] = values
     return Nta(alphabet, states, headers.get("accepting", []), transitions)

@@ -10,7 +10,8 @@ written by `write`:
   ``sink:``) names exactly one; each format names the headers it takes,
   and any other header is an error, so a misspelt one is not dropped;
 - one ``lhs -> rhs`` line per transition key in all four formats; an NTA
-  lists all targets of a key in its one ``{...}`` set.
+  lists all targets of a key in its one ``{...}`` set.  A parser gives
+  `read` only its reader of one such line and gets the checked table back.
 
 Blank lines and ``#`` comments are ignored everywhere, grammar files too.
 """
@@ -34,15 +35,22 @@ def logical_lines(text: str):
             yield lineno, line
 
 
-def read(text: str, where: str, takes):
-    """Split an automaton file into (alphabet, states, headers, lines).
+def read(text: str, where: str, takes, entry):
+    """Read an automaton file into (alphabet, states, headers, table).
 
     `takes` names the headers the format allows besides ``alphabet:`` and
     ``states:``.  `headers` maps ``accepting`` to its list of states and
-    each other header but ``states:`` to its one token; `lines` lists
-    (lineno, lhs, rhs) per transition line, both sides stripped.  Alphabet
-    entries are the lines between ``alphabet:`` and the next header or
-    transition.
+    each other header but ``states:`` to its one token.  Alphabet entries
+    are the lines between ``alphabet:`` and the next header or transition.
+    `entry(lineno, lhs, rhs)` reads one transition line, both sides
+    stripped, into a (key, value) pair of `table`.
+
+    Faults are reported in this order: the first bad line of the skeleton
+    (alphabet entries, headers, any line but ``lhs -> rhs`` with both
+    sides) in file order; a missing alphabet section or ``states:``; a bad
+    alphabet; a missing ``initial:`` where the format takes it; the first
+    transition line `entry` rejects; and only then a key given on two
+    lines.  What the parser checks of the result comes after all of these.
     """
     letters, headers, lines, in_alphabet = None, {}, [], False
     for lineno, line in logical_lines(text):
@@ -81,24 +89,20 @@ def read(text: str, where: str, takes):
             raise FormatError(f"line {lineno}: cannot interpret {line!r}")
     if letters is None:
         raise FormatError(f"{where}: missing alphabet section")
-    states = headers.pop("states", None)
-    if states is None:
+    if "states" not in headers:
         raise FormatError(f"{where}: missing 'states' header")
+    alphabet = RankedAlphabet(letters)
+    if "initial" in takes and "initial" not in headers:
+        raise FormatError(f"{where}: missing 'initial' header")
+    states = headers.pop("states")
     del headers["alphabet"]
-    return RankedAlphabet(letters), states, headers, lines
-
-
-def table(entries) -> dict:
-    """{key: value} from (lineno, lhs, key, value) entries, one per key.
-
-    A key on a second line is an error naming both lines.
-    """
-    out, first = {}, {}
+    entries = [(lineno, lhs, *entry(lineno, lhs, rhs)) for lineno, lhs, rhs in lines]
+    table, first = {}, {}
     for lineno, lhs, key, value in entries:
         if first.setdefault(key, lineno) != lineno:
             raise FormatError(f"line {lineno}: second transition for {lhs}, first on line {first[key]}")
-        out[key] = value
-    return out
+        table[key] = value
+    return alphabet, states, headers, table
 
 
 def write(letters, headers: dict, lines) -> str:

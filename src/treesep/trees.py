@@ -271,11 +271,7 @@ def enumerate_terms(alphabet: RankedAlphabet, arity: int, max_nodes: int) -> Ite
 
 
 def _sum_splits(total: int, parts: int, minimum: int):
-    """All `parts`-tuples of ints >= minimum summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
+    """All `parts`-tuples of ints >= minimum summing to `total`; parts >= 1."""
     if parts == 1:
         if total >= minimum:
             yield (total,)

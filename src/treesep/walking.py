@@ -83,7 +83,7 @@ class Dtwa:
         self.states = tuple(sorted(set(states)))
         n = len(self.states)
         number = {q: i for i, q in enumerate(self.states)}
-        if initial not in number:
+        if initial not in self.states:
             raise FormatError(f"initial state {initial!r} not declared")
         self.initial = initial
         self.delta = dict(delta)
@@ -101,12 +101,16 @@ class Dtwa:
                     if act in (ACCEPT, REJECT):
                         row.append(ends[act])
                         continue
+                    if type(act) is not tuple or len(act) != 2 or type(act[1]) is not int:
+                        raise FormatError(f"bad action {act!r} for {key}")
                     q2, move = act
-                    if q2 not in number:
-                        raise FormatError(f"undeclared state {q2!r} in action for {key}")
-                    if not (move == PARENT or move == STAY or 1 <= move <= ar):
+                    try:
+                        target = number[q2]
+                    except (KeyError, TypeError):  # an unhashable target is no state either
+                        raise FormatError(f"undeclared state {q2!r} in action for {key}") from None
+                    if not PARENT <= move <= ar:
                         raise FormatError(f"move {move} out of range for letter {letter!r} of arity {ar}")
-                    row.append((move, max(move, 0) * n + number[q2]))
+                    row.append((move, max(move, 0) * n + target))
         if len(self.delta) != len(alphabet.items()) * len(self.tags()) * n:
             slots = {(letter, tag, q) for letter, _ar in alphabet.items()
                      for tag in self.tags() for q in self.states}
@@ -188,16 +192,9 @@ class Dtwa:
 
     def to_text(self) -> str:
         lines = []
-        for letter, _ar in self.alphabet.items():
-            for tag in self.tags():
-                for q in self.states:
-                    act = self.delta[(letter, tag, q)]
-                    if act in (ACCEPT, REJECT):
-                        rhs = act
-                    else:
-                        q2, move = act
-                        rhs = f"{q2} {_MOVES.get(move, f'child {move}')}"
-                    lines.append(f"{letter}[{'root' if tag == ROOT_TAG else tag}] {q} -> {rhs}")
+        for (letter, tag, q), act in sorted(self.delta.items()):
+            rhs = act if act in (ACCEPT, REJECT) else f"{act[0]} {_MOVES.get(act[1], f'child {act[1]}')}"
+            lines.append(f"{letter}[{'root' if tag == ROOT_TAG else tag}] {q} -> {rhs}")
         return fmt.write(self.alphabet.items(), {"states": self.states, "initial": self.initial}, lines)
 
 
@@ -206,16 +203,11 @@ _LINE = re.compile(rf"({_NAME.pattern})\[(root|\d+)\]\s+(\S+)")
 
 
 def parse_dtwa(text: str) -> Dtwa:
-    alphabet, states, headers, lines = fmt.read(text, "dtwa", ("initial",))
-    if "initial" not in headers:
-        raise FormatError("dtwa: missing 'initial' header")
-    entries = []
-    for lineno, lhs, rhs in lines:
+    def entry(lineno, lhs, rhs):
         m = _LINE.fullmatch(lhs)
         if not m:
             raise FormatError(f"line {lineno}: expected letter[tag] state -> action")
         letter, tag_text, q = m.groups()
-        tag = ROOT_TAG if tag_text == "root" else int(tag_text)
         tokens = rhs.split()
         if tokens in ([ACCEPT], [REJECT]):
             act = tokens[0]
@@ -225,8 +217,10 @@ def parse_dtwa(text: str) -> Dtwa:
             act = (tokens[0], int(tokens[2]))
         else:
             raise FormatError(f"line {lineno}: bad action {rhs!r}")
-        entries.append((lineno, lhs, (letter, tag, q), act))
-    return Dtwa(alphabet, states, headers["initial"], fmt.table(entries))
+        return (letter, ROOT_TAG if tag_text == "root" else int(tag_text), q), act
+
+    alphabet, states, headers, delta = fmt.read(text, "dtwa", ("initial",), entry)
+    return Dtwa(alphabet, states, headers["initial"], delta)
 
 
 def format_path(path) -> str:

@@ -31,7 +31,7 @@ class Dfa:
         self.alphabet = tuple(sorted(set(alphabet)))
         self.states = tuple(sorted(set(states)))
         state_set = set(self.states)
-        if initial not in state_set:
+        if initial not in self.states:
             raise FormatError(f"initial state {initial!r} not declared")
         self.initial = initial
         self.accepting = frozenset(accepting)
@@ -40,9 +40,13 @@ class Dfa:
         self.delta = dict(delta)
         for q in self.states:
             for letter in self.alphabet:
-                if (q, letter) not in self.delta:
-                    raise FormatError(f"missing transition ({q!r}, {letter!r}); word automata are total")
-                if self.delta[(q, letter)] not in state_set:
+                try:
+                    declared = self.delta[(q, letter)] in state_set
+                except KeyError:
+                    raise FormatError(f"missing transition ({q!r}, {letter!r}); word automata are total") from None
+                except TypeError:  # an unhashable target is no state either
+                    declared = False
+                if not declared:
                     raise FormatError(f"undeclared target in transition ({q!r}, {letter!r})")
         if len(self.delta) != len(self.states) * len(self.alphabet):
             slots = {(q, letter) for q in self.states for letter in self.alphabet}
@@ -94,13 +98,7 @@ class Dfa:
 
 
 def parse_dfa(text: str) -> Dfa:
-    alphabet, states, headers, lines = fmt.read(text, "dfa", ("initial", "accepting"))
-    if any(ar != 0 for _, ar in alphabet.items()):
-        raise FormatError("word automaton letters must all have arity 0")
-    if "initial" not in headers:
-        raise FormatError("dfa: missing 'initial' header")
-    entries = []
-    for lineno, lhs, rhs in lines:
+    def entry(lineno, lhs, rhs):
         if "(" not in lhs and " " in lhs:
             letter, _, src = lhs.partition(" ")
             key = (src.strip(),)
@@ -108,9 +106,12 @@ def parse_dfa(text: str) -> Dfa:
             letter, key = fmt.parse_application(lineno, lhs)
         if len(key) != 1:
             raise FormatError(f"line {lineno}: expected letter(state) -> state")
-        entries.append((lineno, lhs, (key[0], letter), rhs))
-    return Dfa(alphabet.zero_arity(), states, headers["initial"], headers.get("accepting", []),
-               fmt.table(entries))
+        return (key[0], letter), rhs
+
+    alphabet, states, headers, delta = fmt.read(text, "dfa", ("initial", "accepting"), entry)
+    if any(ar for _, ar in alphabet.items()):
+        raise FormatError("word automaton letters must all have arity 0")
+    return Dfa(alphabet.zero_arity(), states, headers["initial"], headers.get("accepting", []), delta)
 
 
 def cfg_dfa_intersection_empty(grammar, dfa: Dfa, max_witness_len: int = 64):

@@ -33,6 +33,17 @@ def reference_eval(dbta, tree):
     return table.get(kids, dbta.sink) if dbta.sink is not None else table[kids]
 
 
+class PairRows:
+    """A transition row as its (key, value) pairs; unlike a dict, it can hold
+    a key with an unhashable member."""
+
+    def __init__(self, *pairs):
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+
 class TestEval:
     def test_one_state_automaton(self):
         one = Dbta(SIGMA, ("q",), {"q"},
@@ -284,8 +295,37 @@ class TestTextFormat:
          r"^line 7: unknown header 'sink'$"),
         (parse_dbta, leaf_parity_dbta().to_text().replace("states: even odd", "states:"),
          r"^line 6: 'states' lists no state$"),
+        (parse_dbta, leaf_parity_dbta().to_text() + "a(even,odd) ->\n",
+         r"^line 15: expected a transition with '->'$"),
+        (parse_nta, kop_nta(p_initial_grammar()).to_text() + "-> {C}\n",
+         r"^line 54: expected a transition with '->'$"),
+        (parse_dbta, leaf_parity_dbta().to_text().replace("accepting: even", "accepting: even\naccepting: odd"),
+         r"^line 8: duplicate header 'accepting'$"),
+        (parse_dbta, leaf_parity_dbta().to_text().replace("alphabet:\na/2", "alphabet: a/2"),
+         r"^line 1: alphabet entries go on their own lines$"),
+        (parse_dbta, leaf_parity_dbta().to_text().replace("accepting: even", "accepting: even\nodd"),
+         r"^line 8: cannot interpret 'odd'$"),
+        (parse_dbta, leaf_parity_dbta().to_text().replace("alphabet:\na/2\nc/0\np/0\nq/0\n", ""),
+         r"^dbta: missing alphabet section$"),
+        (parse_nta, kop_nta(p_initial_grammar()).to_text() + "a(C,C -> {C}\n",
+         r"^line 54: bad application 'a\(C,C'$"),
+        (parse_dbta, leaf_parity_dbta().to_text() + "b() -> {even}\n",
+         r"^line 15: set-valued target in a deterministic automaton$"),
+        (parse_nta, kop_nta(p_initial_grammar()).to_text() + "b() -> C\n",
+         r"^line 54: expected a \{\.\.\.\} target set$"),
+        (parse_dbta, leaf_parity_dbta().to_text().replace("accepting: even", "accepting: even nowhere"),
+         r"^accepting states not declared$"),
+        (parse_nta, kop_nta(p_initial_grammar()).to_text().replace("accepting: B_S", "accepting: B_S nowhere"),
+         r"^accepting states not declared$"),
+        (parse_dbta, height_bounded_dbta().to_text().replace("sink: tall", "sink: nowhere"),
+         r"^sink 'nowhere' not declared$"),
+        (parse_dbta, height_bounded_dbta().to_text().replace("sink: tall", "sink: h0"),
+         r"^sink must be non-accepting$"),
     ], ids=["repeated-dbta-key", "repeated-nta-key", "repeated-letter", "two-token-sink",
-            "superscript-arity", "dbta-initial", "dbta-misspelt", "nta-sink", "empty-states"])
+            "superscript-arity", "dbta-initial", "dbta-misspelt", "nta-sink", "empty-states",
+            "empty-target", "empty-source", "repeated-header", "alphabet-on-header-line", "stray-line",
+            "missing-alphabet", "bad-application", "set-valued-target", "nta-target-not-a-set",
+            "dbta-undeclared-accepting", "nta-undeclared-accepting", "undeclared-sink", "accepting-sink"])
     def test_bad_file_rejected(self, parse, text, match):
         with pytest.raises(FormatError, match=match):
             parse(text)
@@ -325,6 +365,28 @@ class TestTextFormat:
         for build in builds:
             with pytest.raises(error, match=match):
                 build()
+
+    @pytest.mark.parametrize("form, transitions, sink, message", [
+        (Dbta, {"a": {("x", "y"): ["y"]}}, None, "bad target ['y'] in transition a('x', 'y')"),
+        (Dbta, {"a": {("x", "y"): {"y"}}}, None, "bad target {'y'} in transition a('x', 'y')"),
+        (Dbta, {"c": {5: "x"}}, None, "'c' transition keyed by 5, not a tuple of states"),
+        # a string key used to be read as the tuple of its characters
+        (Dbta, {"a": {"xy": "x"}}, None, "'a' transition keyed by 'xy', not a tuple of states"),
+        (Nta, {"a": {"xy": {"x"}}}, None, "'a' transition keyed by 'xy', not a tuple of states"),
+        # and a string target as the set of its characters
+        (Nta, {"c": {(): "xy"}}, None, "bad target 'xy' in transition c()"),
+        (Nta, {"c": {(): ["x"]}}, None, "bad target ['x'] in transition c()"),
+        # an unhashable key member is the key's fault, not the target's
+        (Dbta, {"a": PairRows(((["x"], "y"), "y"))}, None,
+         "'a' transition keyed by (['x'], 'y'), not a tuple of states"),
+        (Dbta, {}, ["y"], "sink ['y'] not declared"),
+    ], ids=["list-target", "set-target", "int-key", "string-key", "nta-string-key", "nta-string-target",
+            "nta-list-target", "unhashable-key-member", "list-sink"])
+    def test_malformed_entry_rejected(self, form, transitions, sink, message):
+        """Values passed straight to the constructors, which no parser makes."""
+        with pytest.raises(FormatError) as caught:
+            form(SIGMA, ("x", "y"), {"x"}, transitions, **({} if sink is None else {"sink": sink}))
+        assert str(caught.value) == message
 
     def test_fingerprint_stability(self):
         assert leaf_parity_dbta().fingerprint() == leaf_parity_dbta().fingerprint()

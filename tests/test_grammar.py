@@ -46,6 +46,15 @@ class TestParsing:
         with pytest.raises(FormatError):
             parse_grammar("S -> A p; A -> p")
 
+    @pytest.mark.parametrize("text, message", [
+        ("S -> A B; A -> p; B", "line 1: expected a rule, got 'B'"),
+        ("S -> A B\nA -> p\nB -> q$", "line 3: bad symbol in rule 'B -> q$'"),
+    ], ids=["not-a-rule", "bad-symbol"])
+    def test_bad_chunk_rejected(self, text, message):
+        with pytest.raises(FormatError) as caught:
+            parse_grammar(text)
+        assert str(caught.value) == message
+
     def test_start_header(self):
         g = parse_grammar("start: T\nS -> A B\nT -> A A\nA -> p\nB -> q")
         assert g.start == "T"

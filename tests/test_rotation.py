@@ -4,6 +4,7 @@ import random
 import pytest
 
 from treesep import rotation
+from treesep.bottomup import Dbta
 from treesep.errors import AlphabetError, ArityError, ResourceError, RotationSearchExhausted
 from treesep.grammar import parse_grammar
 from treesep.rotation import comb_dfa, extract_separator, find_rotation_term, is_associative
@@ -216,6 +217,24 @@ class TestCombDfa:
         for pair in itertools.product(("p", "q"), repeat=2):
             assert k.run(pair) == amin.accepts(compose(witness.term, (Tree(pair[0]), Tree(pair[1]))))
 
+    def test_word_letter_of_nonzero_arity_rejected(self):
+        with pytest.raises(AlphabetError, match=r"^word letters must be arity-0 tree letters$"):
+            comb_dfa(leaf_parity_dbta(), STAR, ("p", "a"))
+
+    def test_fresh_initial_state_avoids_state_names(self):
+        # leaf parity with its states renamed to the first two candidates
+        parity = leaf_parity_dbta()
+        name = {"even": "init", "odd": "_init"}
+        table = {letter: {tuple(name[q] for q in key): name[target] for key, target in rows.items()}
+                 for letter, rows in parity.transitions.items()}
+        dbta = Dbta(parity.alphabet, ("init", "_init"), {"init"}, table)
+        k = comb_dfa(dbta, STAR, ("p", "q"))
+        assert k.initial == "__init"
+        assert k.states == ("__init", "_init", "init")
+        for length in range(2, 6):
+            for word in itertools.product(("p", "q"), repeat=length):
+                assert k.run(word) == dbta.accepts(comb(STAR, word))
+
     def test_words_track_combs_exhaustively(self):
         for dfa in criterion_dfas()[:5]:
             amin = minimal_dbta(dfs_from_dfa(dfa, SIGMA))
@@ -325,6 +344,11 @@ class TestExtractSeparator:
         walker = dfs_from_dfa(all_words_dfa(("p",)), RankedAlphabet({"a": 2, "c": 0, "p": 0}))
         with pytest.raises(AlphabetError, match=r"^alphabet needs letter 'q' with arity 0$"):
             extract_separator(walker, palindrome_grammar(), nonpalindrome_grammar(), search_bound=9)
+
+    def test_grammars_over_different_terminals_rejected(self):
+        h = parse_grammar("S -> A A; A -> p")
+        with pytest.raises(AlphabetError, match=r"^the two grammars use different terminal alphabets$"):
+            extract_separator(dfs_from_dfa(p_prefix_dfa(), SIGMA), p_initial_grammar(), h, search_bound=9)
 
     def test_report_serializes(self):
         import json

@@ -32,6 +32,16 @@ class TestRankedAlphabet:
         with pytest.raises(AlphabetError):
             RankedAlphabet({"a": 2})
 
+    @pytest.mark.parametrize("letters, message", [
+        ({}, "alphabet has no letters"),
+        ({"a": -1, "c": 0}, "bad arity -1 for letter 'a'"),
+        ({"a": "2", "c": 0}, "bad arity '2' for letter 'a'"),
+    ], ids=["no-letters", "negative-arity", "string-arity"])
+    def test_bad_letters_rejected(self, letters, message):
+        with pytest.raises(AlphabetError) as caught:
+            RankedAlphabet(letters)
+        assert str(caught.value) == message
+
     def test_port_symbol_reserved(self):
         with pytest.raises(AlphabetError):
             RankedAlphabet({"*": 0})

@@ -111,8 +111,15 @@ class TestRun:
          "missing action for letter 'a', tag 0, state 'q'; the transition map must be total"),
         # stray keys are looked for once every slot has passed
         ({("z", 0, "q"): ACCEPT, ("q", 2, "r"): ("q", 1)}, "move 1 out of range for letter 'q' of arity 0"),
+        # malformed actions, each a Python error or a silent misread before
+        ({("p", 1, "q"): "acept"}, "bad action 'acept' for ('p', 1, 'q')"),
+        ({("p", 1, "q"): ("q", STAY, 1)}, "bad action ('q', 0, 1) for ('p', 1, 'q')"),
+        ({("p", 1, "q"): ("q", "1")}, "bad action ('q', '1') for ('p', 1, 'q')"),
+        ({("p", 1, "q"): ("q", True)}, "bad action ('q', True) for ('p', 1, 'q')"),
+        ({("p", 1, "q"): (["q"], STAY)}, "undeclared state ['q'] in action for ('p', 1, 'q')"),
     ], ids=["missing", "undeclared-target", "move-past-arity", "move-below-parent", "stray-key",
-            "target-before-missing", "missing-before-move", "move-before-stray"])
+            "target-before-missing", "missing-before-move", "move-before-stray",
+            "misspelt-verdict", "three-tuple", "string-move", "bool-move", "unhashable-target"])
     def test_constructor_reports_first_fault(self, changes, message):
         delta = {(letter, tag, q): (q, STAY) for letter, _ in SIGMA.items()
                  for tag in range(SIGMA.maxarity + 1) for q in ("q", "r")}
@@ -123,6 +130,16 @@ class TestRun:
                 delta[key] = act
         with pytest.raises(FormatError) as caught:
             Dtwa(SIGMA, ("q", "r"), "q", delta)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("initial, message", [
+        ("nowhere", "initial state 'nowhere' not declared"),
+        (["q"], "initial state ['q'] not declared"),
+    ], ids=["undeclared", "unhashable"])
+    def test_undeclared_initial_rejected(self, initial, message):
+        delta = {(letter, tag, "q"): ACCEPT for letter, _ in SIGMA.items() for tag in range(SIGMA.maxarity + 1)}
+        with pytest.raises(FormatError) as caught:
+            Dtwa(SIGMA, ("q",), initial, delta)
         assert str(caught.value) == message
 
     def test_agrees_with_step_bounded_simulator(self):
@@ -327,10 +344,16 @@ class TestTextFormat:
         ("z[1] spin -> accept", r"^action for \('z', 1, 'spin'\) outside"),
         # a digit that int() does not take
         ("a[root] spin -> spin child \u00b2", r"^line 20: bad action"),
-    ], ids=["repeated", "stray-tag", "stray-letter", "superscript-child"])
+        ("a(root) spin -> accept", r"^line 20: expected letter\[tag\] state -> action$"),
+    ], ids=["repeated", "stray-tag", "stray-letter", "superscript-child", "bad-left-side"])
     def test_bad_line_rejected(self, extra, match):
         with pytest.raises(FormatError, match=match):
             parse_dtwa(stay_loop_dtwa().to_text() + extra + "\n")
+
+    def test_missing_initial_rejected(self):
+        text = stay_loop_dtwa().to_text().replace("initial: spin\n", "")
+        with pytest.raises(FormatError, match=r"^dtwa: missing 'initial' header$"):
+            parse_dtwa(text)
 
     def test_unknown_header_rejected(self):
         text = stay_loop_dtwa().to_text().replace("initial: spin", "initial: spin\naccepting: spin")

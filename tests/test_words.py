@@ -88,6 +88,19 @@ class TestDfaBasics:
         with pytest.raises(FormatError, match="'q'"):
             Dfa(("p",), ("s",), "s", set(), delta)
 
+    @pytest.mark.parametrize("initial, accepting, target, message", [
+        ("nowhere", set(), "s", "initial state 'nowhere' not declared"),
+        (["s"], set(), "s", "initial state ['s'] not declared"),
+        ("s", {"nowhere"}, "s", "accepting states not declared"),
+        ("s", set(), "nowhere", "undeclared target in transition ('s', 'p')"),
+        ("s", set(), ["s"], "undeclared target in transition ('s', 'p')"),
+    ], ids=["undeclared-initial", "unhashable-initial", "undeclared-accepting", "undeclared-target",
+            "unhashable-target"])
+    def test_bad_constructor_argument_rejected(self, initial, accepting, target, message):
+        with pytest.raises(FormatError) as caught:
+            Dfa(("p",), ("s",), initial, accepting, {("s", "p"): target})
+        assert str(caught.value) == message
+
     def test_alphabet_checked(self):
         with pytest.raises(AlphabetError):
             p_prefix_dfa().run(("x",))
@@ -113,7 +126,8 @@ class TestDfaBasics:
         ("q(yes) -> no", r"^line 13: second transition for q\(yes\), first on line 12$"),
         ("z(yes) -> no", r"^transition for \('yes', 'z'\) outside"),
         ("p(nowhere) -> no", r"^transition for \('nowhere', 'p'\) outside"),
-    ], ids=["repeated", "stray-letter", "stray-state"])
+        ("p(no,yes) -> no", r"^line 13: expected letter\(state\) -> state$"),
+    ], ids=["repeated", "stray-letter", "stray-state", "bad-left-side"])
     def test_bad_line_rejected(self, extra, match):
         with pytest.raises(FormatError, match=match):
             parse_dfa(p_prefix_dfa().to_text() + extra + "\n")
@@ -130,6 +144,21 @@ class TestDfaBasics:
         text = p_prefix_dfa().to_text().replace("states: no start yes", "states:")
         with pytest.raises(FormatError, match=r"^line 4: 'states' lists no state$"):
             parse_dfa(text)
+
+    @pytest.mark.parametrize("edits, extra, message", [
+        ([("initial: start\n", "")], "", "dfa: missing 'initial' header"),
+        ([("q\n", "q/1\n")], "", "word automaton letters must all have arity 0"),
+        # the letters' arities are checked once the file is read, so a
+        # missing header is reported first
+        ([("q\n", "q/1\n"), ("initial: start\n", "")], "", "dfa: missing 'initial' header"),
+    ], ids=["missing-initial", "ranked-letter", "ranked-letter-no-initial"])
+    def test_bad_skeleton_rejected(self, edits, extra, message):
+        text = p_prefix_dfa().to_text()
+        for old, new in edits:
+            text = text.replace(old, new, 1)
+        with pytest.raises(FormatError) as caught:
+            parse_dfa(text + extra)
+        assert str(caught.value) == message
 
     def test_parse_accepts_space_form(self):
         text = "alphabet:\np\nstates: s0 s1\ninitial: s0\naccepting: s1\np s0 -> s1\np s1 -> s1\n"
@@ -268,6 +297,11 @@ class TestVerifySeparator:
         report = verify_separator(length_one_dfa(), g, g)
         assert not report.separates
         assert report.violation_g is None and report.violation_h is None
+
+    def test_grammars_over_different_terminals_rejected(self):
+        h = parse_grammar("S -> A A; A -> p")
+        with pytest.raises(AlphabetError, match=r"^the two grammars use different terminal alphabets$"):
+            verify_separator(p_prefix_dfa(), p_initial_grammar(), h)
 
     def test_prefix_language_separates(self):
         report = verify_separator(p_prefix_dfa(), p_initial_grammar(), q_initial_grammar())
