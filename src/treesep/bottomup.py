@@ -126,9 +126,9 @@ class Dbta:
 
     def __init__(self, alphabet, states, accepting, transitions, sink=None):
         self.alphabet = alphabet
-        self.states = tuple(sorted(set(states)))
+        self.states = tuple(sorted(set(fmt.collection("states", states))))
         state_set = set(self.states)
-        self.accepting = frozenset(accepting)
+        self.accepting = frozenset(fmt.collection("accepting", accepting))
         if not self.accepting <= state_set:
             raise FormatError("accepting states not declared")
         self.sink = sink
@@ -392,9 +392,9 @@ class Nta:
 
     def __init__(self, alphabet, states, accepting, transitions):
         self.alphabet = alphabet
-        self.states = tuple(sorted(set(states)))
+        self.states = tuple(sorted(set(fmt.collection("states", states))))
         state_set = set(self.states)
-        self.accepting = frozenset(accepting)
+        self.accepting = frozenset(fmt.collection("accepting", accepting))
         if not self.accepting <= state_set:
             raise FormatError("accepting states not declared")
         # targets must be sets; an empty one is dropped only after its entry is checked

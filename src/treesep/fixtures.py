@@ -2,7 +2,7 @@
 and the alphabet `obf_sigma`, and nothing else.
 
 `perfbench/run.py` reads these three names, so they stay in the package
-until the benchmark has its own copies (ROADMAP.md, item 6(b)).  The tests'
+until the benchmark has its own copies (ROADMAP.md, item 1).  The tests'
 grammars and automata, these two among them, are in `tests/fixtures.py`.
 
 The palindrome / non-palindrome pair is shaped so that every derivation of

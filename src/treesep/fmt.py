@@ -120,6 +120,14 @@ def write(letters, headers: dict, lines) -> str:
     return "\n".join(out) + "\n"
 
 
+def collection(name: str, value):
+    """`value`, a constructor's collection argument `name`; a str, which
+    would be read as the set of its characters, is a FormatError."""
+    if isinstance(value, str):
+        raise FormatError(f"{name} must be a collection, not the string {value!r}")
+    return value
+
+
 def parse_application(lineno: int, text: str):
     """Parse ``letter(x1,...,xn)`` or bare ``letter``; returns (letter, tuple)."""
     text = text.strip()

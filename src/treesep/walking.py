@@ -49,6 +49,8 @@ PARENT = -1
 STAY = 0
 ROOT_TAG = 0
 
+_NONE = object()  # what `Dtwa.__init__` reads at a slot `delta` leaves out
+
 
 @dataclass
 class RunOutcome:
@@ -80,7 +82,7 @@ class Dtwa:
 
     def __init__(self, alphabet: RankedAlphabet, states, initial, delta):
         self.alphabet = alphabet
-        self.states = tuple(sorted(set(states)))
+        self.states = tuple(sorted(set(fmt.collection("states", states))))
         n = len(self.states)
         number = {q: i for i, q in enumerate(self.states)}
         if initial not in self.states:
@@ -88,32 +90,33 @@ class Dtwa:
         self.initial = initial
         self.delta = dict(delta)
         ends = {ACCEPT: (PARENT, n), REJECT: (PARENT, n + 1)}
+        get = self.delta.get
+        tags = self.tags()
         self._rows = {}
         for letter, ar in alphabet.items():
             row = self._rows[letter] = []
-            for tag in self.tags():
+            for tag in tags:
                 for q in self.states:
-                    key = (letter, tag, q)
-                    if key not in self.delta:
+                    act = get((letter, tag, q), _NONE)
+                    if act is _NONE:
                         raise FormatError(f"missing action for letter {letter!r}, tag {tag}, state {q!r}; "
                                           "the transition map must be total")
-                    act = self.delta[key]
                     if act in (ACCEPT, REJECT):
                         row.append(ends[act])
                         continue
                     if type(act) is not tuple or len(act) != 2 or type(act[1]) is not int:
-                        raise FormatError(f"bad action {act!r} for {key}")
+                        raise FormatError(f"bad action {act!r} for {(letter, tag, q)}")
                     q2, move = act
                     try:
                         target = number[q2]
                     except (KeyError, TypeError):  # an unhashable target is no state either
-                        raise FormatError(f"undeclared state {q2!r} in action for {key}") from None
+                        raise FormatError(f"undeclared state {q2!r} in action for {(letter, tag, q)}") from None
                     if not PARENT <= move <= ar:
                         raise FormatError(f"move {move} out of range for letter {letter!r} of arity {ar}")
-                    row.append((move, max(move, 0) * n + target))
-        if len(self.delta) != len(alphabet.items()) * len(self.tags()) * n:
+                    row.append((move, move * n + target if move > 0 else target))
+        if len(self.delta) != len(alphabet.items()) * len(tags) * n:
             slots = {(letter, tag, q) for letter, _ar in alphabet.items()
-                     for tag in self.tags() for q in self.states}
+                     for tag in tags for q in self.states}
             stray = next(key for key in self.delta if key not in slots)
             raise FormatError(f"action for {stray!r} outside the letters, tags and states")
 
@@ -235,44 +238,41 @@ def dfs_from_dfa(dfa: Dfa, alphabet: RankedAlphabet) -> Dtwa:
     in the word automaton's alphabet is accepted; other arity-0 letters are
     skipped without consuming input.  The result never loops and never walks
     out of the tree.
+
+    For each word state k, `d_k` walks down into a node, or reads a leaf, in
+    state k, and `u{i}_k` is back at a node from its child i in state k.
+    Walker texts, and so fingerprints, depend on these names.
     """
     gamma = set(dfa.alphabet)
     zero = set(alphabet.zero_arity())
     if not gamma <= zero:
         raise AlphabetError("word alphabet must consist of arity-0 tree letters")
-    maxar = alphabet.maxarity
-
-    def down(k):
-        return f"d_{k}"
-
-    def up(i, k):
-        return f"u{i}_{k}"
-
-    states = [down(k) for k in dfa.states]
-    states += [up(i, k) for i in range(1, maxar + 1) for k in dfa.states]
+    ks = dfa.states
+    down = {k: f"d_{k}" for k in ks}
+    up = [{k: f"u{i}_{k}" for k in ks} for i in range(1, alphabet.maxarity + 1)]
+    # the action that leaves a node at a tag in word state k: the verdict at
+    # the root, else a parent move into the up state of that child position
+    leave = [{k: ACCEPT if k in dfa.accepting else REJECT for k in ks}]
+    leave += [{k: (name, PARENT) for k, name in u.items()} for u in up]
+    states = [*down.values()] + [name for u in up for name in u.values()]
     delta = {}
     for letter, ar in alphabet.items():
-        for tag in range(0, maxar + 1):
-            for k in dfa.states:
+        for tag, out in enumerate(leave):
+            for k in ks:
+                d = down[k]
                 if ar >= 1:
-                    delta[(letter, tag, down(k))] = (down(k), 1)
+                    delta[(letter, tag, d)] = (d, 1)
                 else:
                     k2 = dfa.delta[(k, letter)] if letter in gamma else k
-                    if tag == ROOT_TAG:
-                        delta[(letter, tag, down(k))] = ACCEPT if k2 in dfa.accepting else REJECT
-                    else:
-                        delta[(letter, tag, down(k))] = (up(tag, k2), PARENT)
-                for i in range(1, maxar + 1):
+                    delta[(letter, tag, d)] = out[k2]
+                for i, u in enumerate(up, 1):
                     if i < ar:
-                        delta[(letter, tag, up(i, k))] = (down(k), i + 1)
+                        delta[(letter, tag, u[k])] = (d, i + 1)
                     elif i == ar:
-                        if tag == ROOT_TAG:
-                            delta[(letter, tag, up(i, k))] = ACCEPT if k in dfa.accepting else REJECT
-                        else:
-                            delta[(letter, tag, up(i, k))] = (up(tag, k), PARENT)
+                        delta[(letter, tag, u[k])] = out[k]
                     else:
-                        delta[(letter, tag, up(i, k))] = REJECT
-    return Dtwa(alphabet, states, down(dfa.initial), delta)
+                        delta[(letter, tag, u[k])] = REJECT
+    return Dtwa(alphabet, states, down[dfa.initial], delta)
 
 
 def _compose(dtwa: Dtwa, letter, children) -> tuple:

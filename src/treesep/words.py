@@ -28,13 +28,13 @@ class Dfa:
     """
 
     def __init__(self, alphabet, states, initial, accepting, delta):
-        self.alphabet = tuple(sorted(set(alphabet)))
-        self.states = tuple(sorted(set(states)))
+        self.alphabet = tuple(sorted(set(fmt.collection("alphabet", alphabet))))
+        self.states = tuple(sorted(set(fmt.collection("states", states))))
         state_set = set(self.states)
         if initial not in self.states:
             raise FormatError(f"initial state {initial!r} not declared")
         self.initial = initial
-        self.accepting = frozenset(accepting)
+        self.accepting = frozenset(fmt.collection("accepting", accepting))
         if not self.accepting <= state_set:
             raise FormatError("accepting states not declared")
         self.delta = dict(delta)

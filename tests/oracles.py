@@ -27,7 +27,9 @@ here too:
 - `recursive_hash`: a tree's structural hash by its definition;
 - `stack_validate`: `RankedAlphabet.validate` as it was before its one
   lookup per node, which every oracle here validates with;
-- `smallest_trees`.
+- `smallest_trees`;
+- `reference_dfs_from_dfa` and `reference_rows`: a DFS walker and the
+  checked integer rows of a walker's transition map, as first written.
 """
 
 from __future__ import annotations
@@ -1165,3 +1167,86 @@ def nta_eval_set(nta, tree: Tree) -> frozenset:
 
 def nta_accepts(nta, tree: Tree) -> bool:
     return bool(nta_eval_set(nta, tree) & nta.accepting)
+
+
+def reference_dfs_from_dfa(dfa: Dfa, alphabet: RankedAlphabet) -> Dtwa:
+    """`walking.dfs_from_dfa` as first written, rebuilding each state name
+    and exit action at every slot, with the same state scheme and slot
+    order: the reference its walker texts are pinned against."""
+    gamma = set(dfa.alphabet)
+    zero = set(alphabet.zero_arity())
+    if not gamma <= zero:
+        raise AlphabetError("word alphabet must consist of arity-0 tree letters")
+    maxar = alphabet.maxarity
+
+    def down(k):
+        return f"d_{k}"
+
+    def up(i, k):
+        return f"u{i}_{k}"
+
+    states = [down(k) for k in dfa.states]
+    states += [up(i, k) for i in range(1, maxar + 1) for k in dfa.states]
+    delta = {}
+    for letter, ar in alphabet.items():
+        for tag in range(0, maxar + 1):
+            for k in dfa.states:
+                if ar >= 1:
+                    delta[(letter, tag, down(k))] = (down(k), 1)
+                else:
+                    k2 = dfa.delta[(k, letter)] if letter in gamma else k
+                    if tag == ROOT_TAG:
+                        delta[(letter, tag, down(k))] = ACCEPT if k2 in dfa.accepting else REJECT
+                    else:
+                        delta[(letter, tag, down(k))] = (up(tag, k2), PARENT)
+                for i in range(1, maxar + 1):
+                    if i < ar:
+                        delta[(letter, tag, up(i, k))] = (down(k), i + 1)
+                    elif i == ar:
+                        if tag == ROOT_TAG:
+                            delta[(letter, tag, up(i, k))] = ACCEPT if k in dfa.accepting else REJECT
+                        else:
+                            delta[(letter, tag, up(i, k))] = (up(tag, k), PARENT)
+                    else:
+                        delta[(letter, tag, up(i, k))] = REJECT
+    return Dtwa(alphabet, states, down(dfa.initial), delta)
+
+
+def reference_rows(alphabet: RankedAlphabet, states, delta):
+    """`Dtwa.__init__`'s check of a transition map as first written, with a
+    membership test and a second lookup per slot and the verdicts tested
+    before the pair's shape: the `_rows` it builds, or the message of the
+    `FormatError` it raises."""
+    states = tuple(sorted(set(states)))
+    n = len(states)
+    number = {q: i for i, q in enumerate(states)}
+    tags = range(0, alphabet.maxarity + 1)
+    ends = {ACCEPT: (PARENT, n), REJECT: (PARENT, n + 1)}
+    rows = {}
+    for letter, ar in alphabet.items():
+        row = rows[letter] = []
+        for tag in tags:
+            for q in states:
+                key = (letter, tag, q)
+                if key not in delta:
+                    return (f"missing action for letter {letter!r}, tag {tag}, state {q!r}; "
+                            "the transition map must be total")
+                act = delta[key]
+                if act in (ACCEPT, REJECT):
+                    row.append(ends[act])
+                    continue
+                if type(act) is not tuple or len(act) != 2 or type(act[1]) is not int:
+                    return f"bad action {act!r} for {key}"
+                q2, move = act
+                try:
+                    target = number[q2]
+                except (KeyError, TypeError):
+                    return f"undeclared state {q2!r} in action for {key}"
+                if not PARENT <= move <= ar:
+                    return f"move {move} out of range for letter {letter!r} of arity {ar}"
+                row.append((move, max(move, 0) * n + target))
+    if len(delta) != len(alphabet.items()) * len(tags) * n:
+        slots = {(letter, tag, q) for letter, _ar in alphabet.items() for tag in tags for q in states}
+        stray = next(key for key in delta if key not in slots)
+        return f"action for {stray!r} outside the letters, tags and states"
+    return rows

@@ -388,6 +388,17 @@ class TestTextFormat:
             form(SIGMA, ("x", "y"), {"x"}, transitions, **({} if sink is None else {"sink": sink}))
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("form", [Dbta, Nta])
+    @pytest.mark.parametrize("states, accepting, message", [
+        ("xy", {"x"}, "states must be a collection, not the string 'xy'"),
+        # "xy" used to accept both x and y
+        (("x", "y"), "xy", "accepting must be a collection, not the string 'xy'"),
+    ], ids=["states", "accepting"])
+    def test_string_argument_rejected(self, form, states, accepting, message):
+        with pytest.raises(FormatError) as caught:
+            form(SIGMA, states, accepting, {})
+        assert str(caught.value) == message
+
     def test_fingerprint_stability(self):
         assert leaf_parity_dbta().fingerprint() == leaf_parity_dbta().fingerprint()
         assert leaf_parity_dbta().fingerprint() != left_leaf_dbta().fingerprint()

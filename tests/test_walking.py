@@ -19,7 +19,7 @@ from treesep.walking import (
     to_dbta,
 )
 
-from fixtures import SIGMA, all_words_dfa, always_accept_dtwa, even_p_dfa, p_prefix_dfa, stay_loop_dtwa, t
+from fixtures import SIGMA, TERNARY, all_words_dfa, always_accept_dtwa, even_p_dfa, p_prefix_dfa, stay_loop_dtwa, t
 from oracles import (
     SEED,
     behavior_compose,
@@ -31,6 +31,8 @@ from oracles import (
     random_dfa,
     random_dtwa,
     read_slot_classes,
+    reference_dfs_from_dfa,
+    reference_rows,
     round_robin_to_dbta,
     run_inside_host,
     smallest_trees,
@@ -142,6 +144,63 @@ class TestRun:
             Dtwa(SIGMA, ("q",), initial, delta)
         assert str(caught.value) == message
 
+    def test_string_states_rejected(self):
+        # "qr" used to be read as the states q and r
+        delta = {(letter, tag, q): ACCEPT for letter, _ in SIGMA.items()
+                 for tag in range(SIGMA.maxarity + 1) for q in "qr"}
+        with pytest.raises(FormatError) as caught:
+            Dtwa(SIGMA, "qr", "q", delta)
+        assert str(caught.value) == "states must be a collection, not the string 'qr'"
+
+    def test_constructor_outcomes_equal_reference(self):
+        """Single-entry corruptions of seeded walkers' transition maps: the
+        constructor builds the rows `reference_rows` builds, or raises its
+        message.  A corrupt action is drawn from a pair the map already
+        holds where it can be, so a bool or float move equals and hashes
+        like a checked int one, and a memo of checked actions would pass it."""
+        rng = random.Random(SEED + 21)
+        kinds = ["delete", "stray", "bool-move", "float-move", "str-move", "one-tuple", "three-tuple",
+                 "misspelt-verdict", "undeclared-target", "unhashable-target", "out-of-range", "legal"]
+        raised = 0
+        for case in range(660):
+            alphabet = (SIGMA, TERNARY)[case % 2]
+            if case % 4 < 2:
+                base = random_dtwa(rng, alphabet, n_states=rng.randint(1, 4))
+            else:
+                base = dfs_from_dfa(random_dfa(rng), alphabet)
+            delta = dict(base.delta)
+            key = rng.choice(list(delta))
+            letter, tag, q = key
+            ar = alphabet.arity(letter)
+            pairs = [act for act in delta.values() if type(act) is tuple]
+            q2, move = rng.choice(pairs) if pairs else (rng.choice(base.states), STAY)
+            kind = kinds[case % len(kinds)]
+            if kind == "delete":
+                del delta[key]
+            elif kind == "stray":
+                strays = [(letter, alphabet.maxarity + 1, q), ("z", tag, q), (letter, tag, "nowhere")]
+                delta[rng.choice(strays)] = ACCEPT
+            else:
+                delta[key] = {
+                    "bool-move": (q2, bool(move > 0)),
+                    "float-move": (q2, float(move)),
+                    "str-move": (q2, str(move)),
+                    "one-tuple": (q2,),
+                    "three-tuple": (q2, move, 0),
+                    "misspelt-verdict": rng.choice(["acept", "Accept", "reject ", 1]),
+                    "undeclared-target": ("nowhere", move),
+                    "unhashable-target": ([q2], move),
+                    "out-of-range": (q2, rng.choice([ar + 1, ar + 2, PARENT - 1])),
+                    "legal": rng.choice([ACCEPT, REJECT, (rng.choice(base.states), rng.randint(PARENT, ar))]),
+                }[kind]
+            try:
+                got = Dtwa(alphabet, base.states, base.initial, delta)._rows
+            except FormatError as error:
+                got = str(error)
+                raised += 1
+            assert got == reference_rows(alphabet, base.states, delta), (kind, key, delta.get(key))
+        assert raised == 660 - 660 // len(kinds)  # every case but the legal replacements
+
     def test_agrees_with_step_bounded_simulator(self):
         fixtures = [always_accept_dtwa(), stay_loop_dtwa(), escape_dtwa()]
         fixtures += [dfs_from_dfa(k, SIGMA) for k in (even_p_dfa(), p_prefix_dfa())]
@@ -199,6 +258,22 @@ class TestDfsFromDfa:
                 outcome = w.run(tree)
                 assert outcome.kind in (ACCEPT, REJECT), "dfs must never loop or escape"
                 assert (outcome.kind == ACCEPT) == k.run(word)
+
+    def test_walkers_equal_reference(self):
+        """Walker texts and fingerprints depend on the state names and slot
+        order, so the walker is pinned to the reference construction, and
+        its rows to the reference check of the reference's map."""
+        rng = random.Random(SEED + 20)
+        dfas = criterion_dfas()
+        dfas += [random_dfa(rng, max_states=5, alphabet=rng.choice([("p", "q"), ("p",), ("q", "p")]))
+                 for _ in range(80)]
+        for alphabet in (SIGMA, TERNARY):
+            for k in dfas:
+                w, want = dfs_from_dfa(k, alphabet), reference_dfs_from_dfa(k, alphabet)
+                assert w.to_text() == want.to_text()
+                assert (w.states, w.initial) == (want.states, want.initial)
+                assert list(w.delta.items()) == list(want.delta.items())
+                assert w._rows == reference_rows(alphabet, want.states, want.delta)
 
     def test_word_alphabet_must_be_leaf_letters(self):
         bad = random_dfa(random.Random(0), alphabet=("p", "a"))

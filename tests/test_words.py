@@ -101,6 +101,17 @@ class TestDfaBasics:
             Dfa(("p",), ("s",), initial, accepting, {("s", "p"): target})
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("alphabet, states, accepting, message", [
+        ("pq", ("s",), set(), "alphabet must be a collection, not the string 'pq'"),
+        (("p",), "st", set(), "states must be a collection, not the string 'st'"),
+        # "st" used to accept both s and t
+        (("p",), ("s", "t"), "st", "accepting must be a collection, not the string 'st'"),
+    ], ids=["alphabet", "states", "accepting"])
+    def test_string_argument_rejected(self, alphabet, states, accepting, message):
+        with pytest.raises(FormatError) as caught:
+            Dfa(alphabet, states, "s", accepting, {("s", "p"): "s", ("t", "p"): "s"})
+        assert str(caught.value) == message
+
     def test_alphabet_checked(self):
         with pytest.raises(AlphabetError):
             p_prefix_dfa().run(("x",))
