@@ -4,7 +4,9 @@ Transition tables may be partial.  With a rejecting sink, every missing
 entry, and every entry with the sink among its inputs, resolves to the sink;
 without one, the first use that reaches a missing entry raises
 TransitionError.  Every algorithm on a `Dbta` reads one integer table,
-`Dbta._tables`, built once and dense over the reachable states.
+`Dbta._tables`, dense over the reachable states.  A parsed automaton builds
+it once from its checked entries; a built one holds nothing else, and names
+its entries only when `transitions` is read.
 
 Reachable states, subset constructions and the walker's read-slot classes
 are all one closure: start from nothing and apply every letter to every
@@ -14,8 +16,7 @@ holding a state found since the letter's previous pass, in lexicographic
 order of discovery index.  Discovery order is exactly that of the plain
 round-robin loop (each round, each letter in alphabet order, over a snapshot
 of all known states), so the state names callers derive from it do not
-depend on the evaluation strategy.  A construction's reachable states go
-with its table, so only a parsed automaton is saturated.
+depend on the evaluation strategy.
 """
 
 from __future__ import annotations
@@ -137,27 +138,34 @@ class Dbta:
                 raise FormatError(f"sink {sink!r} not declared")
             if sink in self.accepting:
                 raise FormatError("sink must be non-accepting")
-        self.transitions = _checked(alphabet, state_set, transitions, lambda value: {value}, sink)
-        self._reach = None
+        self._named = _checked(alphabet, state_set, transitions, lambda value: {value}, sink)
         self._table_cache = None
 
     @classmethod
-    def _trusted(cls, alphabet, reach, accepting, transitions, sink=None) -> "Dbta":
-        """A Dbta over a table built from `reach` and the sink, without
-        `__init__`'s per-entry checks: `transitions` has a row for every
-        letter, keyed by tuples over those states, a sink if an entry is
-        missing, and the sink at entries touching it.  `reach` lists once
-        each, in any order, exactly the states some tree evaluates to, so
-        `_tables` reads it instead of saturating."""
+    def _trusted(cls, alphabet, reach, accepting, rows, sink=None) -> "Dbta":
+        """A Dbta that holds only the integer table a construction built,
+        without `__init__`'s per-entry checks: `rows` is as in `_tables`,
+        total and dense over `reach`, which lists once each exactly the
+        states some tree evaluates to, the sink among them if there is one."""
         dbta = cls.__new__(cls)
         dbta.alphabet = alphabet
-        dbta.states = tuple(sorted({*reach, sink} - {None}))
+        dbta.states = tuple(sorted(reach))
         dbta.accepting = frozenset(accepting)
         dbta.sink = sink
-        dbta.transitions = transitions
-        dbta._reach = reach
-        dbta._table_cache = None
+        dbta._named = None
+        dbta._table_cache = reach, rows, None
         return dbta
+
+    @property
+    def transitions(self) -> dict:
+        """Each letter's entries as a dict from child-state tuples to the
+        resulting state: a parsed automaton's checked table; a built one's
+        is named on first read, one entry per tuple over its states."""
+        if self._named is None:
+            reach, rows, _ = self._table_cache
+            self._named = {letter: {key: reach[target] for key, target in zip(itertools.product(reach, repeat=ar), flat)}
+                           for letter, (ar, flat) in rows.items()}
+        return self._named
 
     def eval(self, tree: Tree) -> str:
         """State reached bottom-up; total and deterministic on conforming trees.
@@ -198,10 +206,10 @@ class Dbta:
         `rows[letter]` is (arity, flat), `flat` listing the index in `reach`
         of the target of each tuple over `reach`, row-major, None at a
         missing entry when there is no sink; `gap` is the first one
-        saturation met, as (letter, key), or None.  A parsed automaton's
-        `reach` is saturated, in `states` order; a built one brings it."""
+        saturation met, as (letter, key), or None.  Only an automaton from
+        `__init__` builds it, saturating `reach` in `states` order."""
         if self._table_cache is None:
-            named, sink, gaps = self.transitions, self.sink, []
+            named, sink, gaps = self._named, self.sink, []
 
             def lookup(letter, key):
                 target = named[letter].get(key, sink)
@@ -209,9 +217,7 @@ class Dbta:
                     gaps.append((letter, key))
                 return target
 
-            reach = self._reach
-            if reach is None:
-                reach = sorted(saturate(self.alphabet, lookup))
+            reach = sorted(saturate(self.alphabet, lookup))
             index = {q: i for i, q in enumerate(reach)}
             index[None] = None
             rows = {letter: (ar, [index[named[letter].get(key, sink)] for key in itertools.product(reach, repeat=ar)])
@@ -312,9 +318,20 @@ class Dbta:
         return False, trees[min(live, key=lambda i: best[i][:2])]
 
     def minimize(self) -> "Dbta":
-        """Reachable states merged up to context distinguishability (`_quotient`)."""
+        """Myhill-Nerode quotient over the reachable states: the blocks of
+        `_refine`, named m0, m1, ... in their order, each row read at the
+        blocks' first members."""
         reach, rows, _ = self._total_tables()
-        return _quotient(self.alphabet, reach, rows, self.accepting, self.sink)
+        n = len(reach)
+        blocks = _refine(reach, rows, self.accepting)
+        block_of = {i: k for k, ids in enumerate(blocks) for i in ids}
+        reps = [ids[0] for ids in blocks]
+        table = {letter: (ar, [block_of[flat[_position(key, n)]] for key in itertools.product(reps, repeat=ar)])
+                 for letter, (ar, flat) in rows.items()}
+        names = [f"m{k}" for k in range(len(blocks))]
+        final = {names[block_of[i]] for i, q in enumerate(reach) if q in self.accepting}
+        sink = names[block_of[reach.index(self.sink)]] if self.sink in reach else None
+        return Dbta._trusted(self.alphabet, names, final, table, sink=sink)
 
     def to_text(self) -> str:
         headers = {"states": self.states, "accepting": sorted(self.accepting), "sink": self.sink}
@@ -368,25 +385,6 @@ def _refine(reach, rows, accepting) -> list:
     return sorted(members, key=lambda ids: sorted(reach[i] for i in ids))
 
 
-def _quotient(alphabet, reach, rows, accepting, sink) -> Dbta:
-    """Myhill-Nerode quotient of the automaton with reachable states `reach`
-    and the integer rows `rows` of `Dbta._tables`: the blocks of `_refine`
-    named m0, m1, ... in their order."""
-    n = len(reach)
-    ordered = _refine(reach, rows, accepting)
-    name_of = [None] * n
-    for k, ids in enumerate(ordered):
-        for i in ids:
-            name_of[i] = f"m{k}"
-    reps = [ids[0] for ids in ordered]
-    table = {letter: {tuple(name_of[i] for i in key): name_of[flat[_position(key, n)]]
-                      for key in itertools.product(reps, repeat=ar)}
-             for letter, (ar, flat) in rows.items()}
-    final = {name_of[i] for i, q in enumerate(reach) if q in accepting}
-    sink = name_of[reach.index(sink)] if sink in reach else None
-    return Dbta._trusted(alphabet, [name_of[i] for i in reps], final, table, sink=sink)
-
-
 class Nta:
     """Nondeterministic bottom-up tree automaton; transitions map tuples to state sets."""
 
@@ -403,9 +401,9 @@ class Nta:
 
     def determinize(self) -> Dbta:
         """Subset construction over reachable subsets, named d0, d1, ... in
-        discovery order once the closure is done; the empty subset is the
-        sink.  A step visits only the rows whose first child state (None for
-        nullary letters) lies in the first subset."""
+        discovery order; the empty subset is the sink `dempty`, left out of
+        the table that `__init__` checks.  A step visits only the rows whose
+        first child state (None for nullary letters) lies in the first subset."""
         rows = {}
         for letter, table in self.transitions.items():
             index = rows[letter] = {}
@@ -428,12 +426,8 @@ class Nta:
         name = {subset: f"d{i}" for i, subset in enumerate(order)}
         table = {letter: {tuple(name[s] for s in key): name[target] for key, target in rows.items()}
                  for letter, rows in made.items()}
-        sink = "dempty"
-        reach = list(name.values())
         accepting = {name[s] for s in order if s & self.accepting}
-        if any(len(table[letter]) < len(order) ** ar for letter, ar in self.alphabet.items()):
-            reach.append(sink)
-        return Dbta._trusted(self.alphabet, reach, accepting, table, sink=sink)
+        return Dbta(self.alphabet, [*name.values(), "dempty"], accepting, table, sink="dempty")
 
     def to_text(self) -> str:
         headers = {"states": self.states, "accepting": sorted(self.accepting)}

@@ -22,10 +22,10 @@ name.  So two behaviours that agree at every slot some child move enters,
 and on root acceptance, compose to the same behaviour in every context: this
 read-slot equivalence is a congruence between behaviour equality and the
 Myhill-Nerode equivalence.  One saturation over its classes (`_classes`)
-builds both automata: `to_dbta` spreads it over the classes' members, and
-`minimal_dbta` minimizes the class automaton, each class named by its
-members' least `b{i}` as a string, so its text is exactly that of
-`to_dbta(dtwa).minimize()`.
+builds both automata as integer rows only: `to_dbta` reads it at each tuple
+of behaviours' classes, and `minimal_dbta` minimizes the class automaton,
+each class named by its members' least `b{i}` as a string, so its text is
+exactly that of `to_dbta(dtwa).minimize()`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from . import fmt
 from .errors import AlphabetError, FormatError
 from .trees import _NAME, RankedAlphabet, Tree
-from .bottomup import Dbta, _quotient, saturate
+from .bottomup import Dbta, saturate
 from .words import Dfa
 
 ACCEPT = "accept"
@@ -348,30 +348,26 @@ def _classes(dtwa: Dtwa):
 
 def to_dbta(dtwa: Dtwa) -> Dbta:
     """Bottom-up automaton whose states `b{i}` are the reachable subtree
-    behaviours in discovery order, each entry of `_classes` spread over the
-    tuples of its classes' members.  A behaviour accepts when entering the
+    behaviours in discovery order, its integer rows read from `_classes` at
+    each tuple of behaviours' classes.  A behaviour accepts when entering the
     subtree as the whole tree, at the root tag in the initial state, leads
     to Accept.  The table is total, so no sink is needed."""
     kind, accepts, made = _classes(dtwa)
     names = [f"b{i}" for i in range(len(kind))]
-    members = [[] for _ in accepts]
-    for name, c in zip(names, kind):
-        members[c].append(name)
-    table = {letter: {key: names[i] for classes, i in rows.items()
-                      for key in itertools.product(*[members[c] for c in classes])}
-             for letter, rows in made.items()}
-    return Dbta._trusted(dtwa.alphabet, names, [b for b, c in zip(names, kind) if accepts[c]], table)
+    rows = {letter: (ar, [made[letter][key] for key in itertools.product(kind, repeat=ar)])
+            for letter, ar in dtwa.alphabet.items()}
+    return Dbta._trusted(dtwa.alphabet, names, [b for b, c in zip(names, kind) if accepts[c]], rows)
 
 
 def minimal_dbta(dtwa: Dtwa) -> Dbta:
-    """`to_dbta(dtwa).minimize()`, with the same text, from the class
-    automaton of `_classes`: each class is named by its members' least
-    `b{i}` as a string, and `_quotient` orders and names the blocks as
-    `minimize` does on `to_dbta`'s automaton."""
+    """`to_dbta(dtwa).minimize()`, with the same text, from the integer rows
+    of the class automaton of `_classes`: each class is named by its
+    members' least `b{i}` as a string, so `minimize` orders and names the
+    blocks as it does on `to_dbta`'s automaton."""
     kind, accepts, made = _classes(dtwa)
     least = [None] * len(accepts)
     for i, c in enumerate(kind):
         least[c] = min(least[c] or f"b{i}", f"b{i}")
     rows = {letter: (ar, [kind[made[letter][key]] for key in itertools.product(range(len(accepts)), repeat=ar)])
             for letter, ar in dtwa.alphabet.items()}
-    return _quotient(dtwa.alphabet, least, rows, {b for b, a in zip(least, accepts) if a}, None)
+    return Dbta._trusted(dtwa.alphabet, least, {b for b, a in zip(least, accepts) if a}, rows).minimize()

@@ -31,7 +31,7 @@ from fixtures import (
     q_initial_grammar,
     stay_loop_dtwa,
 )
-from oracles import SEED, dict_run
+from oracles import SEED, criterion_dfas, dict_run
 
 
 @pytest.fixture
@@ -222,8 +222,16 @@ def test_output_does_not_depend_on_hash_seed(files):
     dump = ["-c", "from treesep import fixtures, kop_dbta, parse_grammar\n"
                   "kop = kop_dbta(parse_grammar(fixtures.PALINDROME_TEXT))\n"
                   "print(kop.to_text() + kop.minimize().to_text())"]
+    # #18's minimal automaton has 56 states, so `minimize` names blocks
+    # m10 and up, which sort before m2
+    k18 = files("k18.dfa", criterion_dfas()[18].to_text())
+    walker18 = ["-c", "import sys\n"
+                      "from treesep import dfs_from_dfa, fixtures, minimal_dbta, parse_dfa, to_dbta\n"
+                      "w = dfs_from_dfa(parse_dfa(open(sys.argv[1]).read()), fixtures.obf_sigma())\n"
+                      "print(minimal_dbta(w).to_text() + to_dbta(w).minimize().to_text())\n"
+                      "print(minimal_dbta(w).minimize().fingerprint())", k18]
     env = dict(os.environ, PYTHONPATH=str(Path(treesep.__file__).parents[1]))
-    for args in (extract, dump):
+    for args in (extract, dump, walker18):
         outputs = []
         for seed in ("1", "2"):
             done = subprocess.run([sys.executable, *args], env=dict(env, PYTHONHASHSEED=seed),

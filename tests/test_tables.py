@@ -10,6 +10,8 @@ must raise the same error at a missing entry.
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -18,7 +20,7 @@ from treesep.errors import TransitionError
 from treesep.obfuscation import kop_nta
 from treesep.rotation import comb_dfa, is_associative
 from treesep.trees import RankedAlphabet, enumerate_terms
-from treesep.walking import dfs_from_dfa, to_dbta
+from treesep.walking import dfs_from_dfa, minimal_dbta, to_dbta
 from treesep.words import Dfa
 
 from fixtures import (
@@ -47,6 +49,7 @@ from oracles import (
     round_robin_is_empty,
     round_robin_product,
     round_robin_reachable,
+    round_robin_to_dbta,
     step,
     tree_walk_is_associative,
 )
@@ -99,9 +102,9 @@ def assert_routes_agree(built):
     the reachable states its construction passed; on the same text re-read
     by `parse_dbta` they saturate the table anew.  Both routes must give
     what the oracles give."""
-    assert sorted(built._reach) == sorted(round_robin_reachable(built))
+    assert sorted(built._tables()[0]) == sorted(round_robin_reachable(built))
     parsed = parse_dbta(built.to_text())
-    assert parsed._reach is None
+    assert parsed._table_cache is None
     small = built.minimize().to_text()
     assert small == parsed.minimize().to_text() == moore_minimize(built).to_text()
     assert built.is_empty() == parsed.is_empty() == round_robin_is_empty(built)
@@ -145,11 +148,52 @@ class TestReadRoute:
         rng = random.Random(SEED + 22)
         partial = [random_nta(rng, alphabet, n_states=rng.randint(1, 3)).determinize() for _ in range(8)]
         total = [total_nta(rng, alphabet, n_states=rng.randint(1, 3)).determinize() for _ in range(4)]
-        assert any("dempty" in det._reach for det in partial)
-        assert not any("dempty" in det._reach for det in total)
+        assert any("dempty" in det._tables()[0] for det in partial)
+        assert not any("dempty" in det._tables()[0] for det in total)
         for det in partial + total:
             assert det.sink == "dempty" and "dempty" in det.states
             assert_routes_agree(det)
+
+
+def test_threads_name_one_built_table():
+    """Eight threads read `transitions` of a built automaton whose named
+    view does not exist yet; each gets the entries the oracles build."""
+    dtwa = dfs_from_dfa(criterion_dfas()[3], obf_sigma())
+    behaviours = round_robin_to_dbta(dtwa)
+    for dbta, want in ((to_dbta(dtwa), behaviours), (to_dbta(dtwa).minimize(), moore_minimize(behaviours))):
+        assert dbta._named is None
+        got = []
+        start = threading.Barrier(8)
+
+        def read(dbta=dbta):
+            start.wait(timeout=60)
+            got.append(dbta.transitions)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want.transitions] * 8
+
+
+def test_pipeline_leaves_built_tables_unnamed():
+    """Evaluation, minimisation, emptiness and term tables read only the
+    integer table of a built automaton, so none of them names its entries."""
+    dtwa = dfs_from_dfa(criterion_dfas()[3], obf_sigma())
+    built = to_dbta(dtwa)
+    for dbta in (built, built.minimize(), minimal_dbta(dtwa)):
+        dbta.eval(t("a(a(p,q),c)"))
+        dbta.minimize()
+        dbta.is_empty()
+        dbta._pair_table(t("a(*,a(c,*))"))
+        assert dbta._named is None
 
 
 def assert_passes_checks(dbta):
