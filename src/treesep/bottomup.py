@@ -4,9 +4,11 @@ Transition tables may be partial.  With a rejecting sink, every missing
 entry, and every entry with the sink among its inputs, resolves to the sink;
 without one, the first use that reaches a missing entry raises
 TransitionError.  Every algorithm on a `Dbta` reads one integer table,
-`Dbta._tables`, dense over the reachable states.  A parsed automaton builds
-it once from its checked entries; a built one holds nothing else, and names
-its entries only when `transitions` is read.
+`Dbta._tables`, dense over the values of a projection that gives each
+reachable state one row coordinate, at every child position.  A parsed
+automaton builds it once from its checked entries, over the identity; a
+built one holds nothing else, and names its entries only when
+`transitions` is read.
 
 Reachable states, subset constructions and the walker's read-slot classes
 are all one closure: start from nothing and apply every letter to every
@@ -30,12 +32,15 @@ from .errors import ArityError, FormatError, TransitionError
 from .trees import PORT, Tree, postorder
 
 
-def _position(key, n):
-    """Row-major position of a tuple of indices below n."""
-    pos = 0
-    for i in key:
-        pos = pos * n + i
-    return pos
+def _read_at(flat, m, columns, base=0):
+    """The entries of `flat`, dense over m values per position from offset
+    `base`, at each tuple of row coordinates in `itertools.product(*columns)`,
+    in order; each distinct prefix is read once, so it costs its output."""
+    if len(columns) < 2:
+        return [flat[base + c] for c in columns[0]] if columns else [flat[base]]
+    size = m ** (len(columns) - 1)
+    tails = {c: _read_at(flat, m, columns[1:], base + c * size) for c in set(columns[0])}
+    return list(itertools.chain.from_iterable(map(tails.__getitem__, columns[0])))
 
 
 def _no_transition(letter, key) -> TransitionError:
@@ -142,72 +147,77 @@ class Dbta:
         self._table_cache = None
 
     @classmethod
-    def _trusted(cls, alphabet, reach, accepting, rows, sink=None) -> "Dbta":
+    def _trusted(cls, alphabet, reach, proj, accepting, rows, sink=None) -> "Dbta":
         """A Dbta that holds only the integer table a construction built,
-        without `__init__`'s per-entry checks: `rows` is as in `_tables`,
-        total and dense over `reach`, which lists once each exactly the
-        states some tree evaluates to, the sink among them if there is one."""
+        without `__init__`'s per-entry checks: `proj` and `rows` are as in
+        `_tables`, total, and `reach` lists once each exactly the states some
+        tree evaluates to, the sink among them if there is one."""
         dbta = cls.__new__(cls)
         dbta.alphabet = alphabet
         dbta.states = tuple(sorted(reach))
         dbta.accepting = frozenset(accepting)
         dbta.sink = sink
         dbta._named = None
-        dbta._table_cache = reach, rows, None
+        dbta._table_cache = reach, proj, max(proj, default=-1) + 1, rows, None
         return dbta
 
     @property
     def transitions(self) -> dict:
         """Each letter's entries as a dict from child-state tuples to the
         resulting state: a parsed automaton's checked table; a built one's
-        is named on first read, one entry per tuple over its states."""
+        is named on first read, its rows spread over all tuples of states."""
         if self._named is None:
-            reach, rows, _ = self._table_cache
-            self._named = {letter: {key: reach[target] for key, target in zip(itertools.product(reach, repeat=ar), flat)}
+            reach, proj, m, rows, _ = self._table_cache
+            self._named = {letter: dict(zip(itertools.product(reach, repeat=ar),
+                                            _read_at([reach[t] for t in flat], m, [proj] * ar)))
                            for letter, (ar, flat) in rows.items()}
         return self._named
 
     def eval(self, tree: Tree) -> str:
         """State reached bottom-up; total and deterministic on conforming trees.
 
-        One post-order pass over `_tables`: a binary node pops its
-        children's state indices and reads entry ``left * n + right``.  On a
-        bad node, and before a missing entry is reported, `validate` on the
-        whole tree raises the error an up-front check would have raised
-        first; a tree that avoids every missing entry evaluates.
+        One post-order pass over `_tables` in row coordinates: a binary node
+        pops its children's and reads entry ``left * m + right``.  On a bad
+        node, and before a missing entry is reported, `validate` on the whole
+        tree raises the error an up-front check would have raised first; a
+        tree that avoids every missing entry evaluates.
         """
-        reach, rows, _ = self._tables()
-        n = len(reach)
+        reach, proj, m, rows, _ = self._tables()
+        # each entry's coordinate; only the root's state is read
+        steps = rows if m == len(reach) else {a: (ar, [proj[t] for t in flat]) for a, (ar, flat) in rows.items()}
         values = []
         for node in postorder(tree):
-            ar, table = rows.get(node.label, (-1, None))
+            ar, table = steps.get(node.label, (-1, None))
             if ar != len(node.children):
                 self.alphabet.validate(tree)
             if ar == 2:
                 right = values.pop()
-                code = values.pop() * n + right
+                code = values.pop() * m + right
             elif ar:
-                code = _position(values[-ar:], n)
+                code = sum(v * m ** k for k, v in enumerate(reversed(values[-ar:])))
                 del values[-ar:]
             else:
                 code = 0
-            state = table[code]
-            if state is None:
+            coord = table[code]
+            if coord is None:
+                # only a parsed table has gaps, and its coordinates are the state indices
                 self.alphabet.validate(tree)
-                raise _no_transition(node.label, tuple(reach[code // n ** i % n] for i in reversed(range(ar))))
-            values.append(state)
-        return reach[values[0]]
+                raise _no_transition(node.label, tuple(reach[code // m ** i % m] for i in reversed(range(ar))))
+            values.append(coord)
+        return reach[rows[node.label][1][code]]
 
     def accepts(self, tree: Tree) -> bool:
         return self.eval(tree) in self.accepting
 
     def _tables(self):
-        """The one integer table, built on first use: (reach, rows, gap).
-        `rows[letter]` is (arity, flat), `flat` listing the index in `reach`
-        of the target of each tuple over `reach`, row-major, None at a
-        missing entry when there is no sink; `gap` is the first one
-        saturation met, as (letter, key), or None.  Only an automaton from
-        `__init__` builds it, saturating `reach` in `states` order."""
+        """The one integer table, built on first use: (reach, proj, m, rows,
+        gap).  State `reach[i]` has row coordinate `proj[i]` below m; they are
+        numbered in order of first state, so m == len(reach) only for the
+        identity.  `rows[letter]` is (arity, flat), `flat` listing row-major
+        the index in `reach` of the target at each tuple of coordinates, None
+        at a missing entry when there is no sink; `gap` is the first one
+        saturation met, as (letter, key), or None.  Only `__init__`'s automaton
+        builds it, over the identity, saturating `reach` in `states` order."""
         if self._table_cache is None:
             named, sink, gaps = self._named, self.sink, []
 
@@ -222,14 +232,14 @@ class Dbta:
             index[None] = None
             rows = {letter: (ar, [index[named[letter].get(key, sink)] for key in itertools.product(reach, repeat=ar)])
                     for letter, ar in self.alphabet.items()}
-            self._table_cache = reach, rows, gaps[0] if gaps else None
+            self._table_cache = reach, list(range(len(reach))), len(reach), rows, gaps[0] if gaps else None
         return self._table_cache
 
     def _total_tables(self):
         """`_tables`, raising TransitionError if saturation met a missing entry."""
         tables = self._tables()
-        if tables[2]:
-            raise _no_transition(*tables[2])
+        if tables[-1]:
+            raise _no_transition(*tables[-1])
         return tables
 
     def _pair_table(self, term: Tree):
@@ -243,7 +253,7 @@ class Dbta:
         if term.arity != 2:
             raise ArityError(f"need a binary term, got arity {term.arity}")
         self.alphabet.validate(term, ports=True)
-        reach, rows, gap = self._tables()
+        reach, proj, m, rows, gap = self._tables()
         n = len(reach)
         if not n and gap:
             raise _no_transition(*gap)
@@ -255,10 +265,10 @@ class Dbta:
                 continue
             kids = values[len(values) - len(node.children):]
             del values[len(values) - len(kids):]
-            codes = kids[0] if kids else [0] * (n * n)
-            for kid in kids[1:]:
-                codes = [code * n + x for code, x in zip(codes, kid)]
             flat = rows[node.label][1]
+            codes = [proj[x] for x in kids[0]] if kids else [0] * (n * n)
+            for kid in kids[1:]:
+                codes = [code * m + proj[x] for code, x in zip(codes, kid)]
             values.append([flat[code] for code in codes])
             if None in values[-1]:
                 j = values[-1].index(None)
@@ -274,18 +284,16 @@ class Dbta:
         state's size is final when it leaves the queue, and each index tuple
         is offered once, when its last state becomes final.  By then every
         tuple a state can be built from at its minimum size has been offered.
+        Targets are read in bulk; only one not yet final costs an `offer`.
         """
-        reach, rows, _ = self._total_tables()
+        reach, proj, m, rows, _ = self._total_tables()
         n = len(reach)
         size = [0] * n  # final minimum node counts; 0 until known
         best = [None] * n  # (size, text, letter, child indices) of the best offer
         heap = []
 
-        def offer(letter, key):
-            target = rows[letter][1][_position(key, n)]
-            if size[target]:
-                return
-            cand = 1 + sum(size[i] for i in key)
+        def offer(letter, key, target):
+            cand = 1 + sum(map(size.__getitem__, key))
             old = best[target]
             if old is not None and cand > old[0]:
                 return
@@ -294,20 +302,25 @@ class Dbta:
                 best[target] = (cand, text, letter, key)
                 heapq.heappush(heap, (cand, target))
 
-        for letter, ar in self.alphabet.items():
+        for letter, (ar, flat) in rows.items():
             if ar == 0:
-                offer(letter, ())
-        done = []
+                offer(letter, (), flat[0])
+        done, coords = [], []  # the final states and their row coordinates
         while heap:
             cand, q = heapq.heappop(heap)
             if size[q]:
                 continue
             size[q] = cand
             done.append(q)
-            for letter, ar in self.alphabet.items():
-                # the tuples over final states that hold q
-                for key in _fresh_tuples(done, len(done), len(done) - 1, ar):
-                    offer(letter, key)
+            coords.append(proj[q])
+            for letter, (ar, flat) in rows.items():
+                for p in range(ar):
+                    # the tuples over final states whose first q is at position p
+                    keys = itertools.product(*[done[:-1]] * p, [q], *[done] * (ar - 1 - p))
+                    targets = _read_at(flat, m, [coords[:-1]] * p + [[proj[q]]] + [coords] * (ar - 1 - p))
+                    for key, target in zip(keys, targets):
+                        if not size[target]:
+                            offer(letter, key, target)
         live = [i for i, q in enumerate(reach) if q in self.accepting]
         if not live:
             return True, None
@@ -320,18 +333,17 @@ class Dbta:
     def minimize(self) -> "Dbta":
         """Myhill-Nerode quotient over the reachable states: the blocks of
         `_refine`, named m0, m1, ... in their order, each row read at the
-        blocks' first members."""
-        reach, rows, _ = self._total_tables()
-        n = len(reach)
-        blocks = _refine(reach, rows, self.accepting)
+        row coordinates of the blocks' first members."""
+        reach, proj, m, rows, _ = self._total_tables()
+        blocks = _refine(reach, proj, m, rows, self.accepting)
         block_of = {i: k for k, ids in enumerate(blocks) for i in ids}
-        reps = [ids[0] for ids in blocks]
-        table = {letter: (ar, [block_of[flat[_position(key, n)]] for key in itertools.product(reps, repeat=ar)])
+        reps = [proj[ids[0]] for ids in blocks]
+        table = {letter: (ar, [block_of[t] for t in _read_at(flat, m, [reps] * ar)])
                  for letter, (ar, flat) in rows.items()}
         names = [f"m{k}" for k in range(len(blocks))]
-        final = {names[block_of[i]] for i, q in enumerate(reach) if q in self.accepting}
+        final = {name for name, ids in zip(names, blocks) if reach[ids[0]] in self.accepting}
         sink = names[block_of[reach.index(self.sink)]] if self.sink in reach else None
-        return Dbta._trusted(self.alphabet, names, final, table, sink=sink)
+        return Dbta._trusted(self.alphabet, names, list(range(len(names))), final, table, sink=sink)
 
     def to_text(self) -> str:
         headers = {"states": self.states, "accepting": sorted(self.accepting), "sink": self.sink}
@@ -343,46 +355,49 @@ class Dbta:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
 
 
-def _refine(reach, rows, accepting) -> list:
+def _refine(reach, proj, m, rows, accepting) -> list:
     """Myhill-Nerode blocks of the reachable states `reach`, in any order,
-    under the integer rows `rows` of `Dbta._tables`: lists of indices into
-    `reach`, ordered by their sorted member names.
+    under the table (`proj`, m, `rows`) of `Dbta._tables`: lists of indices
+    into `reach`, ordered by their least member names.
 
     Partition refinement with single-letter contexts: two states split as
     soon as some letter, position, and tuple of reachable sibling states
     sends them to different blocks.  Tree contexts factor through these
-    one-node contexts, so the blocks are the Myhill-Nerode classes and
-    equality of state transformations on them coincides with
-    interchangeability in every context.  Rounds run Moore-style; a word
-    automaton is the case of unary letters."""
-    n = len(reach)
-    block = [q in accepting for q in reach]
+    one-node contexts, so the blocks are the Myhill-Nerode classes.
+    Siblings act only through their row coordinates, each some reachable
+    state's, and states alike in acceptance and coordinate never split, so
+    Moore rounds refine those groups over the m coordinates' contexts, m^arity
+    entries a letter.  A word automaton is the case of unary letters."""
+    groups = {}  # (accepting, row coordinate) -> group index
+    group = [groups.setdefault((q in accepting, v), len(groups)) for q, v in zip(reach, proj)]
+    rows = [(ar, [group[t] for t in flat]) for ar, flat in rows.values()]
+    block = [final for final, _ in groups]
     count = len(set(block))
     while True:
-        targets = [(ar, [block[t] for t in flat]) for ar, flat in rows.values()]
-        rename = {}
-        new_block = []
-        for q in range(n):
-            # q's contexts at position p are the entries whose p-th index
-            # is q: with stride = n ** (ar - 1 - p), one run of `stride`
-            # entries at p = 0, else `stride` slices of step n * stride
-            signature = [block[q]]
+        targets = [(ar, [block[g] for g in flat]) for ar, flat in rows]
+        contexts, context = {}, []  # each coordinate's contexts, numbered
+        for v in range(m):
+            # v's contexts at position p are the entries whose p-th
+            # coordinate is v: with stride = m ** (ar - 1 - p), one run of
+            # `stride` entries at p = 0, else `stride` slices of step m * stride
+            signature = []
             for ar, row in targets:
                 for p in range(ar):
-                    stride = n ** (ar - 1 - p)
+                    stride = m ** (ar - 1 - p)
                     if p == 0:
-                        signature.append(tuple(row[q * stride:(q + 1) * stride]))
+                        signature.append(tuple(row[v * stride:(v + 1) * stride]))
                     else:
-                        signature += [tuple(row[q * stride + r::n * stride]) for r in range(stride)]
-            new_block.append(rename.setdefault(tuple(signature), len(rename)))
-        block = new_block
+                        signature += [tuple(row[v * stride + r::m * stride]) for r in range(stride)]
+            context.append(contexts.setdefault(tuple(signature), len(contexts)))
+        rename = {}
+        block = [rename.setdefault((b, context[v]), len(rename)) for b, (_, v) in zip(block, groups)]
         if len(rename) == count:
             break
         count = len(rename)
     members = [[] for _ in range(count)]
-    for i in range(n):
-        members[block[i]].append(i)
-    return sorted(members, key=lambda ids: sorted(reach[i] for i in ids))
+    for i, g in enumerate(group):
+        members[block[g]].append(i)
+    return sorted(members, key=lambda ids: min(reach[i] for i in ids))
 
 
 class Nta:

@@ -21,11 +21,11 @@ A parent's walk enters child i only at the slots (i, q) its own child moves
 name.  So two behaviours that agree at every slot some child move enters,
 and on root acceptance, compose to the same behaviour in every context: this
 read-slot equivalence is a congruence between behaviour equality and the
-Myhill-Nerode equivalence.  One saturation over its classes (`_classes`)
-builds both automata as integer rows only: `to_dbta` reads it at each tuple
-of behaviours' classes, and `minimal_dbta` minimizes the class automaton,
-each class named by its members' least `b{i}` as a string, so its text is
-exactly that of `to_dbta(dtwa).minimize()`.
+Myhill-Nerode equivalence.  `to_dbta` saturates over its classes and keeps
+the table it builds: rows over tuples of classes, with each behaviour's
+class as its row coordinate (see `bottomup`), so classes^arity entries
+rather than behaviours^arity.  `minimal_dbta` is its `minimize`, whose
+refinement runs over the classes.
 """
 
 from __future__ import annotations
@@ -310,23 +310,25 @@ def _compose(dtwa: Dtwa, letter, children) -> tuple:
     return tuple(out)
 
 
-def _classes(dtwa: Dtwa):
-    """The one saturation behind `to_dbta` and `minimal_dbta`: (kind,
-    accepts, made), with `kind[i]` the read-slot class of behaviour i,
-    `accepts[c]` the root acceptance of class c, and `made[letter]` the
-    behaviour the letter makes of each tuple of class indices.
+def to_dbta(dtwa: Dtwa) -> Dbta:
+    """Bottom-up automaton whose states `b{i}` are the reachable subtree
+    behaviours in discovery order.  A behaviour accepts when entering the
+    subtree as the whole tree, at the root tag in the initial state, leads
+    to Accept.  The table is total, so no sink is needed.
 
-    `saturate` steps each (letter, class tuple) once.  Classes are numbered
-    by their first member, so class tuples come in the order of their least
-    behaviour index tuples, and a letter's pass steps exactly the class
-    tuples at which a pass over behaviours could find new ones: behaviours
-    are numbered as `saturate` over behaviours would number them.
+    Its rows are over tuples of read-slot classes, and a behaviour's row
+    coordinate is its class.  `saturate` steps each (letter, class tuple)
+    once.  Classes are numbered by their first member, so class tuples come
+    in the order of their least behaviour index tuples, and a letter's pass
+    steps exactly the class tuples at which a pass over behaviours could
+    find new ones: behaviours are numbered as `saturate` over behaviours
+    would number them.
     """
     n = len(dtwa.states)
     read = sorted({value for row in dtwa._rows.values() for move, value in row if move > 0})
     start = ROOT_TAG * n + dtwa.states.index(dtwa.initial)
     found = {}  # behaviour -> its index
-    kind = []
+    kind = []  # the class of each behaviour
     keys = {}  # (root accept, codes at the read slots) -> class index
     first = []  # the first behaviour of each class
     made = {letter: {} for letter, _ar in dtwa.alphabet.items()}
@@ -343,31 +345,13 @@ def _classes(dtwa: Dtwa):
         return kind[i]
 
     saturate(dtwa.alphabet, step)
-    return kind, [behaviour[start] == n for behaviour in first], made
-
-
-def to_dbta(dtwa: Dtwa) -> Dbta:
-    """Bottom-up automaton whose states `b{i}` are the reachable subtree
-    behaviours in discovery order, its integer rows read from `_classes` at
-    each tuple of behaviours' classes.  A behaviour accepts when entering the
-    subtree as the whole tree, at the root tag in the initial state, leads
-    to Accept.  The table is total, so no sink is needed."""
-    kind, accepts, made = _classes(dtwa)
     names = [f"b{i}" for i in range(len(kind))]
-    rows = {letter: (ar, [made[letter][key] for key in itertools.product(kind, repeat=ar)])
+    rows = {letter: (ar, [made[letter][key] for key in itertools.product(range(len(first)), repeat=ar)])
             for letter, ar in dtwa.alphabet.items()}
-    return Dbta._trusted(dtwa.alphabet, names, [b for b, c in zip(names, kind) if accepts[c]], rows)
+    return Dbta._trusted(dtwa.alphabet, names, kind, [b for b, c in zip(names, kind) if first[c][start] == n], rows)
 
 
 def minimal_dbta(dtwa: Dtwa) -> Dbta:
-    """`to_dbta(dtwa).minimize()`, with the same text, from the integer rows
-    of the class automaton of `_classes`: each class is named by its
-    members' least `b{i}` as a string, so `minimize` orders and names the
-    blocks as it does on `to_dbta`'s automaton."""
-    kind, accepts, made = _classes(dtwa)
-    least = [None] * len(accepts)
-    for i, c in enumerate(kind):
-        least[c] = min(least[c] or f"b{i}", f"b{i}")
-    rows = {letter: (ar, [kind[made[letter][key]] for key in itertools.product(range(len(accepts)), repeat=ar)])
-            for letter, ar in dtwa.alphabet.items()}
-    return Dbta._trusted(dtwa.alphabet, least, {b for b, a in zip(least, accepts) if a}, rows).minimize()
+    """The walker's minimal bottom-up automaton, `to_dbta(dtwa).minimize()`:
+    its refinement runs over read-slot classes, not behaviours."""
+    return to_dbta(dtwa).minimize()

@@ -83,7 +83,7 @@ class Dfa:
                     reach.append(target)
         rows = {letter: (1, [index[self.delta[(q, letter)]] for q in reach]) for letter in self.alphabet}
         name = {}
-        for ids in _refine(reach, rows, self.accepting):
+        for ids in _refine(reach, range(len(reach)), len(reach), rows, self.accepting):
             least = min(reach[i] for i in ids)
             name.update((reach[i], least) for i in ids)
         delta = {(name[q], letter): name[self.delta[(q, letter)]] for q in reach for letter in self.alphabet}

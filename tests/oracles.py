@@ -319,17 +319,20 @@ def kop_language(grammar, max_nodes: int) -> set:
     return out
 
 
-def step(dbta: Dbta, letter, child_states) -> str:
+def step(dbta: Dbta, letter, child_states, table=None) -> str:
     """The state `letter` makes of `child_states`, read off `dbta`'s named
     table by its definition: a sink among the children, or a missing entry
-    with a sink declared, gives the sink."""
+    with a sink declared, gives the sink.  `table`, when given, is the
+    letter's row `dbta.transitions[letter]`, read once by a caller that
+    steps the letter many times."""
     key = tuple(child_states)
     if dbta.sink is not None and dbta.sink in key:
         return dbta.sink
-    try:
-        table = dbta.transitions[letter]
-    except KeyError:
-        raise AlphabetError(f"letter {letter!r} not in alphabet") from None
+    if table is None:
+        try:
+            table = dbta.transitions[letter]
+        except KeyError:
+            raise AlphabetError(f"letter {letter!r} not in alphabet") from None
     got = table.get(key)
     if got is None:
         if dbta.sink is None:
@@ -346,7 +349,8 @@ def eval_columns(dbta: Dbta, term: Tree, columns) -> list:
     assignment.  One post-order pass over a checked term, each letter
     stepping each distinct tuple of child states once through `step`.  A
     column count other than the term's port count, or columns of unequal
-    length, raise ArityError.
+    length, raise ArityError.  Each letter's named row is read once per
+    call.
     """
     if len(columns) != term.arity:
         raise ArityError(f"term has {term.arity} ports, got {len(columns)} columns")
@@ -354,6 +358,7 @@ def eval_columns(dbta: Dbta, term: Tree, columns) -> list:
     if any(len(column) != width for column in columns):
         raise ArityError("port columns differ in length")
     ports = iter(columns)
+    named = dbta.transitions
     known = {}  # letter -> {tuple of child states: state}
     values = []
     for node in postorder(term):
@@ -361,14 +366,15 @@ def eval_columns(dbta: Dbta, term: Tree, columns) -> list:
         if label == PORT:
             values.append(list(next(ports)))
         elif not ar:
-            values.append([step(dbta, label, ())] * width)
+            values.append([step(dbta, label, (), named.get(label))] * width)
         else:
             seen = known.setdefault(label, {})
+            table = named.get(label)
             column = []
             for key in zip(*values[-ar:]):
                 state = seen.get(key)
                 if state is None:
-                    state = seen[key] = step(dbta, label, key)
+                    state = seen[key] = step(dbta, label, key, table)
                 column.append(state)
             del values[-ar:]
             values.append(column)

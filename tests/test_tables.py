@@ -45,6 +45,7 @@ from oracles import (
     random_dtwa,
     random_nta,
     random_tree,
+    recursive_eval,
     round_robin_complement,
     round_robin_is_empty,
     round_robin_product,
@@ -57,6 +58,9 @@ from oracles import (
 PAIR = RankedAlphabet({"a": 2, "c": 0})
 # #18 (869 behaviors) alone takes about a minute in the oracles.
 CRITERION = [i for i in range(20) if i != 18]
+# The oracles step every tuple of behaviours: a two-state ternary walker can
+# have over a hundred, so ternary walkers get one state.
+WALKER_STATES = {"obf": (1, 3), "ternary": (1, 1)}
 
 
 def criterion_dbta(index):
@@ -153,6 +157,46 @@ class TestReadRoute:
         for det in partial + total:
             assert det.sink == "dempty" and "dempty" in det.states
             assert_routes_agree(det)
+
+
+@pytest.mark.parametrize("name", ALPHABETS)
+def test_factored_tables_against_name_level_oracles(name):
+    """`to_dbta` keeps its rows over read-slot classes, each behaviour
+    reading them at its class.  Every reader of that table must give what
+    the oracles read off the behaviour-level automaton they build by name."""
+    alphabet = ALPHABETS[name]
+    rng = random.Random(SEED + 24)
+    trees = [random_tree(rng, alphabet, depth=4) for _ in range(10)]
+    terms = list(itertools.islice(enumerate_terms(alphabet, 2, 5), 6))
+    factored = 0
+    for _ in range(100):
+        dtwa = random_dtwa(rng, alphabet, n_states=rng.randint(*WALKER_STATES[name]))
+        built, want = to_dbta(dtwa), round_robin_to_dbta(dtwa)
+        reach, proj, m = built._tables()[:3]
+        factored += m < len(reach)
+        for tree in trees:
+            assert built.eval(tree) == recursive_eval(want, tree)
+        assert built.is_empty() == round_robin_is_empty(want)
+        for term in terms:
+            states, flat = built._pair_table(term)
+            made = {(x, y): states[target] for (x, y), target in zip(itertools.product(states, repeat=2), flat)}
+            assert made == pair_states(want, term)
+        assert built.minimize().to_text() == moore_minimize(want).to_text()
+        assert built._named is None
+        assert built.transitions == want.transitions
+    assert factored >= 80
+
+
+def test_to_dbta_holds_the_class_table():
+    """#18 has 869 behaviours in 56 read-slot classes: its table holds the
+    56 ** 2 + 3 class entries and one row coordinate per behaviour, not one
+    entry per pair of behaviours."""
+    built = criterion_dbta(18)
+    reach, proj, m, rows, _ = built._tables()
+    assert (len(reach), m) == (869, 56)
+    entries = sum(len(flat) for _, flat in rows.values())
+    assert entries == 3139
+    assert entries + len(proj) == 4008
 
 
 def test_threads_name_one_built_table():

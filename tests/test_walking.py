@@ -362,8 +362,10 @@ class TestToDbta:
 class TestMinimalDbta:
     """`minimal_dbta` against the staged `to_dbta(w).minimize()`, text for
     text, so state names and fingerprints agree too.  Both come from
-    `_classes`, so the random walkers are also checked against the
-    round-robin closure and Moore refinement of `tests/oracles.py`."""
+    `to_dbta`, so the random and fixture walkers are also checked against
+    the round-robin closure and Moore refinement of `tests/oracles.py`, and
+    the criterion and random word-automaton walkers against the digests of
+    `tests/golden.json`."""
 
     @pytest.mark.parametrize("index", range(20))
     def test_criterion_walkers(self, index):
@@ -393,7 +395,9 @@ class TestMinimalDbta:
 
     def test_fixture_walkers(self):
         for w in (always_accept_dtwa(), stay_loop_dtwa(), escape_dtwa()):
-            assert minimal_dbta(w).to_text() == to_dbta(w).minimize().to_text()
+            small = minimal_dbta(w).to_text()
+            assert small == to_dbta(w).minimize().to_text()
+            assert small == moore_minimize(round_robin_to_dbta(w)).to_text()
 
 
 class TestTextFormat:
