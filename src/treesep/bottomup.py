@@ -8,7 +8,7 @@ TransitionError.  Every algorithm on a `Dbta` reads one integer table,
 reachable state one row coordinate, at every child position.  A parsed
 automaton builds it once from its checked entries, over the identity; a
 built one holds nothing else, and names its entries only when
-`transitions` is read.
+`transitions` is read.  Emptiness is searched on the quotient's table.
 
 Reachable states, subset constructions and the walker's read-slot classes
 are all one closure: start from nothing and apply every letter to every
@@ -29,7 +29,7 @@ import itertools
 
 from . import fmt
 from .errors import ArityError, FormatError, TransitionError
-from .trees import PORT, Tree, postorder
+from .trees import PORT, Tree, parse_tree, postorder
 
 
 def _read_at(flat, m, columns, base=0):
@@ -177,17 +177,15 @@ class Dbta:
         """State reached bottom-up; total and deterministic on conforming trees.
 
         One post-order pass over `_tables` in row coordinates: a binary node
-        pops its children's and reads entry ``left * m + right``.  On a bad
-        node, and before a missing entry is reported, `validate` on the whole
-        tree raises the error an up-front check would have raised first; a
-        tree that avoids every missing entry evaluates.
+        pops its children's, reads entry ``left * m + right`` and pushes its
+        target's.  On a bad node, and before a missing entry is reported,
+        `validate` on the whole tree raises the error an up-front check would
+        have raised first; a tree that avoids every missing entry evaluates.
         """
         reach, proj, m, rows, _ = self._tables()
-        # each entry's coordinate; only the root's state is read
-        steps = rows if m == len(reach) else {a: (ar, [proj[t] for t in flat]) for a, (ar, flat) in rows.items()}
         values = []
         for node in postorder(tree):
-            ar, table = steps.get(node.label, (-1, None))
+            ar, table = rows.get(node.label, (-1, None))
             if ar != len(node.children):
                 self.alphabet.validate(tree)
             if ar == 2:
@@ -198,13 +196,13 @@ class Dbta:
                 del values[-ar:]
             else:
                 code = 0
-            coord = table[code]
-            if coord is None:
+            target = table[code]
+            if target is None:
                 # only a parsed table has gaps, and its coordinates are the state indices
                 self.alphabet.validate(tree)
                 raise _no_transition(node.label, tuple(reach[code // m ** i % m] for i in reversed(range(ar))))
-            values.append(coord)
-        return reach[rows[node.label][1][code]]
+            values.append(proj[target])
+        return reach[target]
 
     def accepts(self, tree: Tree) -> bool:
         return self.eval(tree) in self.accepting
@@ -216,8 +214,9 @@ class Dbta:
         identity.  `rows[letter]` is (arity, flat), `flat` listing row-major
         the index in `reach` of the target at each tuple of coordinates, None
         at a missing entry when there is no sink; `gap` is the first one
-        saturation met, as (letter, key), or None.  Only `__init__`'s automaton
-        builds it, over the identity, saturating `reach` in `states` order."""
+        saturation met, as (letter, key), or None, and `minimize` raises it.
+        Only `__init__`'s automaton builds it, over the identity, saturating
+        `reach` in `states` order."""
         if self._table_cache is None:
             named, sink, gaps = self._named, self.sink, []
 
@@ -234,13 +233,6 @@ class Dbta:
                     for letter, ar in self.alphabet.items()}
             self._table_cache = reach, list(range(len(reach))), len(reach), rows, gaps[0] if gaps else None
         return self._table_cache
-
-    def _total_tables(self):
-        """`_tables`, raising TransitionError if saturation met a missing entry."""
-        tables = self._tables()
-        if tables[-1]:
-            raise _no_transition(*tables[-1])
-        return tables
 
     def _pair_table(self, term: Tree):
         """(reach, flat) of a binary `term`: `flat` gives the index in the
@@ -278,18 +270,20 @@ class Dbta:
     def is_empty(self):
         """(True, None) if the language is empty, else (False, witness tree).
 
-        The witness has minimal node count; ties break on s-expression text,
-        which is exact whenever no label is a prefix of another.  Minimum
-        sizes come from Knuth's generalisation of Dijkstra's algorithm: a
-        state's size is final when it leaves the queue, and each index tuple
-        is offered once, when its last state becomes final.  By then every
-        tuple a state can be built from at its minimum size has been offered.
+        The witness is the least accepted tree by node count, then by
+        s-expression text, exact whenever no label is a prefix of another.
+        The quotient accepts the same trees, so the search reads the plain
+        table of `minimize` and parses the witness from its text.  Sizes
+        come from Knuth's generalisation of Dijkstra's algorithm: a state's
+        size is final when it leaves the queue, and each index tuple is
+        offered once, when its last state becomes final.  By then every tuple
+        a state can be built from at its minimum size has been offered.
         Targets are read in bulk; only one not yet final costs an `offer`.
         """
-        reach, proj, m, rows, _ = self._total_tables()
-        n = len(reach)
+        quotient = self.minimize()
+        reach, _, n, rows, _ = quotient._tables()
         size = [0] * n  # final minimum node counts; 0 until known
-        best = [None] * n  # (size, text, letter, child indices) of the best offer
+        best = [None] * n  # (size, text) of the best offer
         heap = []
 
         def offer(letter, key, target):
@@ -298,43 +292,39 @@ class Dbta:
             if old is not None and cand > old[0]:
                 return
             text = f"{letter}({','.join(best[i][1] for i in key)})" if key else letter
-            if old is None or (cand, text) < old[:2]:
-                best[target] = (cand, text, letter, key)
+            if old is None or (cand, text) < old:
+                best[target] = (cand, text)
                 heapq.heappush(heap, (cand, target))
 
         for letter, (ar, flat) in rows.items():
             if ar == 0:
                 offer(letter, (), flat[0])
-        done, coords = [], []  # the final states and their row coordinates
+        done = []  # the final states
         while heap:
             cand, q = heapq.heappop(heap)
             if size[q]:
                 continue
             size[q] = cand
             done.append(q)
-            coords.append(proj[q])
             for letter, (ar, flat) in rows.items():
                 for p in range(ar):
                     # the tuples over final states whose first q is at position p
-                    keys = itertools.product(*[done[:-1]] * p, [q], *[done] * (ar - 1 - p))
-                    targets = _read_at(flat, m, [coords[:-1]] * p + [[proj[q]]] + [coords] * (ar - 1 - p))
-                    for key, target in zip(keys, targets):
+                    columns = [done[:-1]] * p + [[q]] + [done] * (ar - 1 - p)
+                    for key, target in zip(itertools.product(*columns), _read_at(flat, n, columns)):
                         if not size[target]:
                             offer(letter, key, target)
-        live = [i for i, q in enumerate(reach) if q in self.accepting]
+        live = [best[i] for i, q in enumerate(reach) if q in quotient.accepting]
         if not live:
             return True, None
-        trees = {}
-        for q in done:
-            _, _, letter, key = best[q]
-            trees[q] = Tree(letter, tuple(trees[i] for i in key))
-        return False, trees[min(live, key=lambda i: best[i][:2])]
+        return False, parse_tree(min(live)[1])
 
     def minimize(self) -> "Dbta":
         """Myhill-Nerode quotient over the reachable states: the blocks of
-        `_refine`, named m0, m1, ... in their order, each row read at the
-        row coordinates of the blocks' first members."""
-        reach, proj, m, rows, _ = self._total_tables()
+        `_refine`, named m0, m1, ... in their order, each row read at the row
+        coordinates of the blocks' first members; TransitionError at a gap."""
+        reach, proj, m, rows, gap = self._tables()
+        if gap:
+            raise _no_transition(*gap)
         blocks = _refine(reach, proj, m, rows, self.accepting)
         block_of = {i: k for k, ids in enumerate(blocks) for i in ids}
         reps = [proj[ids[0]] for ids in blocks]

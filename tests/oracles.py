@@ -836,7 +836,10 @@ def recursive_parse_tree(text: str) -> Tree:
 
 def random_cnf_grammar(rng: random.Random, nonterminals: int = 3, terminals=("p", "q")):
     """Seeded random CNF grammar with start S, drawn again until
-    normalisation keeps every terminal."""
+    normalisation keeps every terminal.  Each nonterminal draws at most one
+    leaf rule, so fewer nonterminals than terminals raise ValueError."""
+    if nonterminals < len(terminals):
+        raise ValueError(f"{nonterminals} nonterminals cannot keep all {len(terminals)} terminals")
     names = ["S"] + [f"N{i}" for i in range(1, nonterminals)]
     while True:
         rules = [f"{x} -> {rng.choice(terminals)}" for x in names if rng.random() < 0.6]

@@ -204,6 +204,33 @@ def test_bench_imports_resolve():
     assert read == defined == {"PALINDROME_TEXT", "NONPALINDROME_TEXT", "obf_sigma"}
 
 
+def names_read(node, inside=()):
+    """Names that `node` reads as an `ast.Name` or `ast.Attribute`, except
+    inside the body of a function of the same name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        inside += (node.name,)
+    name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+    if name is not None and name not in inside:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from names_read(child, inside)
+
+
+def test_private_helpers_in_src_are_called():
+    """`src/` keeps only what something calls: every function or method in
+    src/treesep/ with one leading underscore is read by name somewhere in
+    src/treesep/ or perfbench/ outside its own body.  A docstring that names
+    it does not count, and neither does a test."""
+    root = Path(__file__).resolve().parents[1]
+    src = [ast.parse(path.read_text()) for path in sorted((root / "src/treesep").glob("*.py"))]
+    bench = [ast.parse(path.read_text()) for path in sorted((root / "perfbench").glob("*.py"))]
+    private = {node.name for tree in src for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and re.match(r"_[^_]", node.name)}
+    assert "_tables" in private
+    read = {name for tree in src + bench for name in names_read(tree)}
+    assert sorted(private - read) == []
+
+
 @pytest.mark.parametrize("folder", ["src", "tests", "perfbench"])
 def test_sources_parse_as_python_3_10(folder):
     """pyproject.toml admits Python 3.10: no source may need later grammar."""

@@ -5,8 +5,10 @@ joined by NUL: extraction reports, minimal automata and their fingerprints
 of the criterion walkers, minimal automata of the walkers of the seeded word
 automata in `test_walking.py`, `to_dbta` texts and their quotients of the
 criterion and of seeded walkers, and the subset constructions of seeded and
-obfuscation NTAs with their quotients.  A change that keeps output bytes
-keeps every digest.
+obfuscation NTAs with their quotients.  The `/is_empty` cases hold the text
+of `is_empty`'s least witness, or "empty", on the criterion and seeded
+walkers' `to_dbta`, the seeded NTAs' and the obfuscation NTAs' subset
+constructions.  A change that keeps output bytes keeps every digest.
 After an intended output change, rewrite the file and say why:
 
     PYTHONPATH=src:tests python tests/test_golden.py > tests/golden.json
@@ -22,6 +24,7 @@ import sys
 
 from treesep.obfuscation import kop_nta
 from treesep.rotation import extract_separator
+from treesep.trees import format_tree
 from treesep.walking import dfs_from_dfa, minimal_dbta, to_dbta
 
 from fixtures import ALPHABETS, GRAMMARS, SIGMA, nonpalindrome_grammar, palindrome_grammar
@@ -49,6 +52,11 @@ def minimal_texts(walker):
     return [amin.to_text(), amin.fingerprint()]
 
 
+def witness_text(dbta):
+    empty, tree = dbta.is_empty()
+    return ["empty" if empty else format_tree(tree)]
+
+
 def cases():
     """Each case's id and a call making its texts, in a fixed order."""
     g, h = palindrome_grammar(), nonpalindrome_grammar()
@@ -57,6 +65,7 @@ def cases():
         yield f"criterion/{i:02d}/extract", lambda walker=walker: [
             extract_separator(walker, g, h, BOUND).to_json(), extract_separator(walker, h, g, BOUND).to_json()]
         yield f"criterion/{i:02d}/automata", lambda walker=walker: walker_texts(walker) + minimal_texts(walker)
+        yield f"criterion/{i:02d}/is_empty", lambda walker=walker: witness_text(to_dbta(walker))
     rng = random.Random(SEED + 11)  # the walkers of TestMinimalDbta.test_random_word_automata
     for j in range(40):
         walker = dfs_from_dfa(random_dfa(rng, max_states=3), SIGMA)
@@ -66,15 +75,18 @@ def cases():
         for j in range(PER_ALPHABET):
             walker = random_dtwa(rng, alphabet, n_states=rng.randint(1, MAX_WALKER_STATES[name]))
             yield f"walker/{name}/{j:03d}", lambda walker=walker: walker_texts(walker)
+            yield f"walker/{name}/{j:03d}/is_empty", lambda walker=walker: witness_text(to_dbta(walker))
         for j in range(PER_ALPHABET):
             nta = random_nta(rng, alphabet, n_states=rng.randint(1, 3))
             yield f"nta/{name}/{j:03d}", lambda nta=nta: [nta.determinize().to_text(),
                                                          nta.determinize().minimize().to_text()]
+            yield f"nta/{name}/{j:03d}/is_empty", lambda nta=nta: witness_text(nta.determinize())
     grammars = [grammar() for grammar in GRAMMARS]
     rng = random.Random(SEED + 42)
     grammars += [random_cnf_grammar(rng, nonterminals=rng.randint(2, 4)) for _ in range(RANDOM_GRAMMARS)]
     for j, grammar in enumerate(grammars):
         yield f"kop/{j:02d}", lambda grammar=grammar: [kop_nta(grammar).determinize().minimize().to_text()]
+        yield f"kop/{j:02d}/is_empty", lambda grammar=grammar: witness_text(kop_nta(grammar).determinize())
 
 
 def digests() -> dict:

@@ -12,6 +12,7 @@ import itertools
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -197,6 +198,22 @@ def test_to_dbta_holds_the_class_table():
     entries = sum(len(flat) for _, flat in rows.values())
     assert entries == 3139
     assert entries + len(proj) == 4008
+
+
+def test_eval_reads_factored_rows_in_place():
+    """`eval` reads `to_dbta`'s class-level rows as they are: a second
+    evaluation of a three-node tree on #18 allocates no per-call copy of
+    its 3,139 entries."""
+    built = criterion_dbta(18)
+    tree = t("a(p,q)")
+    want = built.eval(tree)
+    tracemalloc.start()
+    try:
+        assert built.eval(tree) == want
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
 
 
 def test_threads_name_one_built_table():

@@ -291,6 +291,15 @@ class TestAgainstThreePass:
                 kinds.add("empty" if got[0] else "within" if got[1] is not None else "above")
         assert kinds == {"empty", "within", "above"}
 
+    def test_random_grammar_needs_a_nonterminal_per_terminal(self):
+        """One nonterminal can keep only one of two terminals, so the
+        generator refuses before it draws, where it used to redraw forever."""
+        rng = random.Random(SEED)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="1 nonterminals cannot keep all 2 terminals"):
+            random_cnf_grammar(rng, nonterminals=1)
+        assert rng.getstate() == state
+
     @pytest.mark.parametrize("m", [8, 9, 10])
     def test_threshold_dfas(self, m):
         k = threshold_dfa(m)
