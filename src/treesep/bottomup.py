@@ -272,51 +272,34 @@ class Dbta:
 
         The witness is the least accepted tree by node count, then by
         s-expression text, exact whenever no label is a prefix of another.
-        The quotient accepts the same trees, so the search reads the plain
-        table of `minimize` and parses the witness from its text.  Sizes
-        come from Knuth's generalisation of Dijkstra's algorithm: a state's
-        size is final when it leaves the queue, and each index tuple is
-        offered once, when its last state becomes final.  By then every tuple
-        a state can be built from at its minimum size has been offered.
-        Targets are read in bulk; only one not yet final costs an `offer`.
+        The quotient accepts the same trees, so the search reads its table:
+        Knuth's generalisation of Dijkstra's algorithm with lazy deletion, on
+        one heap of ((size, text), state).  A state is final at its first pop;
+        each index tuple it completes then pushes its target, built from the
+        children's least trees.  Trees outweigh their children and least trees
+        have least children, so each state first pops with its least tree.
         """
         quotient = self.minimize()
         reach, _, n, rows, _ = quotient._tables()
-        size = [0] * n  # final minimum node counts; 0 until known
-        best = [None] * n  # (size, text) of the best offer
-        heap = []
-
-        def offer(letter, key, target):
-            cand = 1 + sum(map(size.__getitem__, key))
-            old = best[target]
-            if old is not None and cand > old[0]:
-                return
-            text = f"{letter}({','.join(best[i][1] for i in key)})" if key else letter
-            if old is None or (cand, text) < old:
-                best[target] = (cand, text)
-                heapq.heappush(heap, (cand, target))
-
-        for letter, (ar, flat) in rows.items():
-            if ar == 0:
-                offer(letter, (), flat[0])
-        done = []  # the final states
+        heap = sorted(((1, letter), flat[0]) for letter, (ar, flat) in rows.items() if ar == 0)  # sorted, so a heap
+        best = {}  # each final state's (size, text), in the order they became final
         while heap:
-            cand, q = heapq.heappop(heap)
-            if size[q]:
+            cost, q = heapq.heappop(heap)
+            if q in best:
                 continue
-            size[q] = cand
-            done.append(q)
+            if reach[q] in quotient.accepting:
+                return False, parse_tree(cost[1])
+            best[q] = cost
+            done = list(best)
             for letter, (ar, flat) in rows.items():
                 for p in range(ar):
                     # the tuples over final states whose first q is at position p
                     columns = [done[:-1]] * p + [[q]] + [done] * (ar - 1 - p)
                     for key, target in zip(itertools.product(*columns), _read_at(flat, n, columns)):
-                        if not size[target]:
-                            offer(letter, key, target)
-        live = [best[i] for i, q in enumerate(reach) if q in quotient.accepting]
-        if not live:
-            return True, None
-        return False, parse_tree(min(live)[1])
+                        if target not in best:
+                            sizes, texts = zip(*map(best.__getitem__, key))
+                            heapq.heappush(heap, ((1 + sum(sizes), f"{letter}({','.join(texts)})"), target))
+        return True, None
 
     def minimize(self) -> "Dbta":
         """Myhill-Nerode quotient over the reachable states: the blocks of

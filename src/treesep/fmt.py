@@ -96,12 +96,14 @@ def read(text: str, where: str, takes, entry):
         raise FormatError(f"{where}: missing 'initial' header")
     states = headers.pop("states")
     del headers["alphabet"]
-    entries = [(lineno, lhs, *entry(lineno, lhs, rhs)) for lineno, lhs, rhs in lines]
-    table, first = {}, {}
-    for lineno, lhs, key, value in entries:
-        if first.setdefault(key, lineno) != lineno:
-            raise FormatError(f"line {lineno}: second transition for {lhs}, first on line {first[key]}")
+    table, first, repeat = {}, {}, None  # the first repeated key is raised after every entry
+    for lineno, lhs, rhs in lines:
+        key, value = entry(lineno, lhs, rhs)
+        if first.setdefault(key, lineno) != lineno and repeat is None:
+            repeat = f"line {lineno}: second transition for {lhs}, first on line {first[key]}"
         table[key] = value
+    if repeat:
+        raise FormatError(repeat)
     return alphabet, states, headers, table
 
 

@@ -41,7 +41,7 @@ class RankedAlphabet:
         for name, ar in letters.items():
             if not isinstance(name, str) or not _NAME.fullmatch(name):
                 raise AlphabetError(f"bad letter name {name!r}")
-            if not isinstance(ar, int) or ar < 0:
+            if type(ar) is not int or ar < 0:  # a bool is an int, but no arity
                 raise AlphabetError(f"bad arity {ar!r} for letter {name!r}")
         if not any(ar == 0 for ar in letters.values()):
             raise AlphabetError("alphabet needs at least one arity-0 letter")

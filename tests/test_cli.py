@@ -246,17 +246,19 @@ def test_output_does_not_depend_on_hash_seed(files):
     walker = dfs_from_dfa(p_prefix_dfa(), obf_sigma())
     extract = ["-m", "treesep", "extract", files("w.dtwa", walker.to_text()),
                files("g.cfg", P_INITIAL_TEXT), files("h.cfg", Q_INITIAL_TEXT)]
-    dump = ["-c", "from treesep import fixtures, kop_dbta, parse_grammar\n"
+    dump = ["-c", "from treesep import fixtures, format_tree, kop_dbta, parse_grammar\n"
                   "kop = kop_dbta(parse_grammar(fixtures.PALINDROME_TEXT))\n"
-                  "print(kop.to_text() + kop.minimize().to_text())"]
+                  "print(kop.to_text() + kop.minimize().to_text())\n"
+                  "print(format_tree(kop.is_empty()[1]))"]
     # #18's minimal automaton has 56 states, so `minimize` names blocks
     # m10 and up, which sort before m2
     k18 = files("k18.dfa", criterion_dfas()[18].to_text())
     walker18 = ["-c", "import sys\n"
-                      "from treesep import dfs_from_dfa, fixtures, minimal_dbta, parse_dfa, to_dbta\n"
+                      "from treesep import dfs_from_dfa, fixtures, format_tree, minimal_dbta, parse_dfa, to_dbta\n"
                       "w = dfs_from_dfa(parse_dfa(open(sys.argv[1]).read()), fixtures.obf_sigma())\n"
                       "print(minimal_dbta(w).to_text() + to_dbta(w).minimize().to_text())\n"
-                      "print(minimal_dbta(w).minimize().fingerprint())", k18]
+                      "print(minimal_dbta(w).minimize().fingerprint())\n"
+                      "print(format_tree(to_dbta(w).is_empty()[1]))", k18]
     env = dict(os.environ, PYTHONPATH=str(Path(treesep.__file__).parents[1]))
     for args in (extract, dump, walker18):
         outputs = []

@@ -55,6 +55,9 @@ class TestParsing:
             parse_grammar(text)
         assert str(caught.value) == message
 
+    def test_empty_chunks_skipped(self):
+        assert parse_grammar("S -> A B;; A -> p; B -> q;") == parse_grammar("S -> A B; A -> p; B -> q")
+
     def test_start_header(self):
         g = parse_grammar("start: T\nS -> A B\nT -> A A\nA -> p\nB -> q")
         assert g.start == "T"

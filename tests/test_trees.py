@@ -36,11 +36,19 @@ class TestRankedAlphabet:
         ({}, "alphabet has no letters"),
         ({"a": -1, "c": 0}, "bad arity -1 for letter 'a'"),
         ({"a": "2", "c": 0}, "bad arity '2' for letter 'a'"),
-    ], ids=["no-letters", "negative-arity", "string-arity"])
+        ({"a": True, "c": 0}, "bad arity True for letter 'a'"),
+    ], ids=["no-letters", "negative-arity", "string-arity", "bool-arity"])
     def test_bad_letters_rejected(self, letters, message):
         with pytest.raises(AlphabetError) as caught:
             RankedAlphabet(letters)
         assert str(caught.value) == message
+
+    def test_equality_ignores_insertion_order(self):
+        ac = RankedAlphabet({"a": 2, "c": 0})
+        assert ac == RankedAlphabet({"c": 0, "a": 2})
+        assert hash(ac) == hash(RankedAlphabet({"c": 0, "a": 2}))
+        assert ac != RankedAlphabet({"a": 1, "c": 0})
+        assert repr(ac) == "RankedAlphabet(a/2, c/0)"
 
     def test_port_symbol_reserved(self):
         with pytest.raises(AlphabetError):

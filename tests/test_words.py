@@ -138,7 +138,11 @@ class TestDfaBasics:
         ("z(yes) -> no", r"^transition for \('yes', 'z'\) outside"),
         ("p(nowhere) -> no", r"^transition for \('nowhere', 'p'\) outside"),
         ("p(no,yes) -> no", r"^line 13: expected letter\(state\) -> state$"),
-    ], ids=["repeated", "stray-letter", "stray-state", "bad-left-side"])
+        # every bad line is reported before any repeated key
+        ("q(yes) -> no\np(no,yes) -> no", r"^line 14: expected letter\(state\) -> state$"),
+        ("q(yes) -> no\np(yes) -> no", r"^line 13: second transition for q\(yes\), first on line 12$"),
+    ], ids=["repeated", "stray-letter", "stray-state", "bad-left-side", "bad-line-after-repeat",
+            "first-of-two-repeats"])
     def test_bad_line_rejected(self, extra, match):
         with pytest.raises(FormatError, match=match):
             parse_dfa(p_prefix_dfa().to_text() + extra + "\n")
