@@ -4,7 +4,7 @@ grammars back to regular word separators."""
 
 from types import ModuleType as _Module
 
-from .bottomup import Dbta, Nta, parse_dbta, parse_nta
+from .bottomup import Dbta, Nta, parse_dbta
 from .errors import (
     AlphabetError,
     ArityError,
@@ -29,7 +29,6 @@ from .trees import (
     PORT,
     RankedAlphabet,
     Tree,
-    comb,
     compose,
     enumerate_terms,
     format_tree,

@@ -374,7 +374,9 @@ def _refine(reach, proj, m, rows, accepting) -> list:
 
 
 class Nta:
-    """Nondeterministic bottom-up tree automaton; transitions map tuples to state sets."""
+    """Nondeterministic bottom-up tree automaton; transitions map tuples to
+    state sets.  The pipeline only determinizes one; its text form is a test
+    helper, `nta_text` and `parse_nta` in tests/oracles.py."""
 
     def __init__(self, alphabet, states, accepting, transitions):
         self.alphabet = alphabet
@@ -417,13 +419,6 @@ class Nta:
         accepting = {name[s] for s in order if s & self.accepting}
         return Dbta(self.alphabet, [*name.values(), "dempty"], accepting, table, sink="dempty")
 
-    def to_text(self) -> str:
-        headers = {"states": self.states, "accepting": sorted(self.accepting)}
-        lines = [f"{letter}({','.join(key)}) -> {{{','.join(sorted(targets))}}}"
-                 for letter in sorted(self.transitions)
-                 for key, targets in sorted(self.transitions[letter].items())]
-        return fmt.write(self.alphabet.items(), headers, lines)
-
 
 def parse_dbta(text: str) -> Dbta:
     def entry(lineno, lhs, rhs):
@@ -437,17 +432,3 @@ def parse_dbta(text: str) -> Dbta:
         transitions.setdefault(letter, {})[key] = value
     return Dbta(alphabet, states, headers.get("accepting", []), transitions, sink=headers.get("sink"))
 
-
-def parse_nta(text: str) -> Nta:
-    def entry(lineno, lhs, rhs):
-        if not (rhs.startswith("{") and rhs.endswith("}")):
-            raise FormatError(f"line {lineno}: expected a {{...}} target set")
-        inner = rhs[1:-1].strip()
-        values = {part.strip() for part in inner.split(",")} if inner else set()
-        return fmt.parse_application(lineno, lhs), values
-
-    alphabet, states, headers, table = fmt.read(text, "nta", ("accepting",), entry)
-    transitions = {}
-    for (letter, key), values in table.items():
-        transitions.setdefault(letter, {})[key] = values
-    return Nta(alphabet, states, headers.get("accepting", []), transitions)

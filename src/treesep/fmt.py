@@ -1,7 +1,7 @@
 """The shared layout of the line-oriented automaton text formats.
 
-DFA, DBTA, NTA and DTWA files share one skeleton, read by `read` and
-written by `write`:
+DFA, DBTA and DTWA files, and the NTA text that only the test helpers in
+tests/oracles.py read, share one skeleton, read by `read`, written by `write`:
 
 - an ``alphabet:`` section with one ``letter/arity`` (or bare ``letter``,
   arity 0) line per letter; each letter is listed once;
@@ -122,12 +122,17 @@ def write(letters, headers: dict, lines) -> str:
     return "\n".join(out) + "\n"
 
 
-def collection(name: str, value):
-    """`value`, a constructor's collection argument `name`; a str, which
-    would be read as the set of its characters, is a FormatError."""
+def collection(name: str, value) -> list:
+    """The members of `value`, a constructor's collection argument `name`;
+    a str, which would be read as the set of its characters, and a member
+    that is not a str are FormatErrors."""
     if isinstance(value, str):
         raise FormatError(f"{name} must be a collection, not the string {value!r}")
-    return value
+    members = list(value)
+    bad = [member for member in members if not isinstance(member, str)]
+    if bad:
+        raise FormatError(f"{name} member {bad[0]!r} is not a string")
+    return members
 
 
 def parse_application(lineno: int, text: str):

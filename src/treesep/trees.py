@@ -3,7 +3,7 @@
 A term is an ordinary tree that may contain the reserved leaf ``*`` (a port).
 Ports are numbered 1..n in left-to-right leaf order and each port is a
 substitution slot used exactly once, so composition never duplicates an
-argument.  Terms are composed (`compose`, `comb`), enumerated by size
+argument.  Terms are composed (`compose`), enumerated by size
 (`enumerate_terms`), and written and read in one s-expression format
 (`format_tree`, `parse_tree`); the reader takes a name or port and the ``(``
 after it as one ``name(`` token.  Walks over a tree are iterative, so no depth
@@ -210,22 +210,6 @@ def compose(term: Tree, args: Iterable[Tree]) -> Tree:
             ar = len(node.children)
             values[-ar:] = [Tree(node.label, values[-ar:])]
     return values[0]
-
-
-def comb(term: Tree, letters: Iterable[str]) -> Tree:
-    """Fully left-nested composition of a binary term over arity-0 letters.
-
-    ``comb(t, [x1..xn]) = t(t(...t(t(x1,x2),x3)...,x_{n-1}),xn)`` with n >= 2.
-    """
-    names = list(letters)
-    if term.arity != 2:
-        raise ArityError(f"comb needs a binary term, got arity {term.arity}")
-    if len(names) < 2:
-        raise ValueError("comb needs at least two letters")
-    acc = compose(term, (Tree(names[0]), Tree(names[1])))
-    for name in names[2:]:
-        acc = compose(term, (acc, Tree(name)))
-    return acc
 
 
 def leaf_word(tree: Tree, keep=None) -> tuple:

@@ -13,6 +13,7 @@ here too:
   transformations (arity at most `TUPLE_ARITY_CAP`), and interchangeability
   of two terms as equality of their tables;
 - `tstar_members`: the closure of ``*`` under composition with a binary term;
+- `comb`: a binary term composed along a left comb of letters;
 - `comb_normalize`, `rotate_at`, `replace_at` and `subtree_at`: single
   re-associations, and left normalisation by them, raising `ShapeError` on
   a bad path or node;
@@ -23,7 +24,8 @@ here too:
   `leaves_of`: the derivation invariants, CYK membership and the bounded
   language of a CNF grammar;
 - `nta_eval_set` and `nta_accepts`: runs of a nondeterministic bottom-up
-  automaton;
+  automaton; `nta_text` and `parse_nta`: its text form, which only the
+  tests write and read;
 - `recursive_hash`: a tree's structural hash by its definition;
 - `stack_validate`: `RankedAlphabet.validate` as it was before its one
   lookup per node, which every oracle here validates with;
@@ -38,7 +40,8 @@ import itertools
 import random
 from typing import Iterable
 
-from treesep.bottomup import Dbta
+from treesep import fmt
+from treesep.bottomup import Dbta, Nta
 from treesep.errors import (
     AlphabetError,
     ArityError,
@@ -990,6 +993,22 @@ def tstar_members(term: Tree, arity: int, budget: int):
     yield from sorted(members(arity), key=format_tree)[:budget]
 
 
+def comb(term: Tree, letters: Iterable[str]) -> Tree:
+    """Fully left-nested composition of a binary term over arity-0 letters.
+
+    ``comb(t, [x1..xn]) = t(t(...t(t(x1,x2),x3)...,x_{n-1}),xn)`` with n >= 2.
+    """
+    names = list(letters)
+    if term.arity != 2:
+        raise ArityError(f"comb needs a binary term, got arity {term.arity}")
+    if len(names) < 2:
+        raise ValueError("comb needs at least two letters")
+    acc = compose(term, (Tree(names[0]), Tree(names[1])))
+    for name in names[2:]:
+        acc = compose(term, (acc, Tree(name)))
+    return acc
+
+
 def comb_normalize(tree: Tree, letter: str):
     """Left-normalize a tree built from one binary letter via single rotations.
 
@@ -1176,6 +1195,29 @@ def nta_eval_set(nta, tree: Tree) -> frozenset:
 
 def nta_accepts(nta, tree: Tree) -> bool:
     return bool(nta_eval_set(nta, tree) & nta.accepting)
+
+
+def nta_text(nta: Nta) -> str:
+    headers = {"states": nta.states, "accepting": sorted(nta.accepting)}
+    lines = [f"{letter}({','.join(key)}) -> {{{','.join(sorted(targets))}}}"
+             for letter in sorted(nta.transitions)
+             for key, targets in sorted(nta.transitions[letter].items())]
+    return fmt.write(nta.alphabet.items(), headers, lines)
+
+
+def parse_nta(text: str) -> Nta:
+    def entry(lineno, lhs, rhs):
+        if not (rhs.startswith("{") and rhs.endswith("}")):
+            raise FormatError(f"line {lineno}: expected a {{...}} target set")
+        inner = rhs[1:-1].strip()
+        values = {part.strip() for part in inner.split(",")} if inner else set()
+        return fmt.parse_application(lineno, lhs), values
+
+    alphabet, states, headers, table = fmt.read(text, "nta", ("accepting",), entry)
+    transitions = {}
+    for (letter, key), values in table.items():
+        transitions.setdefault(letter, {})[key] = values
+    return Nta(alphabet, states, headers.get("accepting", []), transitions)
 
 
 def reference_dfs_from_dfa(dfa: Dfa, alphabet: RankedAlphabet) -> Dtwa:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from treesep import fmt
-from treesep.bottomup import Dbta, Nta, parse_dbta, parse_nta
+from treesep.bottomup import Dbta, Nta, parse_dbta
 from treesep.errors import AlphabetError, ArityError, FormatError, TransitionError
 from treesep.obfuscation import kop_nta
 from treesep.trees import RankedAlphabet, compose, enumerate_terms
@@ -15,6 +15,8 @@ from oracles import (
     brute_trees,
     eval_columns,
     nta_accepts,
+    nta_text,
+    parse_nta,
     random_dbta,
     random_dbtas,
     random_nta,
@@ -267,8 +269,8 @@ class TestTextFormat:
         rng = random.Random(SEED + 7)
         for n_states in (3, 1, 2, 4, 4):
             nta = random_nta(rng, SIGMA, n_states)
-            back = parse_nta(nta.to_text())
-            assert back.to_text() == nta.to_text()
+            back = parse_nta(nta_text(nta))
+            assert nta_text(back) == nta_text(nta)
             for tree in smallest_trees(SIGMA, 5):
                 assert nta_accepts(back, tree) == nta_accepts(nta, tree)
 
@@ -277,7 +279,7 @@ class TestTextFormat:
         (parse_dbta, leaf_parity_dbta().to_text() + "p() -> even\n",
          r"^line 15: second transition for p\(\), first on line 13$"),
         # an NTA lists all targets of a key in its one set
-        (parse_nta, kop_nta(p_initial_grammar()).to_text() + "c() -> {P_A}\n",
+        (parse_nta, nta_text(kop_nta(p_initial_grammar())) + "c() -> {P_A}\n",
          r"^line 54: second transition for c\(\), first on line 51$"),
         (parse_dbta, leaf_parity_dbta().to_text().replace("p/0\n", "p/0\np/1\n"),
          r"^line 5: letter 'p' listed twice$"),
@@ -291,13 +293,13 @@ class TestTextFormat:
          r"^line 7: unknown header 'initial'$"),
         (parse_dbta, leaf_parity_dbta().to_text().replace("accepting:", "acepting:"),
          r"^line 7: unknown header 'acepting'$"),
-        (parse_nta, kop_nta(p_initial_grammar()).to_text().replace("accepting:", "sink: C\naccepting:"),
+        (parse_nta, nta_text(kop_nta(p_initial_grammar())).replace("accepting:", "sink: C\naccepting:"),
          r"^line 7: unknown header 'sink'$"),
         (parse_dbta, leaf_parity_dbta().to_text().replace("states: even odd", "states:"),
          r"^line 6: 'states' lists no state$"),
         (parse_dbta, leaf_parity_dbta().to_text() + "a(even,odd) ->\n",
          r"^line 15: expected a transition with '->'$"),
-        (parse_nta, kop_nta(p_initial_grammar()).to_text() + "-> {C}\n",
+        (parse_nta, nta_text(kop_nta(p_initial_grammar())) + "-> {C}\n",
          r"^line 54: expected a transition with '->'$"),
         (parse_dbta, leaf_parity_dbta().to_text().replace("accepting: even", "accepting: even\naccepting: odd"),
          r"^line 8: duplicate header 'accepting'$"),
@@ -307,15 +309,15 @@ class TestTextFormat:
          r"^line 8: cannot interpret 'odd'$"),
         (parse_dbta, leaf_parity_dbta().to_text().replace("alphabet:\na/2\nc/0\np/0\nq/0\n", ""),
          r"^dbta: missing alphabet section$"),
-        (parse_nta, kop_nta(p_initial_grammar()).to_text() + "a(C,C -> {C}\n",
+        (parse_nta, nta_text(kop_nta(p_initial_grammar())) + "a(C,C -> {C}\n",
          r"^line 54: bad application 'a\(C,C'$"),
         (parse_dbta, leaf_parity_dbta().to_text() + "b() -> {even}\n",
          r"^line 15: set-valued target in a deterministic automaton$"),
-        (parse_nta, kop_nta(p_initial_grammar()).to_text() + "b() -> C\n",
+        (parse_nta, nta_text(kop_nta(p_initial_grammar())) + "b() -> C\n",
          r"^line 54: expected a \{\.\.\.\} target set$"),
         (parse_dbta, leaf_parity_dbta().to_text().replace("accepting: even", "accepting: even nowhere"),
          r"^accepting states not declared$"),
-        (parse_nta, kop_nta(p_initial_grammar()).to_text().replace("accepting: B_S", "accepting: B_S nowhere"),
+        (parse_nta, nta_text(kop_nta(p_initial_grammar())).replace("accepting: B_S", "accepting: B_S nowhere"),
          r"^accepting states not declared$"),
         (parse_dbta, height_bounded_dbta().to_text().replace("sink: tall", "sink: nowhere"),
          r"^sink 'nowhere' not declared$"),
@@ -393,7 +395,12 @@ class TestTextFormat:
         ("xy", {"x"}, "states must be a collection, not the string 'xy'"),
         # "xy" used to accept both x and y
         (("x", "y"), "xy", "accepting must be a collection, not the string 'xy'"),
-    ], ids=["states", "accepting"])
+        # built, then to_text raised TypeError joining the states
+        ([0, 1], [1], "states member 0 is not a string"),
+        # sorting the states raised TypeError inside the constructor
+        (["x", 1], [], "states member 1 is not a string"),
+        (("x", "y"), ["x", None], "accepting member None is not a string"),
+    ], ids=["states", "accepting", "int-states", "mixed-states", "none-accepting"])
     def test_string_argument_rejected(self, form, states, accepting, message):
         with pytest.raises(FormatError) as caught:
             form(SIGMA, states, accepting, {})

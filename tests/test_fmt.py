@@ -5,16 +5,17 @@ whose text parses back to the same text: no edit may surface as a
 Python-level error.
 """
 
+import operator
 import random
 
-from treesep.bottomup import parse_dbta, parse_nta
+from treesep.bottomup import parse_dbta
 from treesep.errors import TreesepError
 from treesep.trees import RankedAlphabet
 from treesep.walking import parse_dtwa
 from treesep.words import parse_dfa
 
 from fixtures import SIGMA
-from oracles import SEED, random_dbtas, random_dfa, random_dtwa, random_nta
+from oracles import SEED, nta_text, parse_nta, random_dbtas, random_dfa, random_dtwa, random_nta
 
 TERNARY = RankedAlphabet({"f": 3, "g": 1, "p": 0, "q": 0})
 
@@ -26,25 +27,27 @@ JUNK = ["->", "x ->", "-> y", "zz", "a/1", "p/2", "r/x", "c/1", "f/3", "states:"
 
 
 def seed_texts(rng):
-    """(parser, text) for seeded word automata, walkers, NTAs and DBTAs."""
+    """(parser, writer, text) for seeded word automata, walkers, NTAs and
+    DBTAs; the NTA text format lives with the test oracles."""
+    to_text = operator.methodcaller("to_text")
     seeds = []
     for _ in range(30):
-        seeds.append((parse_dfa, random_dfa(rng, 5).to_text()))
-        seeds.append((parse_dtwa, random_dtwa(rng, SIGMA, rng.randint(1, 3)).to_text()))
+        seeds.append((parse_dfa, to_text, random_dfa(rng, 5)))
+        seeds.append((parse_dtwa, to_text, random_dtwa(rng, SIGMA, rng.randint(1, 3))))
         nta = random_nta(rng, rng.choice([SIGMA, TERNARY]), rng.randint(1, 3))
-        seeds.append((parse_nta, nta.to_text()))
-        seeds.append((parse_dbta, nta.determinize().to_text()))
-    seeds += [(parse_dbta, dbta.to_text()) for dbta in random_dbtas(SIGMA, 10)]
-    return seeds
+        seeds.append((parse_nta, nta_text, nta))
+        seeds.append((parse_dbta, to_text, nta.determinize()))
+    seeds += [(parse_dbta, to_text, dbta) for dbta in random_dbtas(SIGMA, 10)]
+    return [(parse, write, write(automaton)) for parse, write, automaton in seeds]
 
 
 def test_edited_files_raise_or_round_trip():
     rng = random.Random(SEED + 20)
     seeds = seed_texts(rng)
-    pool = [line for _, text in seeds for line in text.splitlines()]
+    pool = [line for _, _, text in seeds for line in text.splitlines()]
     parsed = 0
     for _ in range(1200):
-        parse, text = rng.choice(seeds)
+        parse, write, text = rng.choice(seeds)
         lines = text.splitlines()
         for _ in range(rng.choice((1, 2))):
             i = rng.randrange(len(lines))
@@ -60,7 +63,7 @@ def test_edited_files_raise_or_round_trip():
             back = parse("\n".join(lines) + "\n")
         except TreesepError:
             continue
-        assert parse(back.to_text()).to_text() == back.to_text()
+        assert write(parse(write(back))) == write(back)
         parsed += 1
     # enough edits leave a well-formed file for the round trip to be tested
     assert parsed >= 50

@@ -8,7 +8,9 @@ criterion and of seeded walkers, and the subset constructions of seeded and
 obfuscation NTAs with their quotients.  The `/is_empty` cases hold the text
 of `is_empty`'s least witness, or "empty", on the criterion and seeded
 walkers' `to_dbta`, the seeded NTAs' and the obfuscation NTAs' subset
-constructions.  A change that keeps output bytes keeps every digest.
+constructions.  The `/text` cases hold `oracles.nta_text` of the seeded
+NTAs and of the fixture grammars' obfuscation NTAs, recorded while it was
+`Nta.to_text`.  A change that keeps output bytes keeps every digest.
 After an intended output change, rewrite the file and say why:
 
     PYTHONPATH=src:tests python tests/test_golden.py > tests/golden.json
@@ -28,7 +30,7 @@ from treesep.trees import format_tree
 from treesep.walking import dfs_from_dfa, minimal_dbta, to_dbta
 
 from fixtures import ALPHABETS, GRAMMARS, SIGMA, nonpalindrome_grammar, palindrome_grammar
-from oracles import SEED, criterion_dfas, random_cnf_grammar, random_dfa, random_dtwa, random_nta
+from oracles import SEED, criterion_dfas, nta_text, random_cnf_grammar, random_dfa, random_dtwa, random_nta
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 BOUND = 13
@@ -81,7 +83,10 @@ def cases():
             yield f"nta/{name}/{j:03d}", lambda nta=nta: [nta.determinize().to_text(),
                                                          nta.determinize().minimize().to_text()]
             yield f"nta/{name}/{j:03d}/is_empty", lambda nta=nta: witness_text(nta.determinize())
+            yield f"nta/{name}/{j:03d}/text", lambda nta=nta: [nta_text(nta)]
     grammars = [grammar() for grammar in GRAMMARS]
+    for j, grammar in enumerate(grammars):
+        yield f"kop/{j:02d}/text", lambda grammar=grammar: [nta_text(kop_nta(grammar))]
     rng = random.Random(SEED + 42)
     grammars += [random_cnf_grammar(rng, nonterminals=rng.randint(2, 4)) for _ in range(RANDOM_GRAMMARS)]
     for j, grammar in enumerate(grammars):

@@ -8,7 +8,7 @@ from treesep.bottomup import Dbta
 from treesep.errors import AlphabetError, ArityError, ResourceError, RotationSearchExhausted
 from treesep.grammar import parse_grammar
 from treesep.rotation import comb_dfa, extract_separator, find_rotation_term, is_associative
-from treesep.trees import RankedAlphabet, Tree, comb, compose, format_tree, leaf_word, parse_tree
+from treesep.trees import RankedAlphabet, Tree, compose, format_tree, leaf_word, parse_tree
 from treesep.walking import dfs_from_dfa, minimal_dbta
 
 from fixtures import (
@@ -32,6 +32,7 @@ from fixtures import (
 from oracles import (
     SEED,
     brute_trees,
+    comb,
     comb_normalize,
     criterion_dfas,
     definitional_l_equivalent,

@@ -8,7 +8,6 @@ from treesep.trees import (
     PORT,
     RankedAlphabet,
     Tree,
-    comb,
     compose,
     enumerate_terms,
     format_tree,
@@ -17,7 +16,7 @@ from treesep.trees import (
 )
 
 from fixtures import SIGMA, t
-from oracles import SEED, ShapeError, brute_trees, leaves_left_to_right, rotate_at
+from oracles import SEED, ShapeError, brute_trees, comb, leaves_left_to_right, rotate_at
 
 AC = RankedAlphabet({"a": 2, "c": 0})
 

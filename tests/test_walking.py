@@ -152,6 +152,17 @@ class TestRun:
             Dtwa(SIGMA, "qr", "q", delta)
         assert str(caught.value) == "states must be a collection, not the string 'qr'"
 
+    @pytest.mark.parametrize("states, message", [
+        ((0,), "states member 0 is not a string"),
+        (("q", 1), "states member 1 is not a string"),
+    ], ids=["int-states", "mixed-states"])
+    def test_non_string_state_rejected(self, states, message):
+        delta = {(letter, tag, q): ACCEPT for letter, _ in SIGMA.items()
+                 for tag in range(SIGMA.maxarity + 1) for q in states}
+        with pytest.raises(FormatError) as caught:
+            Dtwa(SIGMA, states, states[0], delta)
+        assert str(caught.value) == message
+
     def test_constructor_outcomes_equal_reference(self):
         """Single-entry corruptions of seeded walkers' transition maps: the
         constructor builds the rows `reference_rows` builds, or raises its

@@ -106,7 +106,12 @@ class TestDfaBasics:
         (("p",), "st", set(), "states must be a collection, not the string 'st'"),
         # "st" used to accept both s and t
         (("p",), ("s", "t"), "st", "accepting must be a collection, not the string 'st'"),
-    ], ids=["alphabet", "states", "accepting"])
+        (("p",), (0,), set(), "states member 0 is not a string"),
+        # sorting the states raised TypeError inside the constructor
+        (("p",), ("s", 0), set(), "states member 0 is not a string"),
+        ((0,), ("s",), set(), "alphabet member 0 is not a string"),
+        (("p",), ("s",), {b"s"}, "accepting member b's' is not a string"),
+    ], ids=["alphabet", "states", "accepting", "int-states", "mixed-states", "int-letter", "bytes-accepting"])
     def test_string_argument_rejected(self, alphabet, states, accepting, message):
         with pytest.raises(FormatError) as caught:
             Dfa(alphabet, states, "s", accepting, {("s", "p"): "s", ("t", "p"): "s"})
