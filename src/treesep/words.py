@@ -6,10 +6,12 @@ rather than bounded sampling.  `cfg_dfa_intersection_empty` is one fixpoint
 over the Bar-Hillel triples (p, X, q), X deriving a word that drives the
 automaton from p to q.  Each derivable triple keeps the least (length, word)
 it derives, length first, then lexicographic; the word is kept only while
-the length is within the witness bound.  `verify_separator` runs it on the
-separator's minimal automaton (`Dfa.minimize`), since the verdict and the
-least words depend on the language only; a comb automaton is often many
-times the size of its quotient.
+the length is within the witness bound.  The fixpoint rescans its table
+until nothing improves, and its join is indexed: an entry (p, Y, r) meets
+only the entries (r, Z, q) of the rules X -> Y Z, not every entry.
+`verify_separator` runs it on the separator's minimal automaton
+(`Dfa.minimize`), since the verdict and the least words depend on the
+language only; a comb automaton is often many times the size of its quotient.
 """
 
 from __future__ import annotations
@@ -123,18 +125,38 @@ def cfg_dfa_intersection_empty(grammar, dfa: Dfa, max_witness_len: int = 64):
     longer than `max_witness_len`: the verdict is decided either way.
 
     Concatenation on either side preserves the (length, word) order, so
-    rescanning every rule until no pair improves reaches each least pair.
+    rescanning every table entry until no pair improves reaches each least
+    pair.  The join is indexed: the rules are grouped by their left child Y,
+    and `follow[(Z, r)]` lists the states q with (r, Z, q) derived, so an
+    entry (p, Y, r) meets only the entries that can follow it.  Each round
+    still rescans the whole table: a worklist would end sooner, but the
+    benchmark keeps every pass's records, so a faster op fits more passes
+    and peaks higher (ROADMAP item 1a).
     """
+    best = _least_table(grammar, dfa, max_witness_len)
+    goals = [v for k, v in best.items() if k[:2] == (dfa.initial, grammar.start) and k[2] in dfa.accepting]
+    if not goals:
+        return True, None
+    return False, min(goals, key=lambda pair: (pair[0], pair[1] or ()))[1]
+
+
+def _least_table(grammar, dfa: Dfa, max_witness_len: int):
     if set(dfa.alphabet) != set(grammar.terminals):
         raise AlphabetError("grammar terminals and word-automaton alphabet differ")
     best = {}  # (p, X, q) -> (length, word), the word None above the bound
+    follow = {}  # (Z, r) -> states q with (r, Z, q) in best
+    rules = {}  # Y -> pairs (X, Z) of the rules X -> Y Z
+    for x, y, z in grammar.binary_rules:
+        rules.setdefault(y, []).append((x, z))
 
     def offer(key, length, word):
         old = best.get(key)
-        if old is None or length < old[0] or (word is not None and length == old[0] and word < old[1]):
-            best[key] = (length, word)
-            return True
-        return False
+        if old is None:
+            follow.setdefault(key[1::-1], []).append(key[2])
+        elif not (length < old[0] or (word is not None and length == old[0] and word < old[1])):
+            return False
+        best[key] = (length, word)
+        return True
 
     for x, sigma in grammar.leaf_rules:
         for p in dfa.states:
@@ -142,19 +164,13 @@ def cfg_dfa_intersection_empty(grammar, dfa: Dfa, max_witness_len: int = 64):
     changed = True
     while changed:
         changed = False
-        for x, y, z in grammar.binary_rules:
-            items = list(best.items())
-            for (p, y2, r), (ly, wy) in items:
-                if y2 != y:
-                    continue
-                for (r2, z2, q), (lz, wz) in items:
-                    if r2 == r and z2 == z:
-                        length = ly + lz
-                        changed |= offer((p, x, q), length, wy + wz if length <= max_witness_len else None)
-    goals = [v for k, v in best.items() if k[:2] == (dfa.initial, grammar.start) and k[2] in dfa.accepting]
-    if not goals:
-        return True, None
-    return False, min(goals, key=lambda pair: (pair[0], pair[1] or ()))[1]
+        for (p, y, r), (ly, wy) in list(best.items()):
+            for x, z in rules.get(y, ()):
+                for q in follow.get((z, r), ()):
+                    lz, wz = best[(r, z, q)]
+                    length = ly + lz
+                    changed |= offer((p, x, q), length, wy + wz if length <= max_witness_len else None)
+    return best
 
 
 @dataclass

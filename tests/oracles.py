@@ -23,6 +23,9 @@ here too:
 - `is_valid_derivation`, `cyk_member`, and `generate_words` with
   `leaves_of`: the derivation invariants, CYK membership and the bounded
   language of a CNF grammar;
+- `three_pass_intersection_empty` and `pairwise_intersection_empty`: the
+  CFG×DFA product as it was first written and before its join was indexed;
+  `least_table_certified`: a one-pass check of its least table;
 - `nta_eval_set` and `nta_accepts`: runs of a nondeterministic bottom-up
   automaton; `nta_text` and `parse_nta`: its text form, which only the
   tests write and read;
@@ -942,6 +945,78 @@ def three_pass_intersection_empty(grammar, dfa: Dfa, max_witness_len: int = 64):
                                 best[key] = acc
     witness = min(best[(t, target_len)] for t in hits if (t, target_len) in best)
     return False, witness
+
+
+def pairwise_intersection_empty(grammar, dfa: Dfa, max_witness_len: int = 64):
+    """`cfg_dfa_intersection_empty` as it was before its join was indexed:
+    every round, for every rule, each table entry meets every other entry."""
+    if set(dfa.alphabet) != set(grammar.terminals):
+        raise AlphabetError("grammar terminals and word-automaton alphabet differ")
+    best = {}  # (p, X, q) -> (length, word), the word None above the bound
+
+    def offer(key, length, word):
+        old = best.get(key)
+        if old is None or length < old[0] or (word is not None and length == old[0] and word < old[1]):
+            best[key] = (length, word)
+            return True
+        return False
+
+    for x, sigma in grammar.leaf_rules:
+        for p in dfa.states:
+            offer((p, x, dfa.delta[(p, sigma)]), 1, (sigma,) if max_witness_len >= 1 else None)
+    changed = True
+    while changed:
+        changed = False
+        for x, y, z in grammar.binary_rules:
+            items = list(best.items())
+            for (p, y2, r), (ly, wy) in items:
+                if y2 != y:
+                    continue
+                for (r2, z2, q), (lz, wz) in items:
+                    if r2 == r and z2 == z:
+                        length = ly + lz
+                        changed |= offer((p, x, q), length, wy + wz if length <= max_witness_len else None)
+    goals = [v for k, v in best.items() if k[:2] == (dfa.initial, grammar.start) and k[2] in dfa.accepting]
+    if not goals:
+        return True, None
+    return False, min(goals, key=lambda pair: (pair[0], pair[1] or ()))[1]
+
+
+def least_table_certified(grammar, dfa: Dfa, table: dict, max_witness_len: int) -> bool:
+    """Whether `table` is the least Bar-Hillel table of `grammar` and `dfa`:
+    the map from each derivable triple (p, X, q) to the least (length, word)
+    that X derives from p to q, the word None above `max_witness_len`.
+
+    One pass, no fixpoint: the leaf rules, plus every binary rule applied to
+    two entries of `table`, must give back exactly `table`, with the least
+    candidate for each triple.  Every length is a positive integer, so each
+    entry is built from strictly shorter entries, and by induction on length
+    every entry is derivable; closure under the rules then puts every
+    derivable triple in the table with its least pair."""
+    for length, word in table.values():
+        if type(length) is not int or length < 1:
+            return False
+        if (word is None) != (length > max_witness_len) or (word is not None and len(word) != length):
+            return False
+    least = {}
+
+    def candidate(key, length, word):
+        if key not in least or (length, word or ()) < (least[key][0], least[key][1] or ()):
+            least[key] = (length, word)
+
+    for x, sigma in grammar.leaf_rules:
+        for p in dfa.states:
+            candidate((p, x, dfa.delta[(p, sigma)]), 1, (sigma,) if max_witness_len >= 1 else None)
+    starting = {}  # (r, Z) -> entries (q, length, word) of the triples (r, Z, q)
+    for (r, z, q), (length, word) in table.items():
+        starting.setdefault((r, z), []).append((q, length, word))
+    for x, y, z in grammar.binary_rules:
+        for (p, y2, r), (ly, wy) in table.items():
+            if y2 == y:
+                for q, lz, wz in starting.get((r, z), ()):
+                    length = ly + lz
+                    candidate((p, x, q), length, wy + wz if length <= max_witness_len else None)
+    return least == table
 
 
 TUPLE_ARITY_CAP = 3  # ternary tables decide associativity; |Q|**3 is the budget

@@ -205,16 +205,74 @@ def test_bench_imports_resolve():
     assert read == defined == {"PALINDROME_TEXT", "NONPALINDROME_TEXT", "obf_sigma"}
 
 
-def names_read(node, inside=()):
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def bound_in(function):
+    """The parameters of `function` and the names its own body binds by
+    assignment, loop, `with`, `except` or import: its locals.  Names bound in
+    the scopes nested in it are not its locals, and neither are the nested
+    functions' names, since those are functions these checks list."""
+    args = function.args
+    names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a}
+    todo = list(function.body) if isinstance(function.body, list) else [function.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).partition(".")[0])
+        if not isinstance(node, SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def names_read(node, inside=(), local=frozenset()):
     """Names that `node` reads as an `ast.Name` or `ast.Attribute`, except
-    inside the body of a function of the same name."""
+    inside the body of a function of the same name, and except a bare name
+    that is a parameter or a local of an enclosing function: that reads the
+    local, not a function of the module."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         inside += (node.name,)
-    name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-    if name is not None and name not in inside:
-        yield name
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        local = local | bound_in(node)
+    if isinstance(node, ast.Name) and node.id not in inside and node.id not in local:
+        yield node.id
+    elif isinstance(node, ast.Attribute) and node.attr not in inside:
+        yield node.attr
     for child in ast.iter_child_nodes(node):
-        yield from names_read(child, inside)
+        yield from names_read(child, inside, local)
+
+
+def test_names_read_skips_parameters_and_locals():
+    """A parameter or a local of the same name as a function is no read of
+    it: `perfbench/checks.py`'s `check_comb(source, comb)` once made an
+    uncalled `comb` look called."""
+    source = """
+def comb(t):
+    return comb(t)
+
+def check_comb(source, comb):
+    return comb(source)
+
+def build(t):
+    step = len
+    def inner(x):
+        return step(x) + sum(step(y) for y in t)
+    return inner(t) or (lambda comb: comb)(t)
+
+def step(x):
+    return x
+
+def use(t):
+    return comb(t), check_comb(t, t), t.step
+"""
+    tree = ast.parse(source)
+    assert set(names_read(tree.body[1])) == set()
+    assert set(names_read(tree.body[2])) == {"len", "inner", "sum"}
+    assert set(names_read(tree.body[4])) == {"comb", "check_comb", "step"}
 
 
 def parsed(folder):

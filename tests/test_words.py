@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from treesep import words
 from treesep.errors import AlphabetError, FormatError
 from treesep.grammar import parse_grammar
 from treesep.rotation import comb_dfa, find_rotation_term
@@ -29,6 +30,8 @@ from oracles import (
     cyk_member,
     dfa_walk,
     generate_words,
+    least_table_certified,
+    pairwise_intersection_empty,
     random_cnf_grammar,
     random_dfa,
     three_pass_intersection_empty,
@@ -286,8 +289,9 @@ class TestCfgDfaIntersection:
 
 
 class TestAgainstThreePass:
-    """The single fixpoint against the derivable / min-length / per-length
-    table passes it replaced, kept in `oracles`."""
+    """The fixpoint against the versions it replaced, kept in `oracles`: the
+    derivable / min-length / per-length table passes, and the same fixpoint
+    before its join was indexed, where every entry met every other."""
 
     def test_random_grammars(self):
         rng = random.Random(SEED)
@@ -297,6 +301,7 @@ class TestAgainstThreePass:
             for bound in (64, 3, 1):
                 got = cfg_dfa_intersection_empty(grammar, dfa, max_witness_len=bound)
                 assert got == three_pass_intersection_empty(grammar, dfa, max_witness_len=bound)
+                assert got == pairwise_intersection_empty(grammar, dfa, max_witness_len=bound)
                 kinds.add("empty" if got[0] else "within" if got[1] is not None else "above")
         assert kinds == {"empty", "within", "above"}
 
@@ -317,6 +322,67 @@ class TestAgainstThreePass:
                 got = cfg_dfa_intersection_empty(grammar, dfa)
                 assert got == three_pass_intersection_empty(grammar, dfa)
                 assert len(got[1]) == (m if dfa is k else 2)
+
+    @pytest.mark.parametrize("m", range(8, 19))
+    def test_threshold_dfas_against_pairwise(self, m):
+        """The three passes are too slow past m = 10; the all-pairs fixpoint
+        takes the longer thresholds, at every bound."""
+        k = threshold_dfa(m)
+        for grammar in (palindrome_grammar(), nonpalindrome_grammar()):
+            for dfa in (k, k.complement()):
+                for bound in (64, 3, 1):
+                    got = cfg_dfa_intersection_empty(grammar, dfa, max_witness_len=bound)
+                    assert got == pairwise_intersection_empty(grammar, dfa, max_witness_len=bound)
+
+
+class TestLeastTableCertificate:
+    """`least_table_certified` accepts the tables the product builds and
+    rejects each way a table can fail to be the least one."""
+
+    def test_seeded_pairs(self):
+        """At least 200 pairs of up to 32 states; `tests/conftest.py` runs the
+        check on every table built here."""
+        rng = random.Random(SEED + 13)
+        pairs = [(random_cnf_grammar(rng), random_dfa(rng, max_states=32)) for _ in range(150)]
+        for m in range(1, 33, 2):
+            for grammar in (palindrome_grammar(), nonpalindrome_grammar()):
+                pairs += [(grammar, threshold_dfa(m)), (grammar, threshold_dfa(m).complement())]
+        assert len(pairs) >= 200 and max(len(dfa.states) for _, dfa in pairs) == 32
+        sizes = set()
+        for i, (grammar, dfa) in enumerate(pairs):
+            bound = (64, 3)[i % 2]
+            table = words._least_table(grammar, dfa, bound)
+            assert least_table_certified(grammar, dfa, table, bound)
+            sizes.add(len(table))
+        assert len(sizes) > 50
+
+    def test_broken_tables_rejected(self):
+        grammar, dfa = palindrome_grammar(), threshold_dfa(6)
+        table = words._least_table(grammar, dfa, 4)
+        assert least_table_certified(grammar, dfa, table, 4)
+        long = next(key for key, (length, _) in table.items() if 2 < length <= 4)
+        above = next(key for key, (length, _) in table.items() if length > 4)
+        length, word = table[long]
+        spare = next(key for key in itertools.product(dfa.states, grammar.nonterminals, dfa.states)
+                     if key not in table)
+        edits = [
+            (long, None),  # a derivable triple left out
+            (long, (length, tuple(reversed(word)))),  # another word of that length, unless a palindrome
+            (long, (length + 2, word + ("p", "p"))),  # not the least length
+            (above, (table[above][0] + 1, None)),
+            (long, (length, None)),  # no word within the bound
+            (above, (table[above][0], ("p",) * table[above][0])),  # a word above the bound
+            (spare, (5, None)),  # a triple nothing derives
+            (long, (0, ())),
+        ]
+        rejected = 0
+        for key, pair in edits:
+            broken = {k: v for k, v in table.items() if k != key}
+            if pair is not None:
+                broken[key] = pair
+            rejected += broken != table
+            assert broken == table or not least_table_certified(grammar, dfa, broken, 4)
+        assert rejected >= 7
 
 
 class TestVerifySeparator:
@@ -383,12 +449,7 @@ class TestVerifyOnQuotient:
     def test_comb_dfas(self, index):
         amin = minimal_dbta(dfs_from_dfa(criterion_dfas()[index], obf_sigma()))
         k = comb_dfa(amin, find_rotation_term(amin, 9).term, ("p", "q"))
-        pairs = list(self.SMALL_PAIRS)
-        if index != 18:
-            # #18's comb automaton has 57 states, and the unreduced
-            # palindrome products take about 17 s
-            pairs.append((palindrome_grammar, nonpalindrome_grammar))
-        for g, h in pairs:
+        for g, h in [*self.SMALL_PAIRS, (palindrome_grammar, nonpalindrome_grammar)]:
             assert verify_separator(k, g(), h()) == unreduced_report(k, g(), h())
 
     def test_comb_dfa_is_reduced(self):
