@@ -271,35 +271,11 @@ class Dbta:
         """(True, None) if the language is empty, else (False, witness tree).
 
         The witness is the least accepted tree by node count, then by
-        s-expression text, exact whenever no label is a prefix of another.
-        The quotient accepts the same trees, so the search reads its table:
-        Knuth's generalisation of Dijkstra's algorithm with lazy deletion, on
-        one heap of ((size, text), state).  A state is final at its first pop;
-        each index tuple it completes then pushes its target, built from the
-        children's least trees.  Trees outweigh their children and least trees
-        have least children, so each state first pops with its least tree.
+        s-expression text, exact whenever no label is a prefix of another,
+        read off `_least_trees` of the quotient, which accepts the same trees.
         """
-        quotient = self.minimize()
-        reach, _, n, rows, _ = quotient._tables()
-        heap = sorted(((1, letter), flat[0]) for letter, (ar, flat) in rows.items() if ar == 0)  # sorted, so a heap
-        best = {}  # each final state's (size, text), in the order they became final
-        while heap:
-            cost, q = heapq.heappop(heap)
-            if q in best:
-                continue
-            if reach[q] in quotient.accepting:
-                return False, parse_tree(cost[1])
-            best[q] = cost
-            done = list(best)
-            for letter, (ar, flat) in rows.items():
-                for p in range(ar):
-                    # the tuples over final states whose first q is at position p
-                    columns = [done[:-1]] * p + [[q]] + [done] * (ar - 1 - p)
-                    for key, target in zip(itertools.product(*columns), _read_at(flat, n, columns)):
-                        if target not in best:
-                            sizes, texts = zip(*map(best.__getitem__, key))
-                            heapq.heappush(heap, ((1 + sum(sizes), f"{letter}({','.join(texts)})"), target))
-        return True, None
+        best, witness = _least_trees(self.minimize())
+        return (True, None) if witness is None else (False, parse_tree(best[witness][1]))
 
     def minimize(self) -> "Dbta":
         """Myhill-Nerode quotient over the reachable states: the blocks of
@@ -326,6 +302,35 @@ class Dbta:
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
+
+
+def _least_trees(quotient):
+    """The search `is_empty` reads: (best, witness), `best` mapping each final
+    state, an index into `_tables`' reach, to its least (size, text) in the
+    order the states became final, up to `witness`, the first accepting one,
+    or None.  Knuth's algorithm with lazy deletion on one heap of ((size,
+    text), state): a state is final at its first pop, then pushes each target
+    it completes; trees outweigh their children, so that pop has its least."""
+    reach, _, n, rows, _ = quotient._tables()
+    heap = sorted(((1, letter), flat[0]) for letter, (ar, flat) in rows.items() if ar == 0)  # sorted, so a heap
+    best = {}
+    while heap:
+        cost, q = heapq.heappop(heap)
+        if q in best:
+            continue
+        best[q] = cost
+        if reach[q] in quotient.accepting:
+            return best, q
+        done = list(best)
+        for letter, (ar, flat) in rows.items():
+            for p in range(ar):
+                # the tuples over final states whose first q is at position p
+                columns = [done[:-1]] * p + [[q]] + [done] * (ar - 1 - p)
+                for key, target in zip(itertools.product(*columns), _read_at(flat, n, columns)):
+                    if target not in best:
+                        sizes, texts = zip(*map(best.__getitem__, key))
+                        heapq.heappush(heap, ((1 + sum(sizes), f"{letter}({','.join(texts)})"), target))
+    return best, None
 
 
 def _refine(reach, proj, m, rows, accepting) -> list:

@@ -8,7 +8,8 @@ argument.  Terms are composed (`compose`), enumerated by size
 (`format_tree`, `parse_tree`); the reader takes a name or port and the ``(``
 after it as one ``name(`` token.  Walks over a tree are iterative, so no depth
 raises RecursionError; `size`, `leaf_word` and `compose` read one `postorder`
-list, and a node caches only its hash.
+list.  A node caches only its hash; a parsed root also holds its post-order,
+so `postorder` and `validate` on it do not walk the tree again.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import re
 import string
 from typing import Iterable, Iterator
 
-from .errors import AlphabetError, ArityError, ParseError
+from .errors import AlphabetError, ArityError, FormatError, ParseError
 
 PORT = "*"
 
@@ -75,6 +76,14 @@ class RankedAlphabet:
         port and arity errors looked for, so the checks and their order
         are those of a port test and `arity` on every node."""
         letters = self._letters
+        if type(tree) is _Parsed:
+            # reverse post-order is the walk's order; the walk finds any error
+            order = postorder(tree)
+            for node in reversed(order):
+                if letters.get(node.label) != len(node.children):
+                    break
+            else:
+                return len(order)
         stack = [tree]
         count = 0
         while stack:
@@ -118,6 +127,8 @@ class Tree:
     __slots__ = ("label", "children", "_hash")
 
     def __init__(self, label: str, children: Iterable["Tree"] = ()):
+        if type(children) is str:  # it would be read as one leaf per character
+            raise FormatError(f"children must be a collection, not the string {children!r}")
         self.label = label
         self.children = tuple(children)
         self._hash = None
@@ -177,7 +188,10 @@ class Tree:
 def postorder(tree: Tree) -> list:
     """All nodes, each after its children and siblings left to right, listed
     without recursion; a bottom-up fold over it finds each node's child
-    values on top of a value stack."""
+    values on top of a value stack.  The list is the caller's own: a parsed
+    root's is a copy of the one it holds."""
+    if type(tree) is _Parsed:
+        return tree._order + [tree]
     order = []
     stack = [tree]
     while stack:
@@ -294,6 +308,12 @@ _TOKEN = re.compile(rf"\s*([,)]|{_NAME.pattern}\s*\(|{_NAME.pattern}|\*\s*\(|\*|
 _NODE_START = frozenset(string.ascii_letters + string.digits + PORT)
 
 
+class _Parsed(Tree):
+    """A root from `parse_tree`; `_order` lists its other nodes, so it is no cycle."""
+
+    __slots__ = ("_order",)
+
+
 def parse_tree(text: str) -> Tree:
     """Parse the s-expression format; raises ParseError with a position.
 
@@ -302,9 +322,11 @@ def parse_tree(text: str) -> Tree:
     was just read.  A name or port joined with the ``(`` after it is one
     ``name(`` token, which opens a node; a name alone is a leaf, and equal
     leaves of one parse are one shared object.  A port may carry children
-    (``*(p)``), as the format has always allowed.
+    (``*(p)``), as the format has always allowed.  Nodes are finished in
+    post-order, and the root keeps that list.
     """
     values = []  # finished children of the open nodes, left to right
+    order = []  # every finished node, in post-order
     opened = []  # (label, index of its first child in `values`) per open node
     known = {}  # node token -> its shared leaf, or the label a name( token opens
     wanted = True
@@ -319,6 +341,7 @@ def parse_tree(text: str) -> Tree:
                 opened.append((node, len(values)))
                 continue
             values.append(node)
+            order.append(node)
             wanted = False
         elif not opened:
             raise ParseError("trailing input after tree", _token_position(text, i))
@@ -327,11 +350,15 @@ def parse_tree(text: str) -> Tree:
         elif tok == ")":
             label, first = opened.pop()
             values[first:] = [Tree(label, values[first:])]
+            order.append(values[-1])
         else:
             raise ParseError("expected ')'", _token_position(text, i))
     if wanted or opened:
         raise ParseError("unexpected end of input" if wanted else "expected ')'", len(text))
-    return values[0]
+    top = order.pop()
+    root = _Parsed(top.label, top.children)
+    root._order = order
+    return root
 
 
 def _token_position(text: str, index: int) -> int:

@@ -2,9 +2,9 @@
 
 import pytest
 
-from treesep import words
+from treesep import bottomup, words
 
-from oracles import least_table_certified
+from oracles import least_table_certified, least_trees_certified
 
 
 @pytest.fixture(autouse=True)
@@ -21,3 +21,18 @@ def certified_word_products(monkeypatch):
         return table
 
     monkeypatch.setattr(words, "_least_table", certified)
+
+
+@pytest.fixture(autouse=True)
+def certified_emptiness(monkeypatch):
+    """Every least-tree search `Dbta.is_empty` runs during a test must pass
+    `least_trees_certified`, so each emptiness verdict and witness is checked
+    against the quotient's table as well as against the test's expectation."""
+    search = bottomup._least_trees
+
+    def certified(quotient):
+        record = search(quotient)
+        assert least_trees_certified(quotient, record)
+        return record
+
+    monkeypatch.setattr(bottomup, "_least_trees", certified)

@@ -26,6 +26,8 @@ here too:
 - `three_pass_intersection_empty` and `pairwise_intersection_empty`: the
   CFG×DFA product as it was first written and before its join was indexed;
   `least_table_certified`: a one-pass check of its least table;
+- `least_trees_certified`: a one-pass check of the least-tree record that
+  `Dbta.is_empty` reads;
 - `nta_eval_set` and `nta_accepts`: runs of a nondeterministic bottom-up
   automaton; `nta_text` and `parse_nta`: its text form, which only the
   tests write and read;
@@ -1017,6 +1019,54 @@ def least_table_certified(grammar, dfa: Dfa, table: dict, max_witness_len: int) 
                     length = ly + lz
                     candidate((p, x, q), length, wy + wz if length <= max_witness_len else None)
     return least == table
+
+
+def least_trees_certified(quotient: Dbta, record) -> bool:
+    """Whether `record` = (best, witness), as `bottomup._least_trees` returns
+    it for `quotient`, certifies `is_empty`'s verdict and witness: `best` maps
+    states, as indices into `quotient._tables()`'s reach, to (size, text) in
+    the order they became final, and `witness` is the accepting one or None.
+
+    One pass over every letter applied to final entries, no search:
+    - each entry is one letter applied to entries final before it, and the
+      least (size, text) that any letter applied to final entries gives its
+      state; the entries come in nondecreasing order;
+    - applying a letter to final entries reaches a non-final state only at a
+      cost no lower than the witness's, or never when there is no witness;
+    - the witness accepts and is the last entry, and no earlier one accepts.
+    Each entry is built from smaller ones, so by induction on size it is a
+    tree reaching its state; and every tree either reaches a final state at
+    no less than its entry, or costs no less than the witness.  So the
+    witness is the least accepted tree, and with no witness every tree
+    reaches a final, rejecting state."""
+    best, witness = record
+    reach = quotient._tables()[0]
+    index = {name: i for i, name in enumerate(reach)}
+    order = list(best)
+    if list(best.values()) != sorted(best.values()):
+        return False
+    if [reach[q] in quotient.accepting for q in order] != [q == witness for q in order]:
+        return False
+    if witness is not None and order[-1] != witness:
+        return False
+    at = {q: i for i, q in enumerate(order)}
+    made = set()  # entries some letter gives from entries before them
+    for letter, ar in quotient.alphabet.items():
+        row = quotient.transitions[letter]
+        for key in itertools.product(order, repeat=ar):
+            target = index[step(quotient, letter, [reach[q] for q in key], row)]
+            size = 1 + sum(best[q][0] for q in key)
+            bound = best.get(target) or (best[witness] if witness is not None else None)
+            if bound is None:
+                return False
+            if size > bound[0]:
+                continue
+            cost = (size, f"{letter}({','.join(best[q][1] for q in key)})" if ar else letter)
+            if cost < bound:
+                return False
+            if cost == bound and target in best and all(at[q] < at[target] for q in key):
+                made.add(target)
+    return made == set(best)
 
 
 TUPLE_ARITY_CAP = 3  # ternary tables decide associativity; |Q|**3 is the budget

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from treesep import fmt
+from treesep import bottomup, fmt
 from treesep.bottomup import Dbta, Nta, parse_dbta
 from treesep.errors import AlphabetError, ArityError, FormatError, TransitionError
 from treesep.obfuscation import kop_nta
@@ -20,6 +20,7 @@ from oracles import (
     random_dbta,
     random_dbtas,
     random_nta,
+    least_trees_certified,
     round_robin_product,
     round_robin_reachable,
     smallest_trees,
@@ -245,6 +246,28 @@ class TestEmptiness:
                     # the witness must be the (size, sexpr)-least accepted tree
                     best = min(accepted, key=lambda u: (u.size, format_tree(u)))
                     assert witness == best
+
+    def test_certificate_checker_rejects_tampered_records(self):
+        """`least_trees_certified` accepts the search's own record and
+        rejects one with an entry that is not least, with the witness
+        dropped, or with the search stopped early."""
+        rng = random.Random(SEED + 6)
+        kinds = set()
+        for dbta in [random_dbta(rng, SIGMA) for _ in range(8)] + [leaf_parity_dbta()]:
+            quotient = dbta.minimize()
+            best, witness = bottomup._least_trees(quotient)
+            assert least_trees_certified(quotient, (best, witness))
+            kinds.add(witness is None)
+            first = next(iter(best))
+            worse = {**best, first: (best[first][0], best[first][1] + "z")}
+            assert not least_trees_certified(quotient, (worse, witness))
+            if witness is not None:
+                dropped = {q: cost for q, cost in best.items() if q != witness}
+                assert not least_trees_certified(quotient, (dropped, None))
+            if len(best) > 1:
+                early = dict(itertools.islice(best.items(), len(best) - 1))
+                assert not least_trees_certified(quotient, (early, None))
+        assert kinds == {True, False}
 
     def test_even_parity_witness_is_single_leaf(self):
         empty, witness = leaf_parity_dbta().is_empty()

@@ -9,6 +9,7 @@ their recursive definition.  Deep trees, which only the new code takes, are
 checked end to end at the bottom.
 """
 
+import gc
 import itertools
 import random
 import sys
@@ -23,7 +24,17 @@ from treesep.errors import AlphabetError, TreesepError
 from treesep.grammar import parse_grammar
 from treesep.obfuscation import kop_dbta, kop_member, kop_nta, obf_alphabet
 from treesep.rotation import comb_dfa, is_associative
-from treesep.trees import PORT, RankedAlphabet, Tree, compose, enumerate_terms, format_tree, parse_tree
+from treesep.trees import (
+    PORT,
+    RankedAlphabet,
+    Tree,
+    compose,
+    enumerate_terms,
+    format_tree,
+    leaf_word,
+    parse_tree,
+    postorder,
+)
 from treesep.walking import ACCEPT, ESCAPE, LOOP, PARENT, REJECT, STAY, Dtwa, dfs_from_dfa, minimal_dbta
 
 from fixtures import (
@@ -65,6 +76,41 @@ def outcome(call, *args):
 
 def seeded_trees(rng, alphabet, count, depth=5):
     return [random_tree(rng, alphabet, depth) for _ in range(count)]
+
+
+def automata_over(alphabet):
+    """Seeded automata over `alphabet` for `assert_parsed_like_built`: two
+    bottom-up automata, two walkers and a grammar for `kop_member`."""
+    rng = random.Random(SEED + 2)
+    dbtas = (random_dbta(rng, alphabet, 3), random_sink_dbta(rng, alphabet, 2))
+    walkers = (random_dtwa(rng, alphabet, n_states=3), dfs_from_dfa(even_p_dfa(), alphabet))
+    return alphabet, dbtas, walkers, palindrome_grammar()
+
+
+def assert_parsed_like_built(parsed, built, automata):
+    """A tree `parse_tree` returned reads like the same tree built with
+    `Tree(...)` everywhere the parsed root's own post-order list is used,
+    errors included, and `postorder` hands out a list the caller owns."""
+    alphabet, dbtas, walkers, grammar = automata
+    nodes = postorder(built)
+    mine = postorder(parsed)
+    assert mine == nodes and mine is not postorder(parsed)
+    mine.reverse()
+    mine.append(parsed)
+    assert postorder(parsed) == nodes
+    assert (parsed.size, parsed.arity, leaf_word(parsed), format_tree(parsed)) == (
+        built.size, built.arity, leaf_word(built), format_tree(built))
+    for ports in (False, True):
+        assert outcome(alphabet.validate, parsed, ports) == outcome(alphabet.validate, built, ports)
+    for dbta in dbtas:
+        assert outcome(dbta.eval, parsed) == outcome(dbta.eval, built)
+    assert outcome(kop_member, grammar, parsed) == outcome(kop_member, grammar, built)
+    for dtwa in walkers:
+        got, want = outcome(dtwa.run, parsed, True), outcome(dtwa.run, built, True)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert (got.kind, got.steps, got.trace) == (want.kind, want.steps, want.trace)
 
 
 def random_sink_dbta(rng, alphabet, n_states):
@@ -266,10 +312,12 @@ def test_validate_against_oracle(alphabet):
                 path.append(rng.randrange(len(node.children)) + 1)
                 node = node.children[path[-1] - 1]
             trees.append(replace_at(tree, path, wrong))
+    automata = automata_over(alphabet)
     for tree in trees:
         for ports in (False, True):
             assert (outcome(alphabet.validate, tree, ports)
                     == outcome(stack_validate, alphabet, tree, ports)), (format_tree(tree), ports)
+        assert_parsed_like_built(parse_tree(format_tree(tree)), tree, automata)
 
 
 @pytest.mark.parametrize("grammar", GRAMMARS)
@@ -303,16 +351,39 @@ class TestParseAgainstOracle:
              "a\t(p,q)", "* (p)", "a (\n", "a ( )", "a(p, a (q,c))"]
 
     def test_fixed_cases(self):
+        automata = automata_over(obf_sigma())
         for text in self.FIXED:
-            assert outcome(parse_tree, text) == outcome(recursive_parse_tree, text), text
+            got = outcome(parse_tree, text)
+            assert got == outcome(recursive_parse_tree, text), text
+            if isinstance(got, Tree):
+                assert_parsed_like_built(got, recursive_parse_tree(text), automata)
 
     def test_formatted_random_trees(self):
         rng = random.Random(SEED)
         for alphabet in ALPHABETS.values():
+            automata = automata_over(alphabet)
             for tree in seeded_trees(rng, alphabet, 100, depth=6):
                 text = format_tree(tree)
                 assert text == recursive_format_tree(tree)
                 assert parse_tree(text) == recursive_parse_tree(text) == tree
+                assert_parsed_like_built(parse_tree(text), tree, automata)
+
+    def test_parsed_tree_is_no_cycle(self):
+        """A parsed root's post-order list leaves the root out, so dropping
+        the tree frees it by reference counting alone."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for text in ("p", "a(p,q)", "a(a(p,c),*)", "a(" * 50 + "p" + ",q)" * 50):
+                tree = parse_tree(text)
+                postorder(tree)
+                obf_sigma().validate(tree, ports=True)
+                del tree
+                assert gc.collect() == 0, text
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_one_character_mutations(self):
         rng = random.Random(SEED)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from treesep.errors import AlphabetError, ArityError, ParseError
+from treesep.errors import AlphabetError, ArityError, FormatError, ParseError
 from treesep.trees import (
     PORT,
     RankedAlphabet,
@@ -175,6 +175,15 @@ def _all_nodes(tree, path=()):
     yield path, tree
     for i, child in enumerate(tree.children, start=1):
         yield from _all_nodes(child, path + (i,))
+
+
+class TestConstruction:
+    def test_string_children_rejected(self):
+        # "pq" would be read as the two children "p" and "q", which are no
+        # trees: hashing, equality and validation would fail on them later
+        with pytest.raises(FormatError, match="^children must be a collection, not the string 'pq'$"):
+            Tree("a", "pq")
+        assert Tree("a", [Tree("p"), Tree("q")]) == t("a(p,q)")
 
 
 class TestSizeAndArity:
