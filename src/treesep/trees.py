@@ -71,24 +71,14 @@ class RankedAlphabet:
     def validate(self, tree: "Tree", ports: bool = False) -> int:
         """Check labels and child counts; `ports=True` additionally admits ``*``.
         Returns the number of node positions, a shared subtree counted at
-        each of them.  One letter lookup per node; only where it differs
-        from the child count (always, for ``*``, never a letter) are the
-        port and arity errors looked for, so the checks and their order
-        are those of a port test and `arity` on every node."""
+        each of them.  Nodes are checked in reverse post-order, root first,
+        with one letter lookup each; only where it differs from the child
+        count (always, for ``*``, never a letter) are the port and arity
+        errors looked for, so the checks and their order are those of a
+        port test and `arity` on every node."""
         letters = self._letters
-        if type(tree) is _Parsed:
-            # reverse post-order is the walk's order; the walk finds any error
-            order = postorder(tree)
-            for node in reversed(order):
-                if letters.get(node.label) != len(node.children):
-                    break
-            else:
-                return len(order)
-        stack = [tree]
-        count = 0
-        while stack:
-            node = stack.pop()
-            count += 1
+        order = postorder(tree)
+        for node in reversed(order):
             if letters.get(node.label) != len(node.children):
                 if node.label != PORT:
                     raise AlphabetError(
@@ -99,9 +89,7 @@ class RankedAlphabet:
                     raise AlphabetError("ports not allowed here")
                 if node.children:
                     raise AlphabetError("port must be a leaf")
-                continue
-            stack.extend(node.children)
-        return count
+        return len(order)
 
     def __eq__(self, other):
         return isinstance(other, RankedAlphabet) and self._letters == other._letters
