@@ -5,19 +5,18 @@ Ports are numbered 1..n in left-to-right leaf order and each port is a
 substitution slot used exactly once, so composition never duplicates an
 argument.  Terms are composed (`compose`), enumerated by size
 (`enumerate_terms`), and written and read in one s-expression format
-(`format_tree`, `parse_tree`); the reader takes a name or port and the ``(``
-after it as one ``name(`` token.  Walks over a tree are iterative, so no depth
-raises RecursionError; `size`, `leaf_word` and `compose` read one `postorder`
-list.  A node caches only its hash; a parsed root also holds its post-order,
-so `postorder` and `validate` on it do not walk the tree again.
+(`format_tree`, `parse_tree`, which reads the text between commas and scans
+tokens only to report an error).  Walks over a tree are iterative, so no
+depth raises RecursionError; `size`, `leaf_word` and `compose` read one
+`postorder` list.  A node caches only its hash; a parsed root also holds its
+post-order, so `postorder` and `validate` on it do not walk the tree again.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-import string
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from .errors import AlphabetError, ArityError, FormatError, ParseError
 
@@ -118,7 +117,10 @@ class Tree:
         if type(children) is str:  # it would be read as one leaf per character
             raise FormatError(f"children must be a collection, not the string {children!r}")
         self.label = label
-        self.children = tuple(children)
+        self.children = children = tuple(children)
+        for i, child in enumerate(children):
+            if not isinstance(child, Tree):
+                raise FormatError(f"child {i} is {child!r}, not a tree")
         self._hash = None
 
     @property
@@ -288,14 +290,6 @@ def format_tree(tree: Tree) -> str:
     return "".join(parts)
 
 
-# One token per match, after optional whitespace: a name or a port joined
-# with the ``(`` after it (whitespace between allowed), a name, a port or any
-# other single character; ``,`` and ``)`` are tried first, as the commonest.
-# Trailing whitespace is left unmatched.  A node starts with a name or a port.
-_TOKEN = re.compile(rf"\s*([,)]|{_NAME.pattern}\s*\(|{_NAME.pattern}|\*\s*\(|\*|\S)")
-_NODE_START = frozenset(string.ascii_letters + string.digits + PORT)
-
-
 class _Parsed(Tree):
     """A root from `parse_tree`; `_order` lists its other nodes, so it is no cycle."""
 
@@ -305,50 +299,81 @@ class _Parsed(Tree):
 def parse_tree(text: str) -> Tree:
     """Parse the s-expression format; raises ParseError with a position.
 
-    One left-to-right pass over the tokens with an explicit stack of open
-    nodes, so any depth parses, in two states: a node is wanted, or a node
-    was just read.  A name or port joined with the ``(`` after it is one
-    ``name(`` token, which opens a node; a name alone is a leaf, and equal
-    leaves of one parse are one shared object.  A port may carry children
-    (``*(p)``), as the format has always allowed.  Nodes are finished in
-    post-order, and the root keeps that list.
+    Each distinct piece of the text between commas is read once (`_piece`),
+    and one pass over the pieces builds the tree with an explicit stack of
+    open nodes, so any depth parses.  Equal leaves of one parse are one
+    shared object, a port may carry children (``*(p)``), and the root keeps
+    its nodes' post-order.  Other text goes to `_parse_error`.
     """
     values = []  # finished children of the open nodes, left to right
     order = []  # every finished node, in post-order
     opened = []  # (label, index of its first child in `values`) per open node
-    known = {}  # node token -> its shared leaf, or the label a name( token opens
-    wanted = True
-    for i, tok in enumerate(_TOKEN.findall(text)):
-        if wanted:
-            node = known.get(tok)
-            if node is None:
-                if tok[0] not in _NODE_START:
-                    raise ParseError(f"unexpected character {tok!r}", _token_position(text, i))
-                node = known[tok] = tok[:-1].rstrip() if tok[-1] == "(" else Tree(tok)
-            if type(node) is str:
-                opened.append((node, len(values)))
-                continue
-            values.append(node)
+    known = {}  # piece -> (labels it opens, its leaf, a range over its closes)
+    pieces = iter(text.split(","))
+    new = object.__new__
+    for piece in pieces:
+        kind = known.get(piece)
+        if kind is None:
+            kind = known[piece] = _piece(piece, known) or _parse_error(text)
+        labels, leaf, closes = kind
+        for label in labels:
+            opened.append((label, len(values)))
+        values.append(leaf)
+        order.append(leaf)
+        for _ in closes:
+            label, first = opened.pop() if opened else _parse_error(text)
+            node = new(Tree)  # its children are trees: no `__init__` check
+            node.label, node.children, node._hash = label, tuple(values[first:]), None
+            values[first:] = [node]
             order.append(node)
-            wanted = False
-        elif not opened:
-            raise ParseError("trailing input after tree", _token_position(text, i))
-        elif tok == ",":
-            wanted = True
-        elif tok == ")":
-            label, first = opened.pop()
-            values[first:] = [Tree(label, values[first:])]
-            order.append(values[-1])
-        else:
-            raise ParseError("expected ')'", _token_position(text, i))
-    if wanted or opened:
-        raise ParseError("unexpected end of input" if wanted else "expected ')'", len(text))
+        if not opened:
+            break
+    if opened or next(pieces, None) is not None:  # a node left open, or a comma after the root
+        _parse_error(text)
     top = order.pop()
     root = _Parsed(top.label, top.children)
     root._order = order
     return root
 
 
-def _token_position(text: str, index: int) -> int:
-    """Offset in `text` of the token `_TOKEN.findall` lists at `index`."""
-    return next(itertools.islice(_TOKEN.finditer(text), index, None)).start(1)
+def _piece(piece: str, known: dict):
+    """Text between commas as (labels it opens, its leaf, a range over its
+    closes), or None unless it reads ``name(``* leaf ``)``*, with whitespace
+    anywhere but inside a name.  A new name is checked and entered in `known`."""
+    *opens, last = piece.split("(")
+    name, *closes = last.split(")")
+    names = [label.strip() for label in opens + [name]]
+    for label in set(names).difference(known):
+        if label != PORT and not _NAME.fullmatch(label):
+            return None
+        known[label] = ((), Tree(label), range(0))
+    if not any(rest.strip() for rest in closes):
+        return names[:-1], known[names[-1]][1], range(len(closes))
+
+
+# The error scan's tokens, each after optional whitespace: a name or port with
+# the ``(`` after it, a name, a port or any other character.
+_TOKEN = re.compile(rf"\s*([,)]|{_NAME.pattern}\s*\(|{_NAME.pattern}|\*\s*\(|\*|\S)")
+
+
+def _parse_error(text: str) -> NoReturn:
+    """Raise the ParseError of text `parse_tree` does not read, from one scan
+    of its tokens that counts the open nodes and builds none."""
+    depth, wanted = 0, True  # wanted: a node is due, not a ``,`` or ``)``
+    for match in _TOKEN.finditer(text):
+        tok, at = match.group(1), match.start(1)
+        if wanted:
+            if tok[0] != PORT and not _NAME.match(tok):  # a node starts with a name or a port
+                raise ParseError(f"unexpected character {tok!r}", at)
+            wanted = tok[-1] == "("  # a ``name(`` token opens a node
+            depth += wanted
+        elif not depth:
+            raise ParseError("trailing input after tree", at)
+        elif tok == ",":
+            wanted = True
+        elif tok == ")":
+            depth -= 1
+        else:
+            raise ParseError("expected ')'", at)
+    assert wanted or depth, "the pieces and the tokens disagree on " + repr(text)
+    raise ParseError("unexpected end of input" if wanted else "expected ')'", len(text))

@@ -12,6 +12,7 @@ checked end to end at the bottom.
 import gc
 import itertools
 import random
+import re
 import sys
 import threading
 
@@ -87,17 +88,24 @@ def automata_over(alphabet):
     return alphabet, dbtas, walkers, palindrome_grammar()
 
 
-def assert_parsed_like_built(parsed, built, automata):
+def assert_parsed_like_built(parsed, built, automata, collect_trace=True):
     """A tree `parse_tree` returned reads like the same tree built with
     `Tree(...)` everywhere the parsed root's own post-order list is used,
-    errors included, and `postorder` hands out a list the caller owns."""
+    errors included, and `postorder` hands out a list the caller owns.
+    A traced walk holds one path per visited position, so deep trees are
+    walked without `collect_trace`."""
     alphabet, dbtas, walkers, grammar = automata
-    nodes = postorder(built)
+    # A walk from a plain copy of the root finds the parsed nodes themselves,
+    # so comparing lists with them is linear.  In a post-order, equal labels
+    # and child counts at every place make every subtree equal, so the
+    # parsed post-order equals the built one, also in linear time.
+    walked = postorder(Tree(parsed.label, parsed.children))[:-1] + [parsed]
     mine = postorder(parsed)
-    assert mine == nodes and mine is not postorder(parsed)
+    assert mine == walked and mine is not postorder(parsed)
+    assert list(map(label_and_arity, mine)) == list(map(label_and_arity, postorder(built)))
     mine.reverse()
     mine.append(parsed)
-    assert postorder(parsed) == nodes
+    assert postorder(parsed) == walked
     assert (parsed.size, parsed.arity, leaf_word(parsed), format_tree(parsed)) == (
         built.size, built.arity, leaf_word(built), format_tree(built))
     for ports in (False, True):
@@ -106,11 +114,16 @@ def assert_parsed_like_built(parsed, built, automata):
         assert outcome(dbta.eval, parsed) == outcome(dbta.eval, built)
     assert outcome(kop_member, grammar, parsed) == outcome(kop_member, grammar, built)
     for dtwa in walkers:
-        got, want = outcome(dtwa.run, parsed, True), outcome(dtwa.run, built, True)
+        got = outcome(dtwa.run, parsed, collect_trace)
+        want = outcome(dtwa.run, built, collect_trace)
         if isinstance(want, tuple):
             assert got == want
         else:
             assert (got.kind, got.steps, got.trace) == (want.kind, want.steps, want.trace)
+
+
+def label_and_arity(node):
+    return node.label, len(node.children)
 
 
 def random_sink_dbta(rng, alphabet, n_states):
@@ -384,6 +397,44 @@ class TestParseAgainstOracle:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_whitespace_agrees_with_the_oracle(self):
+        """The reader strips with `str.strip`, the error scan skips `\\s` and
+        the oracle `str.isspace`: they agree on every code point, and every
+        whitespace character put into every gap of a text, so also inside
+        names, gives the same tree or the same error."""
+        spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() or re.match(r"\s", c)]
+        assert all(c.isspace() and re.match(r"\s", c) for c in spaces)
+        assert {" ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"} <= set(spaces)
+        parsed = set()
+        for text in ("a(p,q)", "ab(c1,*(p2))", "a( a(p,c) ,q )", "a(p,a(q,c))", "*"):
+            for i, space in itertools.product(range(len(text) + 1), spaces):
+                spaced = text[:i] + space + text[i:]
+                got = outcome(parse_tree, spaced)
+                assert got == outcome(recursive_parse_tree, spaced), spaced
+                parsed.add(isinstance(got, Tree))
+        assert parsed == {True, False}  # a space inside a name is an error
+
+    @pytest.mark.parametrize("shape", ["left", "right", "random"])
+    def test_padded_bracketings_of_4096_leaves(self, shape):
+        """Trees shaped like the benchmark's: 4,096 leaves bracketed as a
+        comb or at random, each binary node a random two-port term over
+        {a, c}.  Parsing their text gives the tree built, with no
+        RecursionError at any depth, and equal leaves as one object."""
+        rng = random.Random(SEED + len(shape))
+        pads = list(enumerate_terms(RankedAlphabet({"a": 2, "c": 0}), 2, 5))
+        items = [Tree(rng.choice("pq")) for _ in range(4096)]
+        while len(items) > 1:
+            i = {"left": 0, "right": len(items) - 2}.get(shape, rng.randrange(len(items) - 1))
+            items[i:i + 2] = [compose(rng.choice(pads), items[i:i + 2])]
+        built = items[0]
+        text = format_tree(built)
+        depth = max(itertools.accumulate((ch == "(") - (ch == ")") for ch in text))
+        assert (depth > sys.getrecursionlimit()) == (shape != "random")
+        parsed = parse_tree(text)
+        assert_parsed_like_built(parsed, built, automata_over(obf_sigma()), collect_trace=False)
+        leaves = [node for node in postorder(parsed) if not node.children]
+        assert len({id(leaf) for leaf in leaves}) == len({leaf.label for leaf in leaves}) == 3
 
     def test_one_character_mutations(self):
         rng = random.Random(SEED)

@@ -185,6 +185,16 @@ class TestConstruction:
             Tree("a", "pq")
         assert Tree("a", [Tree("p"), Tree("q")]) == t("a(p,q)")
 
+    def test_non_tree_children_rejected(self):
+        # such a node would print as a(p,q), but hashing, equality and
+        # validation would fail on its children later
+        with pytest.raises(FormatError, match=r"^child 0 is 'p', not a tree$"):
+            Tree("a", ["p", "q"])
+        with pytest.raises(FormatError, match=r"^child 1 is None, not a tree$"):
+            Tree("a", (Tree("p"), None))
+        # a parsed root is a tree, and may be a child
+        assert Tree("a", (t("p"), t("a(q,c)"))) == t("a(p,a(q,c))")
+
 
 class TestSizeAndArity:
     def test_ports_with_children(self):
