@@ -308,13 +308,13 @@ def parse_tree(text: str) -> Tree:
     values = []  # finished children of the open nodes, left to right
     order = []  # every finished node, in post-order
     opened = []  # (label, index of its first child in `values`) per open node
-    known = {}  # piece -> (labels it opens, its leaf, a range over its closes)
+    known, leaves = {}, {}  # piece -> its `_piece` reading; checked label -> its leaf
     pieces = iter(text.split(","))
     new = object.__new__
     for piece in pieces:
         kind = known.get(piece)
         if kind is None:
-            kind = known[piece] = _piece(piece, known) or _parse_error(text)
+            kind = known[piece] = _piece(piece, leaves) or _parse_error(text)
         labels, leaf, closes = kind
         for label in labels:
             opened.append((label, len(values)))
@@ -336,19 +336,19 @@ def parse_tree(text: str) -> Tree:
     return root
 
 
-def _piece(piece: str, known: dict):
+def _piece(piece: str, leaves: dict):
     """Text between commas as (labels it opens, its leaf, a range over its
     closes), or None unless it reads ``name(``* leaf ``)``*, with whitespace
-    anywhere but inside a name.  A new name is checked and entered in `known`."""
+    anywhere but inside a name; a new name is checked and its leaf put in `leaves`."""
     *opens, last = piece.split("(")
     name, *closes = last.split(")")
     names = [label.strip() for label in opens + [name]]
-    for label in set(names).difference(known):
+    for label in set(names).difference(leaves):
         if label != PORT and not _NAME.fullmatch(label):
             return None
-        known[label] = ((), Tree(label), range(0))
+        leaves[label] = Tree(label)
     if not any(rest.strip() for rest in closes):
-        return names[:-1], known[names[-1]][1], range(len(closes))
+        return names[:-1], leaves[names[-1]], range(len(closes))
 
 
 # The error scan's tokens, each after optional whitespace: a name or port with

@@ -361,7 +361,9 @@ class TestParseAgainstOracle:
              " a ( p , q ) ", "*p", "p*", "a()", "a(,p)", "\ta(p,\nq)\r\n", "a(p,q", "a (",
              "a (p,q)", "a(p,q) ", "é", "aé",
              "a(p)(", "a((p)", "p q", "a (\n p )", "p", "*", "a(p,*(q))", "a(p,)",
-             "a\t(p,q)", "* (p)", "a (\n", "a ( )", "a(p, a (q,c))"]
+             "a\t(p,q)", "* (p)", "a (\n", "a ( )", "a(p, a (q,c))",
+             # a piece read before must not let a later piece open an unchecked label
+             "a(a(p,q),q)(c))", "a(b(p,p),p)(q))", "a(a(p,q),q )(c))", "a(p,p)", "a(p,p(q))"]
 
     def test_fixed_cases(self):
         automata = automata_over(obf_sigma())
@@ -461,6 +463,20 @@ class TestParseAgainstOracle:
         # every kind of parse error is among the mutations
         assert errors == {"unexpected end of input", "unexpected character", "expected ')'",
                           "trailing input after tree"}
+
+    def test_comma_turned_into_an_open(self):
+        """A comma made ``(``, with closes added at the end, joins a piece
+        the reader has already seen, such as ``q)``, to the next as a label:
+        it must be checked as a name, not taken from the pieces read."""
+        rng = random.Random(SEED)
+        for alphabet in ALPHABETS.values():
+            for tree in seeded_trees(rng, alphabet, 60, depth=4):
+                text = format_tree(tree)
+                for i in (i for i, ch in enumerate(text) if ch == ","):
+                    for closes in (")", "))"):
+                        mutated = text[:i] + "(" + text[i + 1:] + closes
+                        got = outcome(parse_tree, mutated)
+                        assert got == outcome(recursive_parse_tree, mutated), mutated
 
 
 # Words with an even number of p; every binary bracketing of such a word is a
