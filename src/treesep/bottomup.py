@@ -7,8 +7,8 @@ TransitionError.  Every algorithm on a `Dbta` reads one integer table,
 `Dbta._tables`, dense over the values of a projection that gives each
 reachable state one row coordinate, at every child position.  A parsed
 automaton builds it once from its checked entries, over the identity; a
-built one holds nothing else, and names its entries only when
-`transitions` is read.  Emptiness is searched on the quotient's table.
+built one holds it and `eval`'s row-coordinate view, and names entries only
+when `transitions` is read.  Emptiness is searched on the quotient's table.
 
 Reachable states, subset constructions and the walker's read-slot classes
 are all one closure: start from nothing and apply every letter to every
@@ -144,7 +144,7 @@ class Dbta:
             if sink in self.accepting:
                 raise FormatError("sink must be non-accepting")
         self._named = _checked(alphabet, state_set, transitions, lambda value: {value}, sink)
-        self._table_cache = None
+        self._eval_cache = self._table_cache = None
 
     @classmethod
     def _trusted(cls, alphabet, reach, proj, accepting, rows, sink=None) -> "Dbta":
@@ -157,7 +157,7 @@ class Dbta:
         dbta.states = tuple(sorted(reach))
         dbta.accepting = frozenset(accepting)
         dbta.sink = sink
-        dbta._named = None
+        dbta._named = dbta._eval_cache = None
         dbta._table_cache = reach, proj, max(proj, default=-1) + 1, rows, None
         return dbta
 
@@ -176,16 +176,21 @@ class Dbta:
     def eval(self, tree: Tree) -> str:
         """State reached bottom-up; total and deterministic on conforming trees.
 
-        One post-order pass over `_tables` in row coordinates: a binary node
-        pops its children's, reads entry ``left * m + right`` and pushes its
-        target's.  On a bad node, and before a missing entry is reported,
+        One post-order pass over `_eval_rows` in row coordinates: a nullary
+        leaf pushes its own, a binary node pops its children's and pushes the
+        one at ``left * m + right``, and the root's state is read from its
+        flat row.  On a bad node, and before a missing entry is reported,
         `validate` on the whole tree raises the error an up-front check would
         have raised first; a tree that avoids every missing entry evaluates.
         """
-        reach, proj, m, rows, _ = self._tables()
-        values = []
+        reach, _, m, rows, _ = self._tables()
+        leaves, coordinates = self._eval_rows()
+        values, code = [], 0
         for node in postorder(tree):
-            ar, table = rows.get(node.label, (-1, None))
+            if not node.children and (leaf := leaves.get(node.label)) is not None:
+                values.append(leaf)
+                continue
+            ar, table = coordinates.get(node.label, (-1, None))
             if ar != len(node.children):
                 self.alphabet.validate(tree)
             if ar == 2:
@@ -196,13 +201,24 @@ class Dbta:
                 del values[-ar:]
             else:
                 code = 0
-            target = table[code]
-            if target is None:
+            value = table[code]
+            if value is None:
                 # only a parsed table has gaps, and its coordinates are the state indices
                 self.alphabet.validate(tree)
                 raise _no_transition(node.label, tuple(reach[code // m ** i % m] for i in reversed(range(ar))))
-            values.append(proj[target])
-        return reach[target]
+            values.append(value)
+        return reach[rows[tree.label][1][code]]
+
+    def _eval_rows(self):
+        """(leaves, coordinates), built once: per letter (arity, the target's row
+        coordinate at each entry of its flat row in `_tables`, the row itself
+        under the identity), and each nullary letter's entry, None at a gap."""
+        if self._eval_cache is None:
+            _, proj, m, rows, _ = self._tables()
+            coordinates = rows if m == len(proj) else {
+                letter: (ar, [proj[t] for t in flat]) for letter, (ar, flat) in rows.items()}
+            self._eval_cache = {letter: flat[0] for letter, (ar, flat) in coordinates.items() if not ar}, coordinates
+        return self._eval_cache
 
     def accepts(self, tree: Tree) -> bool:
         return self.eval(tree) in self.accepting

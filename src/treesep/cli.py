@@ -48,8 +48,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    outcome = parse_dtwa(args.dtwa.read_text()).run(
-        parse_tree(args.tree.read_text()), collect_trace=args.trace)
+    outcome = parse_dtwa(args.dtwa.read_text(encoding="utf-8-sig")).run(
+        parse_tree(args.tree.read_text(encoding="utf-8-sig")), collect_trace=args.trace)
     trace = None
     if outcome.trace is not None:
         trace = [[state, format_path(path), tag] for state, path, tag in outcome.trace]
@@ -62,13 +62,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return _run(args)
-        g = parse_grammar(args.g.read_text())
-        h = parse_grammar(args.h.read_text())
+        g = parse_grammar(args.g.read_text(encoding="utf-8-sig"))
+        h = parse_grammar(args.h.read_text(encoding="utf-8-sig"))
         if args.command == "extract":
-            report = extract_separator(parse_dtwa(args.dtwa.read_text()), g, h, args.bound)
+            report = extract_separator(parse_dtwa(args.dtwa.read_text(encoding="utf-8-sig")), g, h, args.bound)
             print(report.to_json())
             return 0 if report.verified else 1
-        report = verify_separator(parse_dfa(args.dfa.read_text()), g, h)
+        report = verify_separator(parse_dfa(args.dfa.read_text(encoding="utf-8-sig")), g, h)
     except (TreesepError, OSError, UnicodeDecodeError) as exc:
         print(f"treesep: {exc}", file=sys.stderr)
         return 2

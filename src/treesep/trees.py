@@ -300,14 +300,14 @@ def parse_tree(text: str) -> Tree:
     """Parse the s-expression format; raises ParseError with a position.
 
     Each distinct piece of the text between commas is read once (`_piece`),
-    and one pass over the pieces builds the tree with an explicit stack of
-    open nodes, so any depth parses.  Equal leaves of one parse are one
-    shared object, a port may carry children (``*(p)``), and the root keeps
-    its nodes' post-order.  Other text goes to `_parse_error`.
+    and one pass over them builds the tree, with the open nodes' labels and
+    first-child indices on two flat stacks, so any depth parses.  Equal leaves
+    of one parse are one shared object, a port may carry children (``*(p)``),
+    the root keeps its nodes' post-order, and `_parse_error` takes other text.
     """
     values = []  # finished children of the open nodes, left to right
     order = []  # every finished node, in post-order
-    opened = []  # (label, index of its first child in `values`) per open node
+    labels, firsts = [], []  # per open node: its label, the index of its first child in `values`
     known, leaves = {}, {}  # piece -> its `_piece` reading; checked label -> its leaf
     pieces = iter(text.split(","))
     new = object.__new__
@@ -315,20 +315,22 @@ def parse_tree(text: str) -> Tree:
         kind = known.get(piece)
         if kind is None:
             kind = known[piece] = _piece(piece, leaves) or _parse_error(text)
-        labels, leaf, closes = kind
-        for label in labels:
-            opened.append((label, len(values)))
+        opens, leaf, closes = kind
+        for label in opens:
+            labels.append(label)
+            firsts.append(len(values))
         values.append(leaf)
         order.append(leaf)
         for _ in closes:
-            label, first = opened.pop() if opened else _parse_error(text)
+            first = firsts.pop() if firsts else _parse_error(text)
             node = new(Tree)  # its children are trees: no `__init__` check
-            node.label, node.children, node._hash = label, tuple(values[first:]), None
-            values[first:] = [node]
+            node.label, node.children, node._hash = labels.pop(), tuple(values[first:]), None
+            del values[first:]
+            values.append(node)
             order.append(node)
-        if not opened:
+        if not firsts:
             break
-    if opened or next(pieces, None) is not None:  # a node left open, or a comma after the root
+    if firsts or next(pieces, None) is not None:  # a node left open, or a comma after the root
         _parse_error(text)
     top = order.pop()
     root = _Parsed(top.label, top.children)

@@ -141,10 +141,13 @@ class Dtwa:
         """The move loop of `run`, for at most `bound` moves; None if the run
         has not ended by then, which an `exact` walk never returns.
 
-        An `exact` walk keys each node by a position id, handed out the first
-        time it enters (parent id, child index), and each configuration by
-        pos * n + state, with states numbered as in `_rows`, so that no
-        move costs the current depth.  A traced walk records each new
+        The walk carries the row index tag * n + state of `_rows` and pushes
+        each ancestor's row base tag * n, so no step multiplies to find its
+        entry: a STAY goes on at base + value, a child move at value, and a
+        parent move at the popped base plus value.  An `exact` walk keys each
+        node by a position id, handed out the first time it enters (parent id,
+        child index), and each configuration by pos * width * n + index, so
+        that no move costs the current depth.  A traced walk records each new
         position's child path once, and its trace entries share that tuple.
         """
         rows = self._rows
@@ -152,27 +155,25 @@ class Dtwa:
         width = self.alphabet.maxarity + 1
         position_ids = {}
         paths = [()]  # the child path of each position id, when tracing
-        above = []  # (node, position id, tag) of every ancestor
-        node, pos, tag = tree, 0, ROOT_TAG
-        state = self.states.index(self.initial)
-        visited = {state}
+        above = []  # (node, position id, row base) of every ancestor
+        node, pos, base = tree, 0, ROOT_TAG * n
+        index = base + self.states.index(self.initial)
+        visited = {index}
         trace = [(self.initial, (), ROOT_TAG)] if collect_trace else None
         for steps in range(1, bound + 1):
-            move, value = rows[node.label][tag * n + state]
+            move, value = rows[node.label][index]
             if move == PARENT:
                 if value >= n:
                     return RunOutcome(ACCEPT if value == n else REJECT, steps - 1, trace)
-                state = value
                 if not above:
                     return RunOutcome(ESCAPE, steps, trace)
-                node, pos, tag = above.pop()
+                node, pos, base = above.pop()
+                index = base + value
             elif move == STAY:
-                state = value
+                index = base + value
             else:
-                # the child's row index, (move, next state), is `value` itself
-                state = value - move * n
-                above.append((node, pos, tag))
-                node, tag = node.children[move - 1], move
+                above.append((node, pos, base))
+                node, index, base = node.children[move - 1], value, move * n
             if exact:
                 if move > 0:
                     key = pos * width + move
@@ -183,8 +184,8 @@ class Dtwa:
                             paths.append(paths[pos] + (move,))
                     pos = child
                 if collect_trace:
-                    trace.append((self.states[state], paths[pos], tag))
-                config = pos * n + state
+                    trace.append((self.states[index - base], paths[pos], base // n))
+                config = pos * width * n + index
                 if config in visited:
                     return RunOutcome(LOOP, steps, trace)
                 visited.add(config)

@@ -16,7 +16,7 @@ from treesep.bottomup import Dbta
 from treesep.fixtures import NONPALINDROME_TEXT, PALINDROME_TEXT, obf_sigma
 from treesep.grammar import CnfGrammar, parse_grammar
 from treesep.trees import RankedAlphabet, parse_tree
-from treesep.walking import ACCEPT, REJECT, STAY, Dtwa
+from treesep.walking import ACCEPT, PARENT, REJECT, ROOT_TAG, STAY, Dtwa
 from treesep.words import Dfa
 
 t = parse_tree
@@ -207,6 +207,25 @@ def stay_loop_dtwa(alphabet=None) -> Dtwa:
         for tag in range(alphabet.maxarity + 1)
     }
     return Dtwa(alphabet, ("spin",), "spin", delta)
+
+
+def return_stay_dtwa(alphabet=None) -> Dtwa:
+    """Depth-first traversal that stays in place once after each return
+    from a child, so it stays at every inner node at the tag that node has,
+    not the tag of the child it came back from.  `d` walks down, `u{i}` is
+    back from child i and `s{i}`, one stay later, goes on to child i + 1 or
+    leaves.  It visits every node and accepts every tree."""
+    alphabet = alphabet or obf_sigma()
+    top = alphabet.maxarity
+    delta = {}
+    for letter, ar in alphabet.items():
+        for tag in range(top + 1):
+            leave = ACCEPT if tag == ROOT_TAG else (f"u{tag}", PARENT)
+            delta[(letter, tag, "d")] = ("d", 1) if ar else leave
+            for i in range(1, top + 1):
+                delta[(letter, tag, f"u{i}")] = (f"s{i}", STAY)
+                delta[(letter, tag, f"s{i}")] = ("d", i + 1) if i < ar else leave
+    return Dtwa(alphabet, ["d"] + [f"{x}{i}" for x in "us" for i in range(1, top + 1)], "d", delta)
 
 
 def left_leaf_dtwa(alphabet=None) -> Dtwa:

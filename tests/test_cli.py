@@ -39,7 +39,7 @@ from oracles import SEED, criterion_dfas, dict_run
 def files(tmp_path):
     def write(name, text):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return str(path)
 
     return write
@@ -131,7 +131,7 @@ class TestRun:
         env = dict(os.environ, PYTHONPATH=str(Path(treesep.__file__).parents[1]))
         argv = [sys.executable, "-m", "treesep", "run", files("w.dtwa", walker.to_text()),
                 files("t.tree", "a(q,p)")]
-        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        done = subprocess.run(argv, env=env, capture_output=True, encoding="utf-8", timeout=60)
         assert done.returncode == 1
         assert json.loads(done.stdout) == {"kind": "reject", "steps": 4, "trace": None}
 
@@ -175,7 +175,7 @@ def test_public_names():
 
 
 def test_console_script_target():
-    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     target = re.search(r'^treesep = "([\w.]+):(\w+)"$', pyproject, re.M)
     assert target, "pyproject.toml declares no treesep script"
     assert callable(getattr(importlib.import_module(target[1]), target[2]))
@@ -188,7 +188,7 @@ def test_bench_imports_resolve():
     root = Path(__file__).resolve().parents[1]
     imported, read = [], set()
     for path in sorted((root / "perfbench").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "treesep":
                 imported += [(node.module, alias.name) for alias in node.names]
             elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "fixtures":
@@ -199,7 +199,7 @@ def test_bench_imports_resolve():
         assert Path(owner.__file__).resolve().is_relative_to(root / "src"), module
         if not hasattr(owner, name):
             importlib.import_module(f"{module}.{name}")  # a submodule, or ModuleNotFoundError
-    body = ast.parse((root / "src/treesep/fixtures.py").read_text()).body
+    body = ast.parse((root / "src/treesep/fixtures.py").read_text(encoding="utf-8")).body
     defined = {node.name for node in body if isinstance(node, ast.FunctionDef)}
     defined |= {target.id for node in body if isinstance(node, ast.Assign) for target in node.targets}
     assert read == defined == {"PALINDROME_TEXT", "NONPALINDROME_TEXT", "obf_sigma"}
@@ -278,7 +278,7 @@ def use(t):
 def parsed(folder):
     """The syntax trees of the Python files in `folder` of the repository."""
     root = Path(__file__).resolve().parents[1]
-    return [ast.parse(path.read_text()) for path in sorted((root / folder).glob("*.py"))]
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((root / folder).glob("*.py"))]
 
 
 def test_private_helpers_in_src_are_called():
@@ -316,7 +316,23 @@ def test_sources_parse_as_python_3_10(folder):
     paths = sorted((Path(__file__).resolve().parents[1] / folder).rglob("*.py"))
     assert paths
     for path in paths:
-        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("command", ["extract", "verify", "run"])
+def test_byte_order_mark(files, capsys, command):
+    """Input files are read as UTF-8 whatever the locale, and a leading
+    byte-order mark is skipped: each command prints the same output, with
+    the same exit code, for the marked files as for the plain ones."""
+    walker = dfs_from_dfa(p_prefix_dfa(), obf_sigma()).to_text()
+    texts = {"extract": [walker, P_INITIAL_TEXT, Q_INITIAL_TEXT],
+             "verify": [p_prefix_dfa().to_text(), P_INITIAL_TEXT, Q_INITIAL_TEXT],
+             "run": [walker, "a(p, a(c, q))\n"]}[command]
+    extra = ["--trace"] if command == "run" else []
+    plain = run(capsys, [command, *[files(f"plain{i}", text) for i, text in enumerate(texts)], *extra])
+    marked = run(capsys, [command, *[files(f"marked{i}", f"\ufeff{text}") for i, text in enumerate(texts)], *extra])
+    assert plain[0] == 0 and plain[2] == ""
+    assert marked == plain
 
 
 def test_output_does_not_depend_on_hash_seed(files):
@@ -334,7 +350,7 @@ def test_output_does_not_depend_on_hash_seed(files):
     k18 = files("k18.dfa", criterion_dfas()[18].to_text())
     walker18 = ["-c", "import sys\n"
                       "from treesep import dfs_from_dfa, fixtures, format_tree, minimal_dbta, parse_dfa, to_dbta\n"
-                      "w = dfs_from_dfa(parse_dfa(open(sys.argv[1]).read()), fixtures.obf_sigma())\n"
+                      "w = dfs_from_dfa(parse_dfa(open(sys.argv[1], encoding='utf-8').read()), fixtures.obf_sigma())\n"
                       "print(minimal_dbta(w).to_text() + to_dbta(w).minimize().to_text())\n"
                       "print(minimal_dbta(w).minimize().fingerprint())\n"
                       "print(format_tree(to_dbta(w).is_empty()[1]))", k18]
@@ -343,7 +359,7 @@ def test_output_does_not_depend_on_hash_seed(files):
         outputs = []
         for seed in ("1", "2"):
             done = subprocess.run([sys.executable, *args], env=dict(env, PYTHONHASHSEED=seed),
-                                  capture_output=True, text=True, timeout=60)
+                                  capture_output=True, encoding="utf-8", timeout=60)
             assert done.returncode == 0, done.stderr
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1] and outputs[0]

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesep.bottomup import Dbta
+from treesep.bottomup import Dbta, parse_dbta
 from treesep.errors import AlphabetError, TreesepError
 from treesep.grammar import parse_grammar
 from treesep.obfuscation import kop_dbta, kop_member, kop_nta, obf_alphabet
@@ -36,7 +36,7 @@ from treesep.trees import (
     parse_tree,
     postorder,
 )
-from treesep.walking import ACCEPT, ESCAPE, LOOP, PARENT, REJECT, STAY, Dtwa, dfs_from_dfa, minimal_dbta
+from treesep.walking import ACCEPT, ESCAPE, LOOP, PARENT, REJECT, STAY, Dtwa, dfs_from_dfa, minimal_dbta, to_dbta
 
 from fixtures import (
     ALPHABETS,
@@ -45,6 +45,7 @@ from fixtures import (
     leaf_parity_dbta,
     obf_sigma,
     palindrome_grammar,
+    return_stay_dtwa,
     stay_loop_dtwa,
 )
 from oracles import (
@@ -159,11 +160,20 @@ class TestRunAgainstOracle:
     def test_fixture_walkers(self, alphabet):
         rng = random.Random(SEED)
         trees = seeded_trees(rng, alphabet, 40)
-        for dtwa in (stay_loop_dtwa(alphabet), dfs_from_dfa(even_p_dfa(), alphabet)):
+        walkers = (stay_loop_dtwa(alphabet), dfs_from_dfa(even_p_dfa(), alphabet), return_stay_dtwa(alphabet))
+        moves = set()
+        for dtwa in walkers:
             for tree in trees:
                 got = dtwa.run(tree, collect_trace=True)
                 want = dict_run(dtwa, tree, collect_trace=True)
                 assert (got.kind, got.steps, got.trace) == (want.kind, want.steps, want.trace)
+                for (_, before, child), (_, path, tag), (_, after, _) in zip(got.trace, got.trace[1:], got.trace[2:]):
+                    if len(before) > len(path) == len(after) and child != tag >= 1:
+                        moves.add("stay at a tag >= 1, back from a child at another tag")
+                    if len(path) >= 2 and after == path[:-1]:
+                        moves.add("parent move from depth >= 2")
+        # both moves that read a row base a return popped occur
+        assert moves == {"stay at a tag >= 1, back from a child at another tag", "parent move from depth >= 2"}
 
     def test_errors(self, alphabet):
         dtwa = random_dtwa(random.Random(SEED), alphabet, n_states=2)
@@ -275,6 +285,16 @@ class TestEvalAgainstOracle:
             dbta = random_dbta(rng, alphabet, n_states=rng.randint(1, 4))
             for tree in seeded_trees(rng, alphabet, 30):
                 assert dbta.eval(tree) == recursive_eval(dbta, tree)
+        # every one-node tree, on tables over the identity, parsed and
+        # minimised, and on `to_dbta`'s, whose rows are over classes
+        parsed = [parse_dbta(random_dbta(rng, alphabet, n_states=3).to_text()) for _ in range(4)]
+        walkers = [dfs_from_dfa(even_p_dfa(), alphabet)] + [random_dtwa(rng, alphabet) for _ in range(4)]
+        built = [to_dbta(w) for w in walkers]
+        assert any(len(set(dbta._tables()[1])) < len(dbta.states) for dbta in built)
+        leaves = [Tree(letter) for letter in alphabet.zero_arity()]
+        for dbta in parsed + built + [dbta.minimize() for dbta in parsed + built]:
+            for tree in leaves + seeded_trees(rng, alphabet, 5):
+                assert dbta.eval(tree) == recursive_eval(dbta, tree)
 
     def test_with_sink(self, alphabet):
         rng = random.Random(SEED)
@@ -283,7 +303,7 @@ class TestEvalAgainstOracle:
                      for _ in range(8)]
         for dbta in automata:
             assert dbta.sink is not None
-            for tree in seeded_trees(rng, alphabet, 30):
+            for tree in seeded_trees(rng, alphabet, 30) + [Tree(letter) for letter in alphabet.zero_arity()]:
                 assert dbta.eval(tree) == recursive_eval(dbta, tree)
 
     def test_errors(self, alphabet):
@@ -291,10 +311,17 @@ class TestEvalAgainstOracle:
         transition met earlier in the post-order."""
         rng = random.Random(SEED)
         sinkless = Dbta(alphabet, ("q",), (), {alphabet.zero_arity()[0]: {(): "q"}})
-        automata = [random_dbta(rng, alphabet, 2), random_sink_dbta(rng, alphabet, 2), sinkless]
+        automata = [random_dbta(rng, alphabet, 2), random_sink_dbta(rng, alphabet, 2), sinkless,
+                    parse_dbta(sinkless.to_text())]
         binary = [name for name, ar in alphabet.items() if ar >= 1]
         trees = seeded_trees(rng, alphabet, 10)
-        bad = [Tree("zz"), Tree("*"), Tree("p", [Tree("q")]), Tree(binary[0], [])]
+        # a leaf off the alphabet, a port, a nullary letter with a child, a
+        # binary letter as a leaf and a root off the alphabet
+        bad = [Tree("zz"), Tree("*"), Tree("p", [Tree("q")]), Tree(binary[0], []), Tree("zz", [Tree("p")] * 2)]
+        # a leaf with no entry and no sink, at the root and below a node
+        # with the wrong child count
+        missing = Tree(alphabet.zero_arity()[-1])
+        bad += [missing, Tree(binary[0], [missing])]
         for tree in trees + bad:
             for wrong in bad:
                 kids = list(tree.children)

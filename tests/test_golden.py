@@ -99,7 +99,7 @@ def digests() -> dict:
 
 
 def test_output_bytes_match_the_recorded_digests():
-    want = json.loads(GOLDEN.read_text())
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = digests()
     assert sorted(got) == sorted(want)
     changed = [case for case in want if got[case] != want[case]]
